@@ -10,13 +10,8 @@ import argparse
 import sys
 
 from fldp.datasets import DatasetSpec
-from fldp.experiment import (
-    DEFAULT_TOPK,
-    DEFAULT_TRIALS,
-    MECHANISM_NAMES,
-    ExperimentSpec,
-    run_experiment,
-)
+from fldp.experiment import DEFAULT_TOPK, DEFAULT_TRIALS, ExperimentSpec, run_experiment
+from fldp.mechanisms import MECHANISMS
 
 DESK_SCALE_N = 100_000
 FULL_SCALE_N = 593_358
@@ -28,8 +23,8 @@ def parse_args(argv=None):
     parser.add_argument("--out", default="sweep_out", help="output directory")
     parser.add_argument(
         "--mechanisms",
-        default=",".join(MECHANISM_NAMES),
-        help="comma-separated subset of " + ",".join(MECHANISM_NAMES),
+        default=",".join(MECHANISMS),
+        help="comma-separated subset of " + ",".join(MECHANISMS),
     )
     parser.add_argument("--domain", type=int, default=1023, help="Zipf domain size")
     parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)

@@ -25,23 +25,13 @@ from .aggregator import (
 from .datasets import DatasetSpec, ItemStream, exact_frequencies, generate_zipf, ingest_csv
 from .experiment import ExperimentSpec, ResultRow, run_experiment
 from .hadamard import HadamardOrder, ItemRowMap, entry, min_order_for_domain, row_vector
-from .mechanisms import (
-    FhrReport,
-    GrrReport,
-    OlhReport,
-    PrivacyParams,
-    UnaryReport,
-    fhr_perturb,
-    fhr_perturb_batch,
-    grr_perturb,
-    olh_perturb,
-    unary_perturb,
-)
+from .mechanisms import MECHANISMS, FhrReport, Mechanism, PrivacyParams, fhr_perturb_batch
 from .metrics import NoOverlapError, TopKSelection, kld, ncr, related_error, squared_error, top_k
 from .verifier import (
     EnumerationLimitError,
     FldpCertificate,
     OutputRange,
+    certificate_passes,
     certify,
     certify_mechanism,
     certify_ranges,

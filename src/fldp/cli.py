@@ -34,22 +34,14 @@ from .experiment import (
     DEFAULT_EPSILONS,
     DEFAULT_TOPK,
     DEFAULT_TRIALS,
-    MECHANISM_NAMES,
     ExperimentSpec,
     run_experiment,
 )
-from .verifier import (
-    VERIFIABLE_MECHANISMS,
-    EnumerationLimitError,
-    certify_mechanism,
-)
+from .mechanisms import MECHANISMS
+from .verifier import EnumerationLimitError, certificate_passes, certify_mechanism
 from .wire import report_size_table
 
 __all__ = ["main", "build_parser", "verify_fldp"]
-
-_ETA_EXPECTED = {"fhr": 0.5, "grr": 1.0, "oue": 1.0, "rappor": 1.0}
-_RATIO_TOL = 1e-9
-_ETA_TOL = 1e-12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--mechanisms",
         type=str,
-        default=",".join(MECHANISM_NAMES),
+        default=",".join(MECHANISMS),
         help="comma-separated mechanism names",
     )
     run.add_argument(
@@ -122,7 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser(
         "verify-fldp", help="certify a mechanism's overlap and ratio bounds"
     )
-    verify.add_argument("mechanism", choices=VERIFIABLE_MECHANISMS)
+    verify.add_argument(
+        "mechanism", choices=[name for name, m in MECHANISMS.items() if m.eta is not None]
+    )
     verify.add_argument("--epsilon", type=float, required=True, help="privacy budget to certify")
     verify.add_argument(
         "--order",
@@ -201,17 +195,13 @@ def verify_fldp(
             raise ValueError(f"domain must have at least 2 items, got {size}")
         domain_size = size
     certificate = certify_mechanism(mechanism, epsilon, domain_size)
-    eta_expected = _ETA_EXPECTED[mechanism]
-    passed = (
-        certificate.eta_observed + _ETA_TOL >= eta_expected
-        and certificate.epsilon_effective <= epsilon + _RATIO_TOL
-    )
+    passed = certificate_passes(mechanism, epsilon, certificate)
     document = {
         "mechanism": mechanism,
         "epsilon": epsilon,
         "size": size,
         "domain_size": domain_size,
-        "eta_expected": eta_expected,
+        "eta_expected": MECHANISMS[mechanism].eta,
         "eta_observed": certificate.eta_observed,
         "max_ratio_observed": certificate.max_ratio_observed,
         "epsilon_effective": certificate.epsilon_effective,

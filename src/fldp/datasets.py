@@ -88,12 +88,8 @@ class ItemStream:
         return self.items.size
 
 
-def exact_frequencies(stream: ItemStream) -> np.ndarray:
-    """Exact per-item counts recomputed from the raw items."""
-    return np.bincount(stream.items, minlength=stream.domain_size).astype(np.int64)
-
-
-def _count_items(items: np.ndarray, domain_size: int) -> np.ndarray:
+def exact_frequencies(items: np.ndarray, domain_size: int) -> np.ndarray:
+    """Exact per-item counts of raw items over [0, domain_size)."""
     return np.bincount(items, minlength=domain_size).astype(np.int64)
 
 
@@ -117,7 +113,7 @@ def generate_zipf(spec: DatasetSpec) -> ItemStream:
     return ItemStream(
         items=items,
         domain_size=spec.domain_size,
-        ground_truth=_count_items(items, spec.domain_size),
+        ground_truth=exact_frequencies(items, spec.domain_size),
         labels=tuple(str(i) for i in range(spec.domain_size)),
     )
 
@@ -155,7 +151,7 @@ def ingest_csv(
     return ItemStream(
         items=arr,
         domain_size=domain_size,
-        ground_truth=_count_items(arr, domain_size),
+        ground_truth=exact_frequencies(arr, domain_size),
         labels=tuple(encoding),
     )
 

@@ -28,7 +28,6 @@ from .hadamard import min_order_for_domain
 from .wire import report_size_table
 
 __all__ = [
-    "MECHANISM_NAMES",
     "DEFAULT_EPSILONS",
     "DEFAULT_TOPK",
     "DEFAULT_TRIALS",
@@ -39,7 +38,6 @@ __all__ = [
     "estimate_once",
 ]
 
-MECHANISM_NAMES = ("fhr", "grr", "oue", "rappor", "olh")
 DEFAULT_EPSILONS = (0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
 DEFAULT_TOPK = (20, 50, 100)
 DEFAULT_TRIALS = 10
@@ -76,10 +74,7 @@ class ExperimentSpec:
         if not self.mechanisms:
             raise ValueError("need at least one mechanism")
         for name in self.mechanisms:
-            if name not in MECHANISM_NAMES:
-                raise ValueError(
-                    f"unknown mechanism {name!r}, expected one of {MECHANISM_NAMES}"
-                )
+            mechanisms.lookup(name)
         if len(set(self.mechanisms)) != len(self.mechanisms):
             raise ValueError("mechanisms must be unique")
         if not self.epsilons:
@@ -132,12 +127,15 @@ def _cell_rng(seed: int, mech_idx: int, eps_idx: int, trial: int) -> np.random.G
 
 
 def _unary_bit_counts(
-    items: np.ndarray, epsilon: float, domain_size: int, variant: str, rng: np.random.Generator
+    items: np.ndarray,
+    params: mechanisms.PrivacyParams,
+    domain_size: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     counts = np.zeros(domain_size, dtype=np.int64)
     for start in range(0, items.size, _UNARY_CHUNK):
         chunk = items[start : start + _UNARY_CHUNK]
-        bits = mechanisms.unary_perturb_bits(chunk, epsilon, domain_size, variant, rng)
+        bits = mechanisms.unary_perturb_bits(chunk, params, domain_size, rng)
         counts += bits.sum(axis=0, dtype=np.int64)
     return counts
 
@@ -149,28 +147,31 @@ def estimate_once(
     epsilon: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Perturb a whole stream once and return count-scale estimates."""
+    """Perturb a whole stream once and return count-scale estimates.
+
+    Parameters come from the mechanism's registry record. The perturb and
+    estimate steps are called through the ``mechanisms`` and
+    ``aggregator`` module attributes, which is where perfbench's tracer
+    times each layer, so each mechanism keeps its own branch here.
+    """
+    params = mechanisms.lookup(mechanism).params(epsilon, domain_size)
     n = items.size
     if mechanism == "fhr":
         order = min_order_for_domain(domain_size)
-        params = mechanisms.PrivacyParams.for_fhr(epsilon)
         index_x, index_y = mechanisms.fhr_perturb_batch(items, params, order, rng)
         summed = aggregator.fhr_accumulate_indices(index_x, index_y, order)
         return aggregator.fhr_estimate_all(summed, domain_size, params, order).estimates
     if mechanism == "grr":
-        params = mechanisms.PrivacyParams.for_grr(epsilon, domain_size)
-        values = mechanisms.grr_perturb_batch(items, epsilon, domain_size, rng)
+        values = mechanisms.grr_perturb_batch(items, params, domain_size, rng)
         counts = np.bincount(values, minlength=domain_size)
         return aggregator.grr_estimate(counts, params, domain_size, n).estimates
-    if mechanism in mechanisms.UNARY_VARIANTS:
-        params = mechanisms.PrivacyParams.for_unary(epsilon, mechanism)
-        bit_counts = _unary_bit_counts(items, epsilon, domain_size, mechanism, rng)
+    if mechanism in ("oue", "rappor"):
+        bit_counts = _unary_bit_counts(items, params, domain_size, rng)
         return aggregator.unary_estimate(bit_counts, params, n).estimates
     if mechanism == "olh":
-        params = mechanisms.PrivacyParams.for_olh(epsilon)
-        seeds, values = mechanisms.olh_perturb_batch(items, epsilon, rng)
+        seeds, values = mechanisms.olh_perturb_batch(items, params, domain_size, rng)
         return aggregator.olh_estimate_all(seeds, values, domain_size, params).estimates
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+    raise ValueError(f"no estimator for mechanism {mechanism!r}")
 
 
 def _score(

@@ -32,21 +32,21 @@ _U64 = np.uint64
 
 @dataclass(frozen=True)
 class HadamardOrder:
-    """Order of a Sylvester matrix, carried as the exponent ``r``."""
+    """Order of a Sylvester matrix, carried as the exponent ``r``.
+
+    ``r`` is capped at 63, the largest exponent whose column indices fit
+    the uint64 arithmetic used throughout.
+    """
 
     r: int
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"matrix exponent must be >= 1, got r={self.r}")
+        if not 1 <= self.r <= 63:
+            raise ValueError(f"matrix exponent must lie in [1, 63], got r={self.r}")
 
     @property
     def order(self) -> int:
         return 1 << self.r
-
-    @classmethod
-    def for_domain(cls, domain_size: int) -> "HadamardOrder":
-        return min_order_for_domain(domain_size)
 
 
 def min_order_for_domain(domain_size: int) -> HadamardOrder:

@@ -10,7 +10,12 @@ response (GRR), unary encoding in its symmetric (RAPPOR) and optimized
 (OUE) variants, and optimized local hashing (OLH) with a per-report random
 hash seed.
 
-All mechanisms are pure functions of (input, parameters, random source);
+Each mechanism is defined once, as a :class:`Mechanism` record in the
+ordered :data:`MECHANISMS` registry: how its parameters follow from the
+budget, what one report costs on the wire, and the overlap fraction its
+exact certificate must reach.
+
+All perturbers are pure functions of (items, parameters, random source);
 callers own the ``numpy.random.Generator`` and with it reproducibility.
 """
 
@@ -18,34 +23,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .hadamard import HadamardOrder
+from .hadamard import HadamardOrder, min_order_for_domain
 
 __all__ = [
     "PrivacyParams",
+    "Mechanism",
+    "MECHANISMS",
+    "lookup",
     "FhrReport",
-    "GrrReport",
-    "UnaryReport",
-    "OlhReport",
-    "fhr_perturb",
     "fhr_perturb_batch",
-    "fhr_report_to_sparse",
-    "grr_perturb",
     "grr_perturb_batch",
-    "unary_perturb",
     "unary_perturb_bits",
-    "olh_perturb",
     "olh_perturb_batch",
     "olh_hash",
-    "UNARY_VARIANTS",
 ]
 
-UNARY_VARIANTS = ("rappor", "oue")
-
 _U64 = np.uint64
-_MASK64 = (1 << 64) - 1
 # splitmix64 constants
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_M1 = 0xBF58476D1CE4E5B9
@@ -115,13 +112,72 @@ class PrivacyParams:
         e = math.exp(epsilon)
         return cls(epsilon=epsilon, p=e / (e + g - 1), q=1 / (e + g - 1), g=g)
 
-    @classmethod
-    def for_unary(cls, epsilon: float, variant: str) -> "PrivacyParams":
-        if variant == "rappor":
-            return cls.for_rappor(epsilon)
-        if variant == "oue":
-            return cls.for_oue(epsilon)
-        raise ValueError(f"unknown unary variant {variant!r}, expected one of {UNARY_VARIANTS}")
+
+@dataclass(frozen=True)
+class Mechanism:
+    """One frequency oracle as the rest of the package sees it.
+
+    ``params(epsilon, domain_size)`` builds its constants,
+    ``report_bits(domain_size, epsilon)`` is what one client report costs,
+    and ``eta`` is the overlap fraction its exact certificate must reach,
+    None when its output space cannot be enumerated.
+    """
+
+    name: str
+    params: Callable[[float, int], PrivacyParams]
+    report_bits: Callable[[int, float], int]
+    eta: float | None
+
+
+# Report bits: FHR pays 2r+1 for the minimal order fitting the domain, GRR
+# ceil(log2 D), the unary encodings the full domain width, and OLH the
+# 64-bit per-report hash seed actually sent (no shared-seed compression)
+# plus ceil(log2 g). Iteration order is the order of every table and sweep.
+MECHANISMS: dict[str, Mechanism] = {
+    m.name: m
+    for m in (
+        Mechanism(
+            "fhr",
+            params=lambda eps, d: PrivacyParams.for_fhr(eps),
+            report_bits=lambda d, eps: 2 * min_order_for_domain(d).r + 1,
+            eta=0.5,
+        ),
+        Mechanism(
+            "grr",
+            params=PrivacyParams.for_grr,
+            report_bits=lambda d, eps: (d - 1).bit_length(),
+            eta=1.0,
+        ),
+        Mechanism(
+            "oue",
+            params=lambda eps, d: PrivacyParams.for_oue(eps),
+            report_bits=lambda d, eps: d,
+            eta=1.0,
+        ),
+        Mechanism(
+            "rappor",
+            params=lambda eps, d: PrivacyParams.for_rappor(eps),
+            report_bits=lambda d, eps: d,
+            eta=1.0,
+        ),
+        Mechanism(
+            "olh",
+            params=lambda eps, d: PrivacyParams.for_olh(eps),
+            report_bits=lambda d, eps: 64 + math.ceil(math.log2(PrivacyParams.for_olh(eps).g)),
+            eta=None,
+        ),
+    )
+}
+
+
+def lookup(name: str) -> Mechanism:
+    """The registry record for ``name``; unknown names raise ValueError."""
+    try:
+        return MECHANISMS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown mechanism {name!r}, expected one of {tuple(MECHANISMS)}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -136,22 +192,6 @@ class FhrReport:
             raise ValueError("report indices must be nonnegative")
         if self.index_x == self.index_y:
             raise ValueError(f"report indices must differ, got {self.index_x} twice")
-
-
-@dataclass(frozen=True)
-class GrrReport:
-    value: int
-
-
-@dataclass(frozen=True)
-class UnaryReport:
-    bits: np.ndarray
-
-
-@dataclass(frozen=True)
-class OlhReport:
-    seed: int
-    value: int
 
 
 def _item_rows(items: np.ndarray, order: HadamardOrder) -> np.ndarray:
@@ -198,49 +238,32 @@ def fhr_perturb_batch(
     return index_x, index_y
 
 
-def fhr_perturb(
-    item: int, params: PrivacyParams, order: HadamardOrder, rng: np.random.Generator
-) -> FhrReport:
-    """Perturb a single item; see :func:`fhr_perturb_batch` for the sampling."""
-    ix, iy = fhr_perturb_batch(np.asarray([item]), params, order, rng)
-    return FhrReport(index_x=int(ix[0]), index_y=int(iy[0]))
+def _require_q(params: PrivacyParams) -> None:
+    if params.q is None or params.g is not None:
+        raise ValueError("params were not built for GRR or unary encoding")
 
 
-def fhr_report_to_sparse(report: FhrReport, order: HadamardOrder) -> np.ndarray:
-    """Expand a report to its implied vector: +1 at index_x, -1 at index_y."""
-    d = order.order
-    if report.index_x >= d or report.index_y >= d:
-        raise ValueError(f"report {report} does not fit order {d}")
-    vec = np.zeros(d, dtype=np.int8)
-    vec[report.index_x] = 1
-    vec[report.index_y] = -1
-    return vec
-
-
-def grr_perturb_batch(
-    items: np.ndarray, epsilon: float, domain_size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Generalized randomized response over [0, domain_size)."""
-    params = PrivacyParams.for_grr(epsilon, domain_size)
+def _check_domain(items: np.ndarray, domain_size: int) -> np.ndarray:
     items = np.asarray(items, dtype=np.int64)
     if items.size and (items.min() < 0 or items.max() >= domain_size):
         raise ValueError("item outside domain")
+    return items
+
+
+def grr_perturb_batch(
+    items: np.ndarray, params: PrivacyParams, domain_size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Generalized randomized response over [0, domain_size)."""
+    _require_q(params)
+    items = _check_domain(items, domain_size)
     keep = rng.random(items.size) < params.p
     # uniform over the d-1 wrong answers, realized as a nonzero cyclic shift
     offset = rng.integers(1, domain_size, size=items.size)
     return np.where(keep, items, (items + offset) % domain_size)
 
 
-def grr_perturb(item: int, epsilon: float, domain_size: int, rng: np.random.Generator) -> GrrReport:
-    return GrrReport(value=int(grr_perturb_batch(np.asarray([item]), epsilon, domain_size, rng)[0]))
-
-
 def unary_perturb_bits(
-    items: np.ndarray,
-    epsilon: float,
-    domain_size: int,
-    variant: str,
-    rng: np.random.Generator,
+    items: np.ndarray, params: PrivacyParams, domain_size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Perturbed one-hot encodings for a batch of users, shape (n, domain_size).
 
@@ -251,28 +274,13 @@ def unary_perturb_bits(
     """
     if domain_size < 2:
         raise ValueError(f"unary encoding needs a domain of at least 2, got {domain_size}")
-    params = PrivacyParams.for_unary(epsilon, variant)
-    items = np.asarray(items, dtype=np.int64)
-    if items.size and (items.min() < 0 or items.max() >= domain_size):
-        raise ValueError("item outside domain")
+    _require_q(params)
+    items = _check_domain(items, domain_size)
     u = rng.random((items.size, domain_size))
-    thresholds = np.full((items.size, domain_size), params.q)
-    thresholds[np.arange(items.size), items] = params.p
-    return (u < thresholds).astype(np.uint8)
-
-
-def unary_perturb(
-    item: int, epsilon: float, domain_size: int, variant: str, rng: np.random.Generator
-) -> UnaryReport:
-    bits = unary_perturb_bits(np.asarray([item]), epsilon, domain_size, variant, rng)[0]
-    return UnaryReport(bits=bits)
-
-
-def _splitmix64_scalar(z: int) -> int:
-    z = (z + _SM_GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _SM_M1) & _MASK64
-    z = ((z ^ (z >> 27)) * _SM_M2) & _MASK64
-    return z ^ (z >> 31)
+    bits = u < params.q
+    users = np.arange(items.size)
+    bits[users, items] = u[users, items] < params.p
+    return bits.view(np.uint8)
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -292,32 +300,24 @@ def olh_hash(seed: int | np.ndarray, item: int | np.ndarray, g: int) -> int | np
     A split-mix style 64-bit mixer keyed by the report seed. Scalar in,
     scalar out; arrays broadcast elementwise.
     """
-    if np.isscalar(seed) and np.isscalar(item):
-        mixed = _splitmix64_scalar((int(item) * _SM_GAMMA + 1) & _MASK64)
-        return _splitmix64_scalar(int(seed) ^ mixed) % g
-    seeds = np.asarray(seed, dtype=_U64)
-    mixed = _mix_items(np.asarray(item))
-    return (_splitmix64(seeds ^ mixed) % _U64(g)).astype(np.int64)
+    # the mixer's arithmetic is modulo 2^64; numpy warns of wraparound on scalars
+    with np.errstate(over="ignore"):
+        mixed = _mix_items(np.asarray(item))
+        return (_splitmix64(np.asarray(seed, dtype=_U64) ^ mixed) % _U64(g)).astype(np.int64)
 
 
 def olh_perturb_batch(
-    items: np.ndarray, epsilon: float, rng: np.random.Generator
+    items: np.ndarray, params: PrivacyParams, domain_size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """OLH reports for a batch: fresh 64-bit seed per user, hash into
     [0, g), then GRR inside the hashed domain. Returns (seeds, values)."""
-    params = PrivacyParams.for_olh(epsilon)
+    if params.g is None:
+        raise ValueError("params were not built for OLH (use PrivacyParams.for_olh)")
     g = params.g
-    items = np.asarray(items, dtype=np.int64)
-    if items.size and items.min() < 0:
-        raise ValueError("item outside domain")
+    items = _check_domain(items, domain_size)
     seeds = rng.integers(0, 2**64, size=items.size, dtype=np.uint64)
     buckets = olh_hash(seeds, items, g)
     keep = rng.random(items.size) < params.p
     offset = rng.integers(1, g, size=items.size)
     values = np.where(keep, buckets, (buckets + offset) % g)
     return seeds, values.astype(np.int64)
-
-
-def olh_perturb(item: int, epsilon: float, rng: np.random.Generator) -> OlhReport:
-    seeds, values = olh_perturb_batch(np.asarray([item]), epsilon, rng)
-    return OlhReport(seed=int(seeds[0]), value=int(values[0]))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .hadamard import min_order_for_domain, positions_of_sign
-from .mechanisms import UNARY_VARIANTS, PrivacyParams
+from .mechanisms import PrivacyParams, lookup
 
 __all__ = [
     "EnumerationLimitError",
@@ -35,16 +35,18 @@ __all__ = [
     "certify_ranges",
     "certify",
     "ratio_profile",
-    "VERIFIABLE_MECHANISMS",
+    "certificate_passes",
 ]
-
-VERIFIABLE_MECHANISMS = ("fhr", "grr", "rappor", "oue")
 
 _MAX_FHR_ORDER = 64
 _MAX_GRR_DOMAIN = 64
 _MAX_UNARY_DOMAIN = 12
 _MAX_WITNESSES = 8
 _PROB_SUM_TOL = 1e-9
+# slack of the pass rule: on the observed overlap, and on the effective
+# epsilon (the log of the worst ratio) against the budget
+_ETA_TOL = 1e-12
+_RATIO_TOL = 1e-9
 
 
 class EnumerationLimitError(ValueError):
@@ -173,23 +175,9 @@ def enumerate_range(
         return _fhr_range(item, params, domain_size)
     if mechanism == "grr":
         return _grr_range(item, params, domain_size)
-    if mechanism in UNARY_VARIANTS:
+    if mechanism in ("oue", "rappor"):
         return _unary_range(item, params, domain_size)
-    raise ValueError(
-        f"cannot enumerate mechanism {mechanism!r}, expected one of {VERIFIABLE_MECHANISMS}"
-    )
-
-
-def _params_for(mechanism: str, epsilon: float, domain_size: int) -> PrivacyParams:
-    if mechanism == "fhr":
-        return PrivacyParams.for_fhr(epsilon)
-    if mechanism == "grr":
-        return PrivacyParams.for_grr(epsilon, domain_size)
-    if mechanism in UNARY_VARIANTS:
-        return PrivacyParams.for_unary(epsilon, mechanism)
-    raise ValueError(
-        f"cannot enumerate mechanism {mechanism!r}, expected one of {VERIFIABLE_MECHANISMS}"
-    )
+    raise ValueError(f"cannot enumerate mechanism {mechanism!r}")
 
 
 def certify_ranges(ranges: Mapping[int, OutputRange]) -> FldpCertificate:
@@ -254,7 +242,22 @@ def certify(mechanism: str, params: PrivacyParams, domain_size: int) -> FldpCert
 
 def certify_mechanism(mechanism: str, epsilon: float, domain_size: int) -> FldpCertificate:
     """Convenience wrapper that derives the mechanism's parameters itself."""
-    return certify(mechanism, _params_for(mechanism, epsilon, domain_size), domain_size)
+    return certify(mechanism, lookup(mechanism).params(epsilon, domain_size), domain_size)
+
+
+def certificate_passes(mechanism: str, epsilon: float, certificate: FldpCertificate) -> bool:
+    """The pass rule: the observed overlap reaches the mechanism's eta and
+    the effective epsilon stays within the budget, each up to its tolerance.
+
+    Raises ValueError for a mechanism that is unknown or has no eta to meet.
+    """
+    eta = lookup(mechanism).eta
+    if eta is None:
+        raise ValueError(f"mechanism {mechanism!r} has no certifiable overlap")
+    return (
+        certificate.eta_observed + _ETA_TOL >= eta
+        and certificate.epsilon_effective <= epsilon + _RATIO_TOL
+    )
 
 
 def ratio_profile(

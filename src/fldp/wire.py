@@ -16,13 +16,12 @@ triples exists for debugging.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .hadamard import HadamardOrder, min_order_for_domain
-from .mechanisms import FhrReport, PrivacyParams
+from .hadamard import HadamardOrder
+from .mechanisms import MECHANISMS, FhrReport
 
 __all__ = [
     "WireFormatError",
@@ -107,9 +106,10 @@ def read_report_file(path: str | Path) -> tuple[HadamardOrder, list[FhrReport]]:
     magic, r, count = _HEADER.unpack_from(raw)
     if magic != FILE_MAGIC:
         raise WireFormatError(f"bad magic {magic!r}")
-    if r < 1:
-        raise WireFormatError(f"order exponent must be at least 1, got {r}")
-    order = HadamardOrder(r=r)
+    try:
+        order = HadamardOrder(r=r)
+    except ValueError as exc:
+        raise WireFormatError(str(exc)) from exc
     size = packed_size(order)
     body = raw[_HEADER.size :]
     if len(body) != count * size:
@@ -145,22 +145,11 @@ def report_from_json_line(line: str) -> FhrReport:
 
 
 def report_size_table(domain_size: int, epsilon: float = 1.0) -> dict[str, int]:
-    """Bits one client report costs under each mechanism.
+    """Bits one client report costs under each registered mechanism.
 
-    FHR pays 2r+1 for the minimal order fitting the domain; unary
-    encodings pay the full domain width; GRR pays ceil(log2 D); OLH pays
-    a 64-bit hash seed plus ceil(log2 g). The OLH figure reflects the
-    per-report random seed actually implemented, with no shared-seed
-    compression.
+    A view of each record's ``report_bits``, in registry order; the
+    budget only matters to OLH, whose hash range it sets.
     """
     if domain_size < 2:
         raise ValueError(f"domain must have at least 2 items, got {domain_size}")
-    order = min_order_for_domain(domain_size)
-    g = PrivacyParams.for_olh(epsilon).g
-    return {
-        "fhr": 2 * order.r + 1,
-        "grr": (domain_size - 1).bit_length(),
-        "oue": domain_size,
-        "rappor": domain_size,
-        "olh": 64 + math.ceil(math.log2(g)),
-    }
+    return {name: m.report_bits(domain_size, epsilon) for name, m in MECHANISMS.items()}

@@ -78,3 +78,21 @@ def tally_oracle(items) -> dict[int, int]:
     for item in items:
         counts[int(item)] = counts.get(int(item), 0) + 1
     return counts
+
+
+_MASK64 = (1 << 64) - 1
+_SM_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_oracle(z: int) -> int:
+    """splitmix64 finalizer on python ints, masked to 64 bits by hand."""
+    z = (z + _SM_GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def olh_hash_oracle(seed: int, item: int, g: int) -> int:
+    """The OLH hash one (seed, item) pair at a time."""
+    mixed = splitmix64_oracle((item * _SM_GAMMA + 1) & _MASK64)
+    return splitmix64_oracle(seed ^ mixed) % g

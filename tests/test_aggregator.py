@@ -178,7 +178,7 @@ class TestGrrEstimate:
         for trial in range(trials):
             rng = np.random.default_rng(300 + trial)
             items = np.repeat(np.arange(d), n // d)
-            values = grr_perturb_batch(items, eps, d, rng)
+            values = grr_perturb_batch(items, params, d, rng)
             counts = np.bincount(values, minlength=d)
             per_trial.append(grr_estimate(counts, params, d, n).estimates)
         means = np.mean(per_trial, axis=0)
@@ -225,7 +225,7 @@ class TestUnaryEstimate:
         per_trial = []
         for trial in range(trials):
             rng = np.random.default_rng(900 + trial)
-            bits = unary_perturb_bits(items, eps, d, "oue", rng)
+            bits = unary_perturb_bits(items, params, d, rng)
             per_trial.append(unary_estimate(bits.sum(axis=0), params, n).estimates)
         means = np.mean(per_trial, axis=0)
         sigma = np.std(per_trial, axis=0, ddof=1) / math.sqrt(trials)
@@ -249,7 +249,7 @@ class TestOlhEstimate:
         params = PrivacyParams.for_olh(eps)
         rng = np.random.default_rng(2)
         items = rng.integers(0, d, size=n)
-        seeds, values = olh_perturb_batch(items, eps, rng)
+        seeds, values = olh_perturb_batch(items, params, d, rng)
         counts = olh_support_counts(seeds, values, np.arange(d), params.g, chunk=5)
         for t in range(d):
             direct = sum(
@@ -268,7 +268,7 @@ class TestOlhEstimate:
         per_trial = []
         for trial in range(trials):
             rng = np.random.default_rng(700 + trial)
-            seeds, values = olh_perturb_batch(items, eps, rng)
+            seeds, values = olh_perturb_batch(items, params, d, rng)
             per_trial.append(olh_estimate_all(seeds, values, d, params).estimates)
         means = np.mean(per_trial, axis=0)
         sigma = np.std(per_trial, axis=0, ddof=1) / math.sqrt(trials)

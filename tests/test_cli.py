@@ -6,6 +6,7 @@ import json
 import pytest
 
 import fldp.cli as cli
+from fldp.mechanisms import MECHANISMS
 from fldp.verifier import FldpCertificate
 
 
@@ -161,6 +162,13 @@ class TestVerifyFldp:
         document = json.loads((tmp_path / "certificate.json").read_text(encoding="utf-8"))
         assert document["eta_observed"] == 1.0
         capsys.readouterr()
+
+    def test_choices_are_the_certifiable_mechanisms(self):
+        verify = cli.build_parser()._subparsers._group_actions[0].choices["verify-fldp"]
+        (mechanism,) = [a for a in verify._actions if a.dest == "mechanism"]
+        assert list(mechanism.choices) == [
+            name for name, m in MECHANISMS.items() if m.eta is not None
+        ]
 
     def test_fhr_order_must_be_power_of_two(self, capsys):
         assert _run(["verify-fldp", "fhr", "--epsilon", "1.0", "--order", "6"]) == 1

@@ -156,7 +156,7 @@ class TestExactFrequencies:
             ground_truth=np.array([0, 7, 0], dtype=np.int64),
             labels=("a", "b", "c"),
         )
-        assert exact_frequencies(stream).tolist() == [0, 7, 0]
+        assert exact_frequencies(stream.items, stream.domain_size).tolist() == [0, 7, 0]
 
     def test_uniform_stream(self):
         items = np.tile(np.arange(4), 25)
@@ -166,7 +166,7 @@ class TestExactFrequencies:
             ground_truth=np.full(4, 25, dtype=np.int64),
             labels=tuple("abcd"),
         )
-        assert exact_frequencies(stream).tolist() == [25] * 4
+        assert exact_frequencies(stream.items, stream.domain_size).tolist() == [25] * 4
 
     @settings(max_examples=40)
     @given(st.lists(st.integers(min_value=0, max_value=19), min_size=1, max_size=200))
@@ -180,7 +180,7 @@ class TestExactFrequencies:
             labels=tuple(str(i) for i in range(20)),
         )
         tally = tally_oracle(raw)
-        freq = exact_frequencies(stream)
+        freq = exact_frequencies(stream.items, stream.domain_size)
         for item in range(20):
             assert freq[item] == tally.get(item, 0)
 

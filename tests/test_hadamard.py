@@ -49,6 +49,10 @@ class TestMinOrder:
     def test_order_validates_exponent(self):
         with pytest.raises(ValueError):
             HadamardOrder(r=0)
+        # column indices must fit uint64, so 2^63 is the largest order
+        assert HadamardOrder(r=63).order == 2**63
+        with pytest.raises(ValueError):
+            HadamardOrder(r=64)
 
 
 class TestEntry:

@@ -7,21 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fldp.aggregator import fhr_accumulate
 from fldp.hadamard import HadamardOrder, min_order_for_domain, positions_of_sign, row_vector
 from fldp.mechanisms import (
+    MECHANISMS,
     FhrReport,
     PrivacyParams,
-    fhr_perturb,
     fhr_perturb_batch,
-    fhr_report_to_sparse,
-    grr_perturb,
     grr_perturb_batch,
+    lookup,
     olh_hash,
-    olh_perturb,
     olh_perturb_batch,
-    unary_perturb,
     unary_perturb_bits,
 )
+from fldp.wire import report_size_table
+
+from _oracles import olh_hash_oracle
 
 
 class TestPrivacyParams:
@@ -77,21 +78,22 @@ class TestFhrReport:
         with pytest.raises(ValueError):
             FhrReport(index_x=-1, index_y=0)
 
+    # a single report accumulates to its implied sparse vector
     def test_sparse_expansion(self):
         order = HadamardOrder(2)
-        vec = fhr_report_to_sparse(FhrReport(index_x=0, index_y=1), order)
+        vec = fhr_accumulate([FhrReport(index_x=0, index_y=1)], order).sums
         assert vec.tolist() == [1, -1, 0, 0]
 
     def test_sparse_expansion_reversed(self):
         order = HadamardOrder(2)
-        vec = fhr_report_to_sparse(FhrReport(index_x=3, index_y=0), order)
+        vec = fhr_accumulate([FhrReport(index_x=3, index_y=0)], order).sums
         assert vec.tolist() == [-1, 0, 0, 1]
 
     @given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15))
     def test_sparse_sums_to_zero(self, x, y):
         if x == y:
             return
-        vec = fhr_report_to_sparse(FhrReport(index_x=x, index_y=y), HadamardOrder(4))
+        vec = fhr_accumulate([FhrReport(index_x=x, index_y=y)], HadamardOrder(4)).sums
         assert vec.sum() == 0
 
 
@@ -102,10 +104,8 @@ class TestFhrPerturb:
         params = PrivacyParams.for_fhr(1.0)
         order = HadamardOrder(2)
         rng = np.random.default_rng(1)
-        seen = set()
-        for _ in range(400):
-            report = fhr_perturb(0, params, order, rng)
-            seen.add((report.index_x, report.index_y))
+        ix, iy = fhr_perturb_batch(np.zeros(400, dtype=np.int64), params, order, rng)
+        seen = set(zip(ix.tolist(), iy.tolist()))
         expected = {(a, b) for a in (0, 2) for b in (1, 3)}
         expected |= {(b, a) for a, b in expected}
         assert seen == expected
@@ -149,7 +149,7 @@ class TestFhrPerturb:
     def test_item_outside_domain_rejected(self):
         params = PrivacyParams.for_fhr(1.0)
         with pytest.raises(ValueError):
-            fhr_perturb(3, params, HadamardOrder(2), np.random.default_rng(0))
+            fhr_perturb_batch(np.array([3]), params, HadamardOrder(2), np.random.default_rng(0))
 
     def test_identical_seeds_reproduce_reports(self):
         params = PrivacyParams.for_fhr(1.0)
@@ -162,7 +162,7 @@ class TestFhrPerturb:
     def test_wrong_params_type_rejected(self):
         grr_params = PrivacyParams.for_grr(1.0, 4)
         with pytest.raises(ValueError):
-            fhr_perturb(0, grr_params, HadamardOrder(3), np.random.default_rng(0))
+            fhr_perturb_batch(np.array([0]), grr_params, HadamardOrder(3), np.random.default_rng(0))
 
 
 class TestGrrPerturb:
@@ -170,44 +170,56 @@ class TestGrrPerturb:
         eps, d = math.log(3), 3
         rng = np.random.default_rng(3)
         items = np.ones(100_000, dtype=np.int64)
-        out = grr_perturb_batch(items, eps, d, rng)
+        out = grr_perturb_batch(items, PrivacyParams.for_grr(eps, d), d, rng)
         assert np.mean(out == 1) == pytest.approx(0.6, abs=0.01)
         # each wrong answer is equally likely
         assert np.mean(out == 0) == pytest.approx(0.2, abs=0.01)
         assert np.mean(out == 2) == pytest.approx(0.2, abs=0.01)
 
     def test_large_epsilon_keeps_item(self):
-        out = grr_perturb_batch(np.full(1000, 4), 40.0, 8, np.random.default_rng(0))
+        params = PrivacyParams.for_grr(40.0, 8)
+        out = grr_perturb_batch(np.full(1000, 4), params, 8, np.random.default_rng(0))
         assert np.all(out == 4)
 
     def test_outputs_stay_in_domain(self):
         rng = np.random.default_rng(9)
         items = rng.integers(0, 6, size=5000)
-        out = grr_perturb_batch(items, 0.5, 6, rng)
+        out = grr_perturb_batch(items, PrivacyParams.for_grr(0.5, 6), 6, rng)
         assert out.min() >= 0 and out.max() < 6
 
     def test_scalar_wrapper(self):
-        report = grr_perturb(2, 1.0, 5, np.random.default_rng(0))
-        assert 0 <= report.value < 5
+        params = PrivacyParams.for_grr(1.0, 5)
+        out = grr_perturb_batch(np.array([2]), params, 5, np.random.default_rng(0))
+        assert out.shape == (1,) and 0 <= out[0] < 5
 
     def test_domain_too_small_rejected(self):
         with pytest.raises(ValueError):
-            grr_perturb(0, 1.0, 1, np.random.default_rng(0))
+            MECHANISMS["grr"].params(1.0, 1)
+
+    def test_item_outside_domain_rejected(self):
+        params = PrivacyParams.for_grr(1.0, 5)
+        with pytest.raises(ValueError, match="item outside domain"):
+            grr_perturb_batch(np.array([5]), params, 5, np.random.default_rng(0))
+
+    def test_wrong_params_type_rejected(self):
+        with pytest.raises(ValueError):
+            grr_perturb_batch(np.array([0]), PrivacyParams.for_olh(1.0), 5, np.random.default_rng(0))
 
 
 class TestUnaryPerturb:
     def test_report_shape_and_dtype(self):
-        report = unary_perturb(3, 1.0, 10, "oue", np.random.default_rng(0))
-        assert report.bits.shape == (10,)
-        assert set(np.unique(report.bits)) <= {0, 1}
+        params = PrivacyParams.for_oue(1.0)
+        bits = unary_perturb_bits(np.array([3]), params, 10, np.random.default_rng(0))
+        assert bits.shape == (1, 10) and bits.dtype == np.uint8
+        assert set(np.unique(bits)) <= {0, 1}
 
     @pytest.mark.parametrize("variant", ["oue", "rappor"])
     def test_per_bit_rates(self, variant):
         eps, d = 1.0, 8
-        params = PrivacyParams.for_unary(eps, variant)
+        params = MECHANISMS[variant].params(eps, d)
         rng = np.random.default_rng(21)
         items = np.full(100_000, 2, dtype=np.int64)
-        bits = unary_perturb_bits(items, eps, d, variant, rng)
+        bits = unary_perturb_bits(items, params, d, rng)
         hot_rate = bits[:, 2].mean()
         cold_rate = bits[:, 5].mean()
         assert hot_rate == pytest.approx(params.p, abs=0.01)
@@ -215,15 +227,23 @@ class TestUnaryPerturb:
 
     def test_expected_set_bits_oue(self):
         eps, d = math.log(3), 16
-        params = PrivacyParams.for_unary(eps, "oue")
+        params = PrivacyParams.for_oue(eps)
         rng = np.random.default_rng(2)
-        bits = unary_perturb_bits(np.zeros(50_000, dtype=np.int64), eps, d, "oue", rng)
+        bits = unary_perturb_bits(np.zeros(50_000, dtype=np.int64), params, d, rng)
         expected = params.p + (d - 1) * params.q
         assert bits.sum(axis=1).mean() == pytest.approx(expected, rel=0.02)
 
     def test_unknown_variant_rejected(self):
+        # the variant is whatever params are passed; non-unary ones are refused
         with pytest.raises(ValueError):
-            unary_perturb(0, 1.0, 4, "sue", np.random.default_rng(0))
+            unary_perturb_bits(np.array([0]), PrivacyParams.for_fhr(1.0), 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="unknown mechanism"):
+            lookup("sue")
+
+    def test_item_outside_domain_rejected(self):
+        params = PrivacyParams.for_rappor(1.0)
+        with pytest.raises(ValueError, match="item outside domain"):
+            unary_perturb_bits(np.array([4]), params, 4, np.random.default_rng(0))
 
 
 class TestOlh:
@@ -234,10 +254,11 @@ class TestOlh:
         assert olh_hash(7, 42, 3) == olh_hash(7, 42, 3)
 
     def test_vector_hash_matches_scalar(self):
-        seeds = np.array([1, 2, 3, 2**63], dtype=np.uint64)
-        items = np.array([10, 20, 30, 40])
+        seeds = np.array([1, 2, 3, 2**63, 2**64 - 1], dtype=np.uint64)
+        items = np.array([10, 20, 30, 40, 10**9])
         vec = olh_hash(seeds, items, 3)
         for s, i, v in zip(seeds, items, vec):
+            assert olh_hash_oracle(int(s), int(i), 3) == v
             assert olh_hash(int(s), int(i), 3) == v
 
     def test_support_rate_matches_p(self):
@@ -245,16 +266,65 @@ class TestOlh:
         params = PrivacyParams.for_olh(eps)
         rng = np.random.default_rng(17)
         items = np.full(100_000, 9, dtype=np.int64)
-        seeds, values = olh_perturb_batch(items, eps, rng)
+        seeds, values = olh_perturb_batch(items, params, 10, rng)
         buckets = olh_hash(seeds, items, params.g)
         assert np.mean(values == buckets) == pytest.approx(params.p, abs=0.01)
 
     def test_scalar_wrapper(self):
         params = PrivacyParams.for_olh(2.0)
-        report = olh_perturb(5, 2.0, np.random.default_rng(0))
-        assert 0 <= report.value < params.g
+        seeds, values = olh_perturb_batch(np.array([5]), params, 6, np.random.default_rng(0))
+        assert seeds.shape == values.shape == (1,)
+        assert 0 <= values[0] < params.g
+
+    def test_item_outside_domain_rejected(self):
+        params = PrivacyParams.for_olh(1.0)
+        for item in (-1, 1023, 5_000_000):
+            with pytest.raises(ValueError, match="item outside domain"):
+                olh_perturb_batch(np.array([item]), params, 1023, np.random.default_rng(0))
+
+    def test_domain_check_draws_nothing(self):
+        # the domain argument adds a check, not a draw: reports for in-domain
+        # items equal the ones drawn with a domain that admits any item
+        params = PrivacyParams.for_olh(1.0)
+        items = np.arange(50)
+        a = olh_perturb_batch(items, params, 50, np.random.default_rng(8))
+        b = olh_perturb_batch(items, params, 2**40, np.random.default_rng(8))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_wrong_params_type_rejected(self):
+        with pytest.raises(ValueError):
+            olh_perturb_batch(np.array([0]), PrivacyParams.for_grr(1.0, 4), 4, np.random.default_rng(0))
 
     @settings(max_examples=25)
     @given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=0, max_value=10**9))
     def test_hash_range_property(self, seed, item):
         assert 0 <= olh_hash(seed, item, 4) < 4
+
+
+class TestRegistry:
+    def test_names_in_sweep_order(self):
+        assert tuple(MECHANISMS) == ("fhr", "grr", "oue", "rappor", "olh")
+        assert all(name == m.name for name, m in MECHANISMS.items())
+
+    @pytest.mark.parametrize("eps", [0.4, 1.0, 2.0])
+    def test_params_match_the_constructors(self, eps):
+        d = 9
+        assert MECHANISMS["fhr"].params(eps, d) == PrivacyParams.for_fhr(eps)
+        assert MECHANISMS["grr"].params(eps, d) == PrivacyParams.for_grr(eps, d)
+        assert MECHANISMS["oue"].params(eps, d) == PrivacyParams.for_oue(eps)
+        assert MECHANISMS["rappor"].params(eps, d) == PrivacyParams.for_rappor(eps)
+        assert MECHANISMS["olh"].params(eps, d) == PrivacyParams.for_olh(eps)
+
+    def test_size_table_is_a_view_of_the_records(self):
+        table = report_size_table(100, 2.0)
+        assert list(table) == list(MECHANISMS)
+        assert table == {name: m.report_bits(100, 2.0) for name, m in MECHANISMS.items()}
+
+    def test_expected_overlap(self):
+        assert {name: m.eta for name, m in MECHANISMS.items()} == {
+            "fhr": 0.5, "grr": 1.0, "oue": 1.0, "rappor": 1.0, "olh": None,
+        }
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown mechanism 'shr'"):
+            lookup("shr")

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from fldp.hadamard import min_order_for_domain, row_vector
-from fldp.mechanisms import PrivacyParams
+from fldp.mechanisms import MECHANISMS, PrivacyParams
 from fldp.verifier import (
     EnumerationLimitError,
     FldpCertificate,
     OutputRange,
+    certificate_passes,
     certify,
+    certify_mechanism,
     certify_ranges,
     enumerate_range,
     ratio_profile,
@@ -97,7 +99,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("variant", ["oue", "rappor"])
     def test_unary_eta_one(self, variant):
-        params = PrivacyParams.for_unary(1.0, variant)
+        params = MECHANISMS[variant].params(1.0, 5)
         cert = certify(variant, params, 5)
         assert cert.eta_observed == 1.0
         assert cert.epsilon_effective <= 1.0 + 1e-9
@@ -211,3 +213,43 @@ class TestReportDotDistributions:
                 assert mass[0] == pytest.approx(0.5, abs=1e-12)
                 assert mass[2] == pytest.approx(0.25, abs=1e-12)
                 assert mass[-2] == pytest.approx(0.25, abs=1e-12)
+
+
+class TestPassRule:
+    """Overlap within 1e-12 of the mechanism's eta, effective epsilon
+    within 1e-9 of the budget."""
+
+    @staticmethod
+    def _cert(eta, epsilon_effective):
+        return FldpCertificate(
+            eta_observed=eta,
+            max_ratio_observed=math.exp(epsilon_effective),
+            epsilon_effective=epsilon_effective,
+        )
+
+    @pytest.mark.parametrize("mechanism", ["fhr", "grr", "oue", "rappor"])
+    def test_passes_at_both_tolerance_edges(self, mechanism):
+        eta = MECHANISMS[mechanism].eta
+        assert certificate_passes(mechanism, 1.0, self._cert(eta - 1e-12, 1.0 + 1e-9))
+
+    @pytest.mark.parametrize("mechanism", ["fhr", "grr", "oue", "rappor"])
+    def test_fails_just_past_the_eta_edge(self, mechanism):
+        eta = MECHANISMS[mechanism].eta
+        assert not certificate_passes(mechanism, 1.0, self._cert(eta - 1.1e-12, 1.0))
+
+    @pytest.mark.parametrize("mechanism", ["fhr", "grr", "oue", "rappor"])
+    def test_fails_just_past_the_ratio_edge(self, mechanism):
+        eta = MECHANISMS[mechanism].eta
+        assert not certificate_passes(mechanism, 1.0, self._cert(eta, 1.0 + 1.1e-9))
+
+    @pytest.mark.parametrize("mechanism", ["shr", "olh"])
+    def test_fails_when_the_mechanism_is_unknown_or_not_certifiable(self, mechanism):
+        with pytest.raises(ValueError):
+            certificate_passes(mechanism, 1.0, self._cert(1.0, 1.0))
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0])
+    def test_every_certifiable_mechanism_passes(self, eps):
+        certifiable = [name for name, m in MECHANISMS.items() if m.eta is not None]
+        assert certifiable == ["fhr", "grr", "oue", "rappor"]
+        for mechanism in certifiable:
+            assert certificate_passes(mechanism, eps, certify_mechanism(mechanism, eps, 5))

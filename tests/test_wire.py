@@ -139,6 +139,14 @@ class TestReportFile:
         with pytest.raises(WireFormatError):
             read_report_file(path)
 
+    @pytest.mark.parametrize("r", [0, 64, 70])
+    def test_order_exponent_outside_range_rejected(self, tmp_path, r):
+        # an empty file whose header declares an order no uint64 column fits
+        path = tmp_path / "order.bin"
+        path.write_bytes(struct.pack(">4sIQ", FILE_MAGIC, r, 0))
+        with pytest.raises(WireFormatError, match="exponent"):
+            read_report_file(path)
+
 
 class TestJsonLines:
     def test_round_trip(self):
