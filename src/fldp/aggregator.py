@@ -4,7 +4,9 @@ FHR aggregation is a two-step pipeline: fold every report's implied sparse
 vector (+1 at index_x, -1 at index_y) into a running :class:`SumVector`,
 then estimate any item's count as ``correction * (sums . row_vector)``.
 Accumulation is a commutative integer merge, so partial sums from chunks
-or workers combine into exactly the sequential result.
+or workers combine into exactly the sequential result. The whole domain
+is decoded at once by one fast Walsh-Hadamard transform of the sums,
+O(order log order), whose entry ``i + 1`` is item ``i``'s dot product.
 
 The baseline estimators are the usual unbiased inversions of their flip
 probabilities: ``(observed - n*q) / (p - q)`` for GRR and unary encodings,
@@ -23,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hadamard import HadamardOrder, ItemRowMap, row_vector, sign_block
+from .hadamard import HadamardOrder, ItemRowMap, fwht, row_vector
 from .mechanisms import FhrReport, PrivacyParams
 
 __all__ = [
@@ -130,18 +132,25 @@ def fhr_estimate_all(
     domain_size: int,
     params: PrivacyParams,
     order: HadamardOrder,
-    chunk: int = 256,
 ) -> FrequencyEstimate:
-    """Estimate every item in [0, domain_size) by chunked row-block products."""
+    """Estimate every item in [0, domain_size) from one transform of the sums.
+
+    ``fwht(sums)`` is ``H @ sums``, whose entry at item i's row is the dot
+    product :func:`fhr_estimate` takes, so the two agree exactly; the
+    cost is O(order log order) in place of O(domain_size * order).
+    """
     if params.correction is None:
         raise ValueError("params were not built for FHR (use PrivacyParams.for_fhr)")
-    rows = ItemRowMap(domain_size=domain_size, order=order).rows()
-    sums = sum_vector.sums.astype(np.int64)
-    out = np.empty(domain_size, dtype=np.float64)
-    for start in range(0, domain_size, chunk):
-        block = sign_block(rows[start : start + chunk], order.order)
-        out[start : start + chunk] = block.astype(np.int64) @ sums
-    return FrequencyEstimate(estimates=params.correction * out, n=sum_vector.n)
+    rows = ItemRowMap(domain_size=domain_size, order=order)
+    if sum_vector.sums.size != order.order:
+        raise ValueError(
+            f"sums of length {sum_vector.sums.size} do not match order {order.order}"
+        )
+    products = fwht(sum_vector.sums.astype(np.int64))
+    first, last = rows.row_of(0), rows.row_of(domain_size - 1)
+    return FrequencyEstimate(
+        estimates=params.correction * products[first : last + 1], n=sum_vector.n
+    )
 
 
 def _check_invertible(params: PrivacyParams) -> None:

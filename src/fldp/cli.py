@@ -22,6 +22,7 @@ import json
 import sys
 from pathlib import Path
 
+from ._atomic import replace_atomically
 from .datasets import (
     DEFAULT_ZIPF_EXPONENT,
     DatasetSpec,
@@ -214,7 +215,7 @@ def verify_fldp(
     }
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "certificate.json").open("w", encoding="utf-8") as handle:
+    with replace_atomically(out_dir / "certificate.json", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return document, passed

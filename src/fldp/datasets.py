@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import replace_atomically
+
 __all__ = [
     "DatasetSpec",
     "ItemStream",
@@ -163,8 +165,7 @@ def export_stream_csv(stream: ItemStream, path: str | Path) -> None:
     dense ids may be renumbered, since ingestion assigns them by first
     appearance.
     """
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with replace_atomically(path, newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         for item in stream.items:
             writer.writerow([stream.labels[item]])
@@ -172,8 +173,7 @@ def export_stream_csv(stream: ItemStream, path: str | Path) -> None:
 
 def export_ground_truth(stream: ItemStream, path: str | Path) -> None:
     """Write the exact counts as (item_label, count) rows."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with replace_atomically(path, newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["item", "count"])
         for item, count in enumerate(stream.ground_truth):

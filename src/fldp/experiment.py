@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aggregator, mechanisms, metrics
+from ._atomic import replace_atomically
 from .datasets import DatasetSpec, ItemStream, generate_zipf, ingest_csv
 from .hadamard import min_order_for_domain
 from .wire import report_size_table
@@ -246,7 +247,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 def _write_outputs(spec: ExperimentSpec, stream: ItemStream, rows: list[ResultRow]) -> None:
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "results.csv").open("w", newline="", encoding="utf-8") as handle:
+    with replace_atomically(out_dir / "results.csv", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(RESULT_COLUMNS)
         for row in rows:
@@ -276,6 +277,6 @@ def _write_outputs(spec: ExperimentSpec, stream: ItemStream, rows: list[ResultRo
         },
         "trial_aggregation": "arithmetic mean",
     }
-    with (out_dir / "manifest.json").open("w", encoding="utf-8") as handle:
+    with replace_atomically(out_dir / "manifest.json", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")

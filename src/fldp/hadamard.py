@@ -2,9 +2,11 @@
 
 The matrix of order ``2^r`` is defined by the recursion ``H_{r+1} = [[H_r, H_r],
 [H_r, -H_r]]`` with ``H_0 = [1]``. Its entries admit a closed form,
-``H[row, col] = (-1)^popcount(row AND col)``, which is what every function
-here evaluates. Nothing is ever built in memory beyond explicitly requested
-row vectors or row blocks, so orders of 2^16 and up stay cheap.
+``H[row, col] = (-1)^popcount(row AND col)``, which the entry, row and block
+functions evaluate. Products with the whole matrix go through :func:`fwht`,
+the fast Walsh-Hadamard transform, which unrolls the same recursion in
+O(order * r) additions. Nothing is ever built in memory beyond explicitly
+requested row vectors or row blocks, so orders of 2^16 and up stay cheap.
 
 Items of a finite domain are encoded as matrix rows. Row 0 is all ones and
 carries no information, so item ``i`` maps to row ``i + 1`` and the matrix
@@ -25,6 +27,7 @@ __all__ = [
     "row_vector",
     "positions_of_sign",
     "sign_block",
+    "fwht",
 ]
 
 _U64 = np.uint64
@@ -87,10 +90,6 @@ class ItemRowMap:
             raise ValueError(f"item {item} outside domain [0, {self.domain_size})")
         return item + 1
 
-    def rows(self) -> np.ndarray:
-        """All assigned rows, in item order."""
-        return np.arange(1, self.domain_size + 1, dtype=np.uint64)
-
 
 def _check_index(name: str, value: int, order: int) -> None:
     if not 0 <= value < order:
@@ -145,8 +144,8 @@ def positions_of_sign(row: int, order: int, sign: int) -> np.ndarray:
 def sign_block(rows: np.ndarray, order: int) -> np.ndarray:
     """Matrix block for the given rows, shape (len(rows), order), int8.
 
-    Used by the aggregator to evaluate many row dot products at once while
-    keeping memory proportional to the block, not the full matrix.
+    Costs O(len(rows) * order); to multiply the whole matrix by a vector,
+    use :func:`fwht` instead.
     """
     rows = np.asarray(rows, dtype=_U64)
     if rows.size and int(rows.max()) >= order:
@@ -154,3 +153,38 @@ def sign_block(rows: np.ndarray, order: int) -> np.ndarray:
     cols = np.arange(order, dtype=_U64)
     par = _parity(rows[:, None] & cols[None, :])
     return (1 - 2 * par).astype(np.int8)
+
+
+def fwht(values: np.ndarray) -> np.ndarray:
+    """``H @ values`` in place, for the Sylvester matrix H of order ``values.size``.
+
+    The iterative fast Walsh-Hadamard transform: stage ``h = 1, 2, 4, ...``
+    replaces each pair ``(a, b)`` at distance ``h`` by ``(a + b, a - b)``,
+    which is one step of the recursion ``[[H, H], [H, -H]]``. That is
+    O(order * r) additions against O(order^2) for the row products, and
+    over int64 the result equals the matrix product exactly (both wrap
+    alike on overflow, which FHR sums, bounded by 2n, never reach).
+
+    ``values`` must be a writable, contiguous, one-dimensional int64 array
+    whose length is a power of two; it is overwritten and returned.
+    """
+    if not (
+        isinstance(values, np.ndarray)
+        and values.ndim == 1
+        and values.dtype == np.int64
+        and values.flags.c_contiguous
+        and values.flags.writeable
+    ):
+        raise ValueError("fwht needs a writable contiguous 1-D int64 array")
+    order = values.size
+    if order < 1 or order & (order - 1):
+        raise ValueError(f"length must be a power of two, got {order}")
+    h = 1
+    while h < order:
+        pairs = values.reshape(-1, 2, h)  # a view: contiguous input
+        upper, lower = pairs[:, 0, :], pairs[:, 1, :]
+        upper += lower  # a + b
+        lower *= -2
+        lower += upper  # (a + b) - 2b = a - b
+        h *= 2
+    return values

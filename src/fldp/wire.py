@@ -10,16 +10,27 @@ the advertised 2r+1 bits.
 
 Report files carry a fixed 16-byte header (magic, order exponent, record
 count) followed by the packed records; a JSON-lines rendering of the same
-triples exists for debugging.
+triples exists for debugging. A report file's order exponent is capped at
+r <= 31: a record (2r+1 <= 63 bits) then fits one uint64 word, which is
+how files are packed and unpacked, all records at once with numpy shifts
+and masks, and the server's dense sum vector stays at or below 2^31
+entries. The single-report :func:`pack_fhr` and :func:`unpack_fhr` take
+any order the matrix allows (r <= 63). Files are written whole or not at
+all (see :mod:`fldp._atomic`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import struct
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
+import numpy as np
+
+from ._atomic import replace_atomically
 from .hadamard import HadamardOrder
 from .mechanisms import MECHANISMS, FhrReport
 
@@ -38,6 +49,7 @@ __all__ = [
 
 FILE_MAGIC = b"FHR1"
 _HEADER = struct.Struct(">4sIQ")  # magic, order exponent r, record count
+_MAX_FILE_EXPONENT = 31  # see the module docstring
 
 
 class WireFormatError(ValueError):
@@ -85,40 +97,100 @@ def unpack_fhr(data: bytes, order: HadamardOrder) -> FhrReport:
     return FhrReport(index_x=index_x, index_y=index_y)
 
 
+def _file_order(r: int) -> HadamardOrder:
+    """The order a report file may declare: 1 <= r <= _MAX_FILE_EXPONENT."""
+    if r > _MAX_FILE_EXPONENT:
+        raise WireFormatError(
+            f"report files hold order exponents up to {_MAX_FILE_EXPONENT}, got r={r}"
+        )
+    try:
+        return HadamardOrder(r=r)
+    except ValueError as exc:
+        raise WireFormatError(str(exc)) from exc
+
+
+def _pack_records(pairs: np.ndarray, order: HadamardOrder) -> bytes:
+    """Concatenated :func:`pack_fhr` records of (index_x, index_y) rows at once."""
+    r = order.r
+    size = packed_size(order)
+    if pairs.size and int(pairs.max()) >= order.order:
+        raise WireFormatError(f"a report overflows {r}-bit indices")
+    x, y = pairs[:, 0].astype(np.uint64), pairs[:, 1].astype(np.uint64)
+    words = (x << np.uint64(r + 1)) | np.uint64(1 << r) | y
+    words <<= np.uint64(size * 8 - (2 * r + 1))
+    # big-endian words; the record is their low ``size`` bytes
+    return words.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - size :].tobytes()
+
+
+def _unpack_records(body: bytes, order: HadamardOrder) -> list[FhrReport]:
+    """:func:`unpack_fhr` over every record of a file body at once."""
+    r = order.r
+    size = packed_size(order)
+    count = len(body) // size
+    padded = np.zeros((count, 8), dtype=np.uint8)
+    padded[:, 8 - size :] = np.frombuffer(body, dtype=np.uint8).reshape(count, size)
+    words = padded.view(">u8").ravel().astype(np.uint64)
+    pad = size * 8 - (2 * r + 1)
+    bad = np.flatnonzero(words & np.uint64((1 << pad) - 1))
+    if bad.size:
+        raise WireFormatError(f"record {bad[0]}: padding bits must be zero")
+    words >>= np.uint64(pad)
+    index_y = words & np.uint64((1 << r) - 1)
+    index_x = words >> np.uint64(r + 1)
+    equal = np.flatnonzero(index_x == index_y)
+    if equal.size:
+        raise WireFormatError(
+            f"record {equal[0]}: equal indices {index_x[equal[0]]} are not a valid report"
+        )
+    return list(map(FhrReport, index_x.tolist(), index_y.tolist()))
+
+
 def write_report_file(
     path: str | Path, reports: Iterable[FhrReport], order: HadamardOrder
 ) -> int:
-    """Write a header plus packed records; returns the record count."""
-    records = [pack_fhr(report, order) for report in reports]
-    path = Path(path)
-    with path.open("wb") as handle:
-        handle.write(_HEADER.pack(FILE_MAGIC, order.r, len(records)))
-        for record in records:
-            handle.write(record)
-    return len(records)
+    """Write a header plus packed records; returns the record count.
+
+    The bytes are the header followed by each report's :func:`pack_fhr`
+    record, and they replace ``path`` only once all of them are written.
+    """
+    _file_order(order.r)
+    flat = itertools.chain.from_iterable((rep.index_x, rep.index_y) for rep in reports)
+    try:
+        pairs = np.fromiter(flat, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as exc:
+        raise WireFormatError(f"a report overflows {order.r}-bit indices") from exc
+    body = _pack_records(pairs, order)
+    with replace_atomically(path, "wb") as handle:
+        handle.write(_HEADER.pack(FILE_MAGIC, order.r, len(pairs)))
+        handle.write(body)
+    return len(pairs)
 
 
 def read_report_file(path: str | Path) -> tuple[HadamardOrder, list[FhrReport]]:
-    """Read a report file back; validates magic, length, and every record."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise WireFormatError(f"file too short for a header: {len(raw)} bytes")
-    magic, r, count = _HEADER.unpack_from(raw)
-    if magic != FILE_MAGIC:
-        raise WireFormatError(f"bad magic {magic!r}")
-    try:
-        order = HadamardOrder(r=r)
-    except ValueError as exc:
-        raise WireFormatError(str(exc)) from exc
-    size = packed_size(order)
-    body = raw[_HEADER.size :]
-    if len(body) != count * size:
-        raise WireFormatError(
-            f"expected {count} records of {size} bytes, found {len(body)} bytes"
-        )
-    return order, [
-        unpack_fhr(body[i * size : (i + 1) * size], order) for i in range(count)
-    ]
+    """Read a report file back; validates magic, order, length, and every record.
+
+    The header is checked against the file's size before the body is
+    read, so a header promising more records than the file holds, or an
+    order beyond the cap, costs no allocation.
+    """
+    with Path(path).open("rb") as handle:
+        header = handle.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise WireFormatError(f"file too short for a header: {len(header)} bytes")
+        magic, r, count = _HEADER.unpack(header)
+        if magic != FILE_MAGIC:
+            raise WireFormatError(f"bad magic {magic!r}")
+        order = _file_order(r)
+        size = packed_size(order)
+        body_size = os.fstat(handle.fileno()).st_size - _HEADER.size
+        if body_size != count * size:
+            raise WireFormatError(
+                f"expected {count} records of {size} bytes, found {body_size} bytes"
+            )
+        body = handle.read(body_size)
+    if len(body) != body_size:
+        raise WireFormatError(f"file shrank while reading: {len(body)} of {body_size} bytes")
+    return order, _unpack_records(body, order)
 
 
 def report_to_json_line(report: FhrReport) -> str:

@@ -96,3 +96,20 @@ def olh_hash_oracle(seed: int, item: int, g: int) -> int:
     """The OLH hash one (seed, item) pair at a time."""
     mixed = splitmix64_oracle((item * _SM_GAMMA + 1) & _MASK64)
     return splitmix64_oracle(seed ^ mixed) % g
+
+
+def fhr_estimate_all_oracle(sum_vector, domain_size: int, params, order, chunk: int = 256):
+    """FHR decode by explicit row blocks: O(domain_size * order) products.
+
+    Item i's estimate is correction * (H[i + 1] . sums), with the rows
+    taken ``chunk`` at a time from ``sign_block``.
+    """
+    from fldp.hadamard import sign_block
+
+    rows = np.arange(1, domain_size + 1, dtype=np.uint64)
+    sums = sum_vector.sums.astype(np.int64)
+    out = np.empty(domain_size, dtype=np.float64)
+    for start in range(0, domain_size, chunk):
+        block = sign_block(rows[start : start + chunk], order.order)
+        out[start : start + chunk] = block.astype(np.int64) @ sums
+    return params.correction * out

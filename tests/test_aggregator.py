@@ -32,6 +32,8 @@ from fldp.mechanisms import (
     olh_perturb_batch,
 )
 
+from _oracles import fhr_estimate_all_oracle
+
 
 def _reports(pairs):
     return [FhrReport(index_x=x, index_y=y) for x, y in pairs]
@@ -144,12 +146,35 @@ class TestFhrEstimate:
         items = rng.integers(0, 30, size=5000)
         ix, iy = fhr_perturb_batch(items, params, order, rng)
         summed = fhr_accumulate_indices(ix, iy, order)
-        table = fhr_estimate_all(summed, 30, params, order, chunk=7)
+        table = fhr_estimate_all(summed, 30, params, order)
         assert table.n == 5000
         for item in (0, 13, 29):
             assert table.estimates[item] == pytest.approx(
                 fhr_estimate(summed, item, params, order)
             )
+
+    @pytest.mark.parametrize("domain", [1, 30, 1023, 1024])
+    @pytest.mark.parametrize("n", [0, 5000])
+    def test_estimate_all_equals_row_block_oracle(self, domain, n):
+        params = PrivacyParams.for_fhr(0.8)
+        order = min_order_for_domain(domain)
+        rng = np.random.default_rng(domain + n)
+        ix, iy = fhr_perturb_batch(rng.integers(0, domain, size=n), params, order, rng)
+        summed = fhr_accumulate_indices(ix, iy, order)
+        before = summed.sums.copy()
+        table = fhr_estimate_all(summed, domain, params, order)
+        oracle = fhr_estimate_all_oracle(summed, domain, params, order)
+        assert table.estimates.shape == (domain,)
+        assert np.array_equal(table.estimates, oracle)
+        assert np.array_equal(summed.sums, before)  # the transform runs on a copy
+
+    def test_estimate_all_rejects_mismatched_shapes(self):
+        params = PrivacyParams.for_fhr(1.0)
+        order = HadamardOrder(3)
+        with pytest.raises(ValueError, match="do not match"):
+            fhr_estimate_all(SumVector.zero(16), 7, params, order)
+        with pytest.raises(ValueError, match="too small"):
+            fhr_estimate_all(SumVector.zero(8), 8, params, order)
 
 
 class TestGrrEstimate:

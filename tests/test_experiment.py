@@ -10,6 +10,7 @@ from fldp.datasets import DatasetSpec
 from fldp.experiment import (
     RESULT_COLUMNS,
     ExperimentSpec,
+    ResultRow,
     estimate_once,
     run_experiment,
 )
@@ -157,3 +158,39 @@ class TestManifest:
         assert manifest["dataset"]["n"] == 3000
         assert manifest["dataset"]["domain_size"] == 32
         assert manifest["report_bits"]["fhr"]["1.0"] == 13
+
+
+class TestAtomicOutputs:
+    """A run that fails while writing leaves the previous outputs intact."""
+
+    def test_results_csv_survives_a_failing_row(self, tmp_path, monkeypatch):
+        run_experiment(_tiny_spec(tmp_path))
+        previous = (tmp_path / "results.csv").read_bytes()
+        real_record = ResultRow.as_record
+        calls = []
+
+        def failing_record(row):
+            calls.append(row)
+            if len(calls) == 2:  # the header and one row are already written
+                raise RuntimeError("row failed")
+            return real_record(row)
+
+        monkeypatch.setattr(ResultRow, "as_record", failing_record)
+        with pytest.raises(RuntimeError, match="row failed"):
+            run_experiment(_tiny_spec(tmp_path, seed=43))
+        assert (tmp_path / "results.csv").read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "results.csv"]
+
+    def test_manifest_survives_a_failing_dump(self, tmp_path, monkeypatch):
+        run_experiment(_tiny_spec(tmp_path))
+        previous = (tmp_path / "manifest.json").read_bytes()
+
+        def failing_dump(obj, handle, **kwargs):
+            handle.write('{"dataset": ')
+            raise RuntimeError("dump failed")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(RuntimeError, match="dump failed"):
+            run_experiment(_tiny_spec(tmp_path, trials=3))
+        assert (tmp_path / "manifest.json").read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "results.csv"]

@@ -9,6 +9,7 @@ from fldp.hadamard import (
     HadamardOrder,
     ItemRowMap,
     entry,
+    fwht,
     min_order_for_domain,
     positions_of_sign,
     row_vector,
@@ -154,7 +155,7 @@ class TestItemRowMap:
 
     def test_row_0_never_assigned(self):
         mapping = ItemRowMap(domain_size=15, order=HadamardOrder(4))
-        assert 0 not in mapping.rows()
+        assert 0 not in [mapping.row_of(i) for i in range(15)]
 
     def test_too_small_order_rejected(self):
         with pytest.raises(ValueError):
@@ -174,3 +175,35 @@ class TestSignBlock:
         block = sign_block(rows, order)
         for i, row in enumerate(rows):
             assert np.array_equal(block[i], row_vector(int(row), order))
+
+
+class TestFwht:
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_equals_matrix_product(self, r):
+        rng = np.random.default_rng(r)
+        matrix = sylvester_matrix(r)
+        for values in (
+            rng.integers(-(2**40), 2**40, size=1 << r, dtype=np.int64),
+            np.zeros(1 << r, dtype=np.int64),
+        ):
+            expected = matrix @ values
+            assert np.array_equal(fwht(values.copy()), expected)
+
+    def test_transforms_in_place(self):
+        values = np.arange(8, dtype=np.int64)
+        assert fwht(values) is values
+        assert np.array_equal(values, sylvester_matrix(3) @ np.arange(8))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.zeros(6, dtype=np.int64),  # not a power of two
+            np.zeros(0, dtype=np.int64),
+            np.zeros(8, dtype=np.float64),
+            np.zeros(16, dtype=np.int64)[::2],  # a strided view
+            np.zeros((2, 4), dtype=np.int64),
+        ],
+    )
+    def test_bad_input_rejected(self, values):
+        with pytest.raises(ValueError):
+            fwht(values)

@@ -1,12 +1,16 @@
 """Packed report layout, file framing, fuzz robustness, and cost table."""
 
+import contextlib
 import itertools
 import struct
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fldp import wire
 from fldp.hadamard import HadamardOrder
 from fldp.mechanisms import FhrReport
 from fldp.wire import (
@@ -139,13 +143,150 @@ class TestReportFile:
         with pytest.raises(WireFormatError):
             read_report_file(path)
 
-    @pytest.mark.parametrize("r", [0, 64, 70])
+    @pytest.mark.parametrize("r", [0, 32, 63, 64, 70])
     def test_order_exponent_outside_range_rejected(self, tmp_path, r):
-        # an empty file whose header declares an order no uint64 column fits
+        # an empty file whose header declares an order beyond the file cap;
+        # the reader refuses it before allocating anything order-sized
         path = tmp_path / "order.bin"
         path.write_bytes(struct.pack(">4sIQ", FILE_MAGIC, r, 0))
-        with pytest.raises(WireFormatError, match="exponent"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(WireFormatError, match="exponent"):
+                read_report_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_count_beyond_file_size_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(struct.pack(">4sIQ", FILE_MAGIC, 20, 2**60) + bytes(6))
+        with pytest.raises(WireFormatError, match="records"):
             read_report_file(path)
+
+    def test_writer_rejects_orders_beyond_cap(self, tmp_path):
+        path = tmp_path / "big.bin"
+        write_report_file(path, [FhrReport(index_x=2**31 - 1, index_y=0)], HadamardOrder(31))
+        with pytest.raises(WireFormatError, match="exponent"):
+            write_report_file(path, [], HadamardOrder(32))
+
+
+def _random_reports(r, count, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 1 << r, size=count)
+    y = (x + rng.integers(1, 1 << r, size=count)) % (1 << r)  # never equal to x
+    return [FhrReport(index_x=a, index_y=b) for a, b in zip(x.tolist(), y.tolist())]
+
+
+class TestReportFileCodec:
+    """The array codec against the one-record pack_fhr / unpack_fhr."""
+
+    @pytest.mark.parametrize("r", [1, 2, 7, 8, 16, 31])
+    def test_bytes_are_header_plus_pack_fhr_records(self, tmp_path, r):
+        order = HadamardOrder(r)
+        reports = _random_reports(r, 300, seed=r)
+        path = tmp_path / "reports.bin"
+        assert write_report_file(path, iter(reports), order) == len(reports)
+        expected = struct.pack(">4sIQ", FILE_MAGIC, r, len(reports)) + b"".join(
+            pack_fhr(report, order) for report in reports
+        )
+        assert path.read_bytes() == expected
+        assert read_report_file(path) == (order, reports)
+
+    def test_empty_file_round_trip(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        assert write_report_file(path, [], HadamardOrder(5)) == 0
+        assert path.read_bytes() == struct.pack(">4sIQ", FILE_MAGIC, 5, 0)
+        assert read_report_file(path) == (HadamardOrder(5), [])
+
+    def _file_with_middle_record(self, tmp_path, r, middle):
+        order = HadamardOrder(r)
+        reports = _random_reports(r, 9, seed=3)
+        records = [pack_fhr(report, order) for report in reports]
+        records[4] = middle
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack(">4sIQ", FILE_MAGIC, r, 9) + b"".join(records))
+        return path
+
+    @pytest.mark.parametrize("r", [2, 7, 16, 31])
+    def test_nonzero_padding_in_middle_record_rejected(self, tmp_path, r):
+        order = HadamardOrder(r)
+        good = pack_fhr(FhrReport(index_x=1, index_y=0), order)
+        middle = good[:-1] + bytes([good[-1] | 1])  # the lowest bit is padding
+        with pytest.raises(WireFormatError, match="record 4: padding"):
+            read_report_file(self._file_with_middle_record(tmp_path, r, middle))
+
+    @pytest.mark.parametrize("r", [2, 7, 16, 31])
+    def test_equal_indices_in_middle_record_rejected(self, tmp_path, r):
+        size = packed_size(HadamardOrder(r))
+        index = (1 << r) - 1
+        word = (index << (r + 1)) | (1 << r) | index
+        middle = (word << (size * 8 - (2 * r + 1))).to_bytes(size, "big")
+        with pytest.raises(WireFormatError, match="record 4: equal indices"):
+            read_report_file(self._file_with_middle_record(tmp_path, r, middle))
+
+    @pytest.mark.parametrize("index", [8, 2**63 - 1, 2**64 + 5])
+    def test_index_overflow_rejected_by_writer(self, tmp_path, index):
+        with pytest.raises(WireFormatError, match="overflows"):
+            write_report_file(
+                tmp_path / "o.bin", [FhrReport(index_x=index, index_y=0)], HadamardOrder(3)
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, 5, 10, 16, 31]),
+        st.integers(min_value=0, max_value=6),
+        st.data(),
+    )
+    def test_random_bodies_decode_like_unpack_fhr(self, tmp_path_factory, r, count, data):
+        order = HadamardOrder(r)
+        size = packed_size(order)
+        body = data.draw(st.binary(min_size=count * size, max_size=count * size))
+        path = tmp_path_factory.mktemp("fuzz") / "body.bin"
+        path.write_bytes(struct.pack(">4sIQ", FILE_MAGIC, r, count) + body)
+        try:
+            expected = [unpack_fhr(body[i * size : (i + 1) * size], order) for i in range(count)]
+        except WireFormatError:
+            with pytest.raises(WireFormatError):
+                read_report_file(path)
+            return
+        assert read_report_file(path) == (order, expected)
+
+
+class TestAtomicReportFile:
+    def _previous(self, tmp_path):
+        path = tmp_path / "reports.bin"
+        write_report_file(path, _random_reports(4, 20, seed=1), HadamardOrder(4))
+        return path, path.read_bytes()
+
+    def test_write_failing_after_the_header_keeps_previous_file(self, tmp_path, monkeypatch):
+        path, previous = self._previous(tmp_path)
+        real_replace = wire.replace_atomically
+        written = []
+
+        class FailingHandle:
+            """Takes the header, then fails as a full disk would."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, data):
+                if written:
+                    raise OSError("disk full")
+                written.append(len(data))
+                return self.handle.write(data)
+
+        @contextlib.contextmanager
+        def failing(target, mode="w", **kwargs):
+            with real_replace(target, mode, **kwargs) as handle:
+                yield FailingHandle(handle)
+
+        monkeypatch.setattr(wire, "replace_atomically", failing)
+        with pytest.raises(OSError, match="disk full"):
+            write_report_file(path, _random_reports(4, 5, seed=2), HadamardOrder(4))
+        assert written == [16]
+        assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["reports.bin"]
 
 
 class TestJsonLines:
