@@ -2,7 +2,7 @@
 
 FHR aggregation is a two-step pipeline: fold every report's implied sparse
 vector (+1 at index_x, -1 at index_y) into a running :class:`SumVector`,
-then estimate any item's count as ``correction * (sums . row_vector)``.
+then estimate item i's count as ``correction * (sums . H[i + 1])``.
 Accumulation is a commutative integer merge, so partial sums from chunks
 or workers combine into exactly the sequential result. The whole domain
 is decoded at once by one fast Walsh-Hadamard transform of the sums,
@@ -25,20 +25,18 @@ from typing import Iterable
 
 import numpy as np
 
-from .hadamard import HadamardOrder, ItemRowMap, fwht, row_vector
-from .mechanisms import FhrReport, PrivacyParams
+from .hadamard import HadamardOrder, ItemRowMap, fwht
+from .mechanisms import FhrReport, PrivacyParams, _report_pairs
 
 __all__ = [
     "SumVector",
     "FrequencyEstimate",
     "fhr_accumulate",
     "fhr_accumulate_indices",
-    "fhr_estimate",
     "fhr_estimate_all",
     "grr_estimate",
     "unary_estimate",
     "olh_support_counts",
-    "olh_estimate",
     "olh_estimate_all",
     "fhr_variance_bound",
     "fhr_variance_exact",
@@ -109,22 +107,11 @@ def fhr_accumulate_indices(
 
 def fhr_accumulate(reports: Iterable[FhrReport], order: HadamardOrder) -> SumVector:
     """Accumulate a stream of reports; equals the batched index-array path."""
-    pairs = [(r.index_x, r.index_y) for r in reports]
-    if not pairs:
-        return SumVector.zero(order.order)
-    xs, ys = zip(*pairs)
-    return fhr_accumulate_indices(np.asarray(xs), np.asarray(ys), order)
-
-
-def fhr_estimate(
-    sum_vector: SumVector, item: int, params: PrivacyParams, order: HadamardOrder
-) -> float:
-    """Unbiased count estimate for one item: correction * (sums . H row)."""
-    if params.correction is None:
-        raise ValueError("params were not built for FHR (use PrivacyParams.for_fhr)")
-    row = ItemRowMap(domain_size=order.order - 1, order=order).row_of(item)
-    signs = row_vector(row, order.order)
-    return params.correction * float(sum_vector.sums @ signs.astype(np.int64))
+    try:
+        pairs = _report_pairs(reports)
+    except OverflowError as exc:
+        raise ValueError(f"corrupt report: index outside [0, {order.order})") from exc
+    return fhr_accumulate_indices(pairs[:, 0], pairs[:, 1], order)
 
 
 def fhr_estimate_all(
@@ -135,9 +122,9 @@ def fhr_estimate_all(
 ) -> FrequencyEstimate:
     """Estimate every item in [0, domain_size) from one transform of the sums.
 
-    ``fwht(sums)`` is ``H @ sums``, whose entry at item i's row is the dot
-    product :func:`fhr_estimate` takes, so the two agree exactly; the
-    cost is O(order log order) in place of O(domain_size * order).
+    ``fwht(sums)`` is ``H @ sums``, whose entry at item i's row is that
+    row's dot product with the sums, so the cost is O(order log order) in
+    place of O(domain_size * order) for the rows one at a time.
     """
     if params.correction is None:
         raise ValueError("params were not built for FHR (use PrivacyParams.for_fhr)")
@@ -209,26 +196,17 @@ def olh_support_counts(
     return out
 
 
-def olh_estimate(support_count: float, params: PrivacyParams, n: int) -> float:
-    """Invert one OLH support count: (C(t) - n/g) / (p - 1/g)."""
-    if params.g is None:
-        raise ValueError("params were not built for OLH (use PrivacyParams.for_olh)")
-    g = params.g
-    return (support_count - n / g) / (params.p - 1 / g)
-
-
 def olh_estimate_all(
     seeds: np.ndarray,
     values: np.ndarray,
     domain_size: int,
     params: PrivacyParams,
-    chunk: int = 32,
 ) -> FrequencyEstimate:
     """Estimate every item in [0, domain_size) from OLH reports."""
     if params.g is None:
         raise ValueError("params were not built for OLH (use PrivacyParams.for_olh)")
     n = np.asarray(seeds).size
-    counts = olh_support_counts(seeds, values, np.arange(domain_size), params.g, chunk=chunk)
+    counts = olh_support_counts(seeds, values, np.arange(domain_size), params.g)
     estimates = (counts - n / params.g) / (params.p - 1 / params.g)
     return FrequencyEstimate(estimates=estimates, n=n)
 

@@ -198,6 +198,15 @@ def _load_stream(spec: DatasetSpec) -> ItemStream:
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run the sweep, returning all rows and writing results + manifest."""
     stream = _load_stream(spec.dataset)
+    # every top-k candidate needs a positive true count (see metrics.related_error)
+    k = max(spec.topk_list)
+    needed = min(k, stream.domain_size)
+    present = int(np.count_nonzero(stream.ground_truth))
+    if needed > present:
+        raise ValueError(
+            f"k={k} needs {needed} items that occur in the stream, "
+            f"but only {present} of its {stream.domain_size} items do"
+        )
     truth = stream.ground_truth.astype(np.float64)
     n = stream.n
     smoothing = 1.0 / (10.0 * n)

@@ -2,7 +2,7 @@
 
 The matrix of order ``2^r`` is defined by the recursion ``H_{r+1} = [[H_r, H_r],
 [H_r, -H_r]]`` with ``H_0 = [1]``. Its entries admit a closed form,
-``H[row, col] = (-1)^popcount(row AND col)``, which the entry, row and block
+``H[row, col] = (-1)^popcount(row AND col)``, which the row and block
 functions evaluate. Products with the whole matrix go through :func:`fwht`,
 the fast Walsh-Hadamard transform, which unrolls the same recursion in
 O(order * r) additions. Nothing is ever built in memory beyond explicitly
@@ -23,7 +23,6 @@ __all__ = [
     "HadamardOrder",
     "ItemRowMap",
     "min_order_for_domain",
-    "entry",
     "row_vector",
     "positions_of_sign",
     "sign_block",
@@ -94,13 +93,6 @@ class ItemRowMap:
 def _check_index(name: str, value: int, order: int) -> None:
     if not 0 <= value < order:
         raise IndexError(f"{name} {value} out of range [0, {order})")
-
-
-def entry(row: int, col: int, order: int) -> int:
-    """Matrix entry in O(1): ``(-1)^popcount(row AND col)``."""
-    _check_index("row", row, order)
-    _check_index("col", col, order)
-    return -1 if (row & col).bit_count() & 1 else 1
 
 
 def _parity(masked: np.ndarray) -> np.ndarray:

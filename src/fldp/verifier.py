@@ -33,8 +33,6 @@ __all__ = [
     "FldpCertificate",
     "enumerate_range",
     "certify_ranges",
-    "certify",
-    "ratio_profile",
     "certificate_passes",
 ]
 
@@ -229,8 +227,9 @@ def certify_ranges(ranges: Mapping[int, OutputRange]) -> FldpCertificate:
     )
 
 
-def certify(mechanism: str, params: PrivacyParams, domain_size: int) -> FldpCertificate:
-    """Enumerate every item's range and audit all pairs of the domain."""
+def certify_mechanism(mechanism: str, epsilon: float, domain_size: int) -> FldpCertificate:
+    """Enumerate every item's range under the registry's parameters and audit all pairs."""
+    params = lookup(mechanism).params(epsilon, domain_size)
     if domain_size < 2:
         raise ValueError(f"domain must contain at least 2 items, got {domain_size}")
     ranges = {
@@ -238,11 +237,6 @@ def certify(mechanism: str, params: PrivacyParams, domain_size: int) -> FldpCert
         for item in range(domain_size)
     }
     return certify_ranges(ranges)
-
-
-def certify_mechanism(mechanism: str, epsilon: float, domain_size: int) -> FldpCertificate:
-    """Convenience wrapper that derives the mechanism's parameters itself."""
-    return certify(mechanism, lookup(mechanism).params(epsilon, domain_size), domain_size)
 
 
 def certificate_passes(mechanism: str, epsilon: float, certificate: FldpCertificate) -> bool:
@@ -258,22 +252,3 @@ def certificate_passes(mechanism: str, epsilon: float, certificate: FldpCertific
         certificate.eta_observed + _ETA_TOL >= eta
         and certificate.epsilon_effective <= epsilon + _RATIO_TOL
     )
-
-
-def ratio_profile(
-    mechanism: str,
-    params: PrivacyParams,
-    domain_size: int,
-    pair: tuple[int, int],
-) -> dict:
-    """Per-output probability ratios P(s|t) / P(s|t') over the shared outputs."""
-    t, t_prime = pair
-    if t == t_prime:
-        raise ValueError(f"pair items must be distinct, got {t} twice")
-    range_t = enumerate_range(mechanism, t, params, domain_size)
-    range_u = enumerate_range(mechanism, t_prime, params, domain_size)
-    return {
-        s: range_t.probabilities[s] / range_u.probabilities[s]
-        for s in range_t.probabilities
-        if s in range_u.probabilities
-    }

@@ -9,11 +9,10 @@ meaning into it. The bit stays in the layout so a report costs exactly
 the advertised 2r+1 bits.
 
 Report files carry a fixed 16-byte header (magic, order exponent, record
-count) followed by the packed records; a JSON-lines rendering of the same
-triples exists for debugging. A report file's order exponent is capped at
-r <= 31: a record (2r+1 <= 63 bits) then fits one uint64 word, which is
-how files are packed and unpacked, all records at once with numpy shifts
-and masks, and the server's dense sum vector stays at or below 2^31
+count) followed by the packed records. A report file's order exponent is
+capped at r <= 31: a record (2r+1 <= 63 bits) then fits one uint64 word,
+which is how files are packed and unpacked, all records at once with numpy
+shifts and masks, and the server's dense sum vector stays at or below 2^31
 entries. The single-report :func:`pack_fhr` and :func:`unpack_fhr` take
 any order the matrix allows (r <= 63). Files are written whole or not at
 all (see :mod:`fldp._atomic`).
@@ -21,8 +20,6 @@ all (see :mod:`fldp._atomic`).
 
 from __future__ import annotations
 
-import itertools
-import json
 import os
 import struct
 from pathlib import Path
@@ -32,7 +29,7 @@ import numpy as np
 
 from ._atomic import replace_atomically
 from .hadamard import HadamardOrder
-from .mechanisms import MECHANISMS, FhrReport
+from .mechanisms import MECHANISMS, FhrReport, _report_pairs
 
 __all__ = [
     "WireFormatError",
@@ -41,8 +38,6 @@ __all__ = [
     "unpack_fhr",
     "write_report_file",
     "read_report_file",
-    "report_to_json_line",
-    "report_from_json_line",
     "report_size_table",
     "FILE_MAGIC",
 ]
@@ -154,9 +149,8 @@ def write_report_file(
     record, and they replace ``path`` only once all of them are written.
     """
     _file_order(order.r)
-    flat = itertools.chain.from_iterable((rep.index_x, rep.index_y) for rep in reports)
     try:
-        pairs = np.fromiter(flat, dtype=np.int64).reshape(-1, 2)
+        pairs = _report_pairs(reports)
     except OverflowError as exc:
         raise WireFormatError(f"a report overflows {order.r}-bit indices") from exc
     body = _pack_records(pairs, order)
@@ -191,29 +185,6 @@ def read_report_file(path: str | Path) -> tuple[HadamardOrder, list[FhrReport]]:
     if len(body) != body_size:
         raise WireFormatError(f"file shrank while reading: {len(body)} of {body_size} bytes")
     return order, _unpack_records(body, order)
-
-
-def report_to_json_line(report: FhrReport) -> str:
-    """One-line JSON rendering of the (index_x, sign, index_y) triple."""
-    return json.dumps(
-        {"index_x": report.index_x, "sign": 1, "index_y": report.index_y}
-    )
-
-
-def report_from_json_line(line: str) -> FhrReport:
-    try:
-        fields = json.loads(line)
-        index_x = int(fields["index_x"])
-        index_y = int(fields["index_y"])
-        sign = int(fields.get("sign", 1))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise WireFormatError(f"bad report line: {exc}") from exc
-    if sign not in (0, 1):
-        raise WireFormatError(f"sign must be 0 or 1, got {sign}")
-    try:
-        return FhrReport(index_x=index_x, index_y=index_y)
-    except ValueError as exc:
-        raise WireFormatError(str(exc)) from exc
 
 
 def report_size_table(domain_size: int, epsilon: float = 1.0) -> dict[str, int]:

@@ -113,3 +113,29 @@ def fhr_estimate_all_oracle(sum_vector, domain_size: int, params, order, chunk: 
         block = sign_block(rows[start : start + chunk], order.order)
         out[start : start + chunk] = block.astype(np.int64) @ sums
     return params.correction * out
+
+
+def fhr_estimate_oracle(sum_vector, item: int, params) -> float:
+    """One item's FHR estimate as an explicit O(order) dot product.
+
+    correction * sum over columns of H[item + 1, col] * sums[col], each
+    entry taken from the popcount closed form one column at a time.
+    """
+    row = item + 1
+    dot = sum(
+        -int(s) if bin(row & col).count("1") % 2 else int(s)
+        for col, s in enumerate(sum_vector.sums)
+    )
+    return params.correction * float(dot)
+
+
+def ratio_profile_oracle(mechanism: str, params, domain_size: int, pair) -> dict:
+    """P(s|t) / P(s|t') over the outputs both items of ``pair`` can produce."""
+    from fldp.verifier import enumerate_range
+
+    t, t_prime = pair
+    if t == t_prime:
+        raise ValueError(f"pair items must be distinct, got {t} twice")
+    range_t = enumerate_range(mechanism, t, params, domain_size).probabilities
+    range_u = enumerate_range(mechanism, t_prime, params, domain_size).probabilities
+    return {s: range_t[s] / range_u[s] for s in range_t if s in range_u}

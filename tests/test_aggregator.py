@@ -11,12 +11,10 @@ from fldp.aggregator import (
     SumVector,
     fhr_accumulate,
     fhr_accumulate_indices,
-    fhr_estimate,
     fhr_estimate_all,
     fhr_variance_bound,
     fhr_variance_exact,
     grr_estimate,
-    olh_estimate,
     olh_estimate_all,
     olh_support_counts,
     oue_variance,
@@ -32,7 +30,7 @@ from fldp.mechanisms import (
     olh_perturb_batch,
 )
 
-from _oracles import fhr_estimate_all_oracle
+from _oracles import fhr_estimate_all_oracle, fhr_estimate_oracle
 
 
 def _reports(pairs):
@@ -58,6 +56,9 @@ class TestAccumulate:
     def test_index_out_of_order_rejected(self):
         with pytest.raises(ValueError):
             fhr_accumulate_indices(np.array([4]), np.array([1]), HadamardOrder(2))
+        for index in (8, 2**63, 2**70):  # the last two do not fit int64
+            with pytest.raises(ValueError, match=r"index outside \[0, 8\)"):
+                fhr_accumulate(_reports([(index, 0)]), HadamardOrder(3))
 
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
@@ -105,7 +106,7 @@ class TestFhrEstimate:
         params = PrivacyParams.for_fhr(math.log(3))
         summed = fhr_accumulate(_reports([(2, 3)]), HadamardOrder(2))
         # with correction exactly 1, the estimate is the raw dot product
-        est = fhr_estimate(summed, 0, params, HadamardOrder(2))
+        est = fhr_estimate_oracle(summed, 0, params)
         vec = np.array([1, -1, 1, -1])
         assert est == pytest.approx(vec[2] - vec[3], abs=1e-12)
 
@@ -118,7 +119,7 @@ class TestFhrEstimate:
         rng = np.random.default_rng(0)
         ix, iy = fhr_perturb_batch(np.full(n, item), params, order, rng)
         summed = fhr_accumulate_indices(ix, iy, order)
-        est = fhr_estimate(summed, item, params, order)
+        est = fhr_estimate_oracle(summed, item, params)
         assert est == pytest.approx(n, rel=1e-9)
 
     def test_monte_carlo_mean_and_variance(self):
@@ -132,7 +133,7 @@ class TestFhrEstimate:
             rng = np.random.default_rng(1000 + trial)
             ix, iy = fhr_perturb_batch(np.full(n, 7), params, order, rng)
             summed = fhr_accumulate_indices(ix, iy, order)
-            estimates.append(fhr_estimate(summed, 7, params, order))
+            estimates.append(fhr_estimate_oracle(summed, 7, params))
         estimates = np.asarray(estimates)
         sigma = estimates.std(ddof=1)
         assert abs(estimates.mean() - n) <= 3 * sigma / math.sqrt(trials)
@@ -150,7 +151,7 @@ class TestFhrEstimate:
         assert table.n == 5000
         for item in (0, 13, 29):
             assert table.estimates[item] == pytest.approx(
-                fhr_estimate(summed, item, params, order)
+                fhr_estimate_oracle(summed, item, params)
             )
 
     @pytest.mark.parametrize("domain", [1, 30, 1023, 1024])
@@ -257,17 +258,36 @@ class TestUnaryEstimate:
         assert np.all(np.abs(means - truth) <= 3 * sigma)
 
 
+def _olh_reports_with_full_and_zero_support(params, n):
+    """n OLH reports on which item 0 has support count n and item 1 has 0.
+
+    Every report carries item 0's own hash, under seeds that hash items 0
+    and 1 apart.
+    """
+    seeds = np.arange(4 * n, dtype=np.uint64)
+    seeds = seeds[olh_hash(seeds, 0, params.g) != olh_hash(seeds, 1, params.g)][:n]
+    assert seeds.size == n
+    return seeds, olh_hash(seeds, 0, params.g)
+
+
 class TestOlhEstimate:
     def test_zero_support_floor(self):
         params = PrivacyParams.for_olh(1.0)
         n = 1000
+        seeds, values = _olh_reports_with_full_and_zero_support(params, n)
+        assert olh_support_counts(seeds, values, np.array([0, 1]), params.g).tolist() == [n, 0]
         floor = -(n / params.g) / (params.p - 1 / params.g)
-        assert olh_estimate(0.0, params, n) == pytest.approx(floor)
+        estimates = olh_estimate_all(seeds, values, 2, params).estimates
+        assert estimates[1] == pytest.approx(floor)
 
     def test_inversion_fixed_point(self):
+        # the estimate is affine in the support count C(t), so its values
+        # at C = n and C = 0 fix it; at C = n*p it must return n
         params = PrivacyParams.for_olh(1.0)
         n = 1000
-        assert olh_estimate(n * params.p, params, n) == pytest.approx(n)
+        seeds, values = _olh_reports_with_full_and_zero_support(params, n)
+        at_n, at_zero = olh_estimate_all(seeds, values, 2, params).estimates
+        assert at_zero + params.p * (at_n - at_zero) == pytest.approx(n)
 
     def test_support_counts_match_direct_tally(self):
         eps, d, n = 1.0, 12, 3000
@@ -333,7 +353,7 @@ class TestVarianceFormulas:
             rng = np.random.default_rng(5000 + trial)
             ix, iy = fhr_perturb_batch(np.zeros(n, dtype=np.int64), params, order, rng)
             summed = fhr_accumulate_indices(ix, iy, order)
-            estimates.append(fhr_estimate(summed, 9, params, order))
+            estimates.append(fhr_estimate_oracle(summed, 9, params))
         observed = np.var(estimates, ddof=1)
         expected = fhr_variance_bound(eps, n)
         assert observed == pytest.approx(expected, rel=0.25)

@@ -138,6 +138,18 @@ class TestRun:
         assert code == 1
         capsys.readouterr()
 
+    def test_k_beyond_present_items_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = _run([
+            "run", "--zipf-n", "200", "--zipf-d", "1023", "--mechanisms", "fhr",
+            "--epsilons", "1.0", "--topk", "100", "--trials", "1", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "k=100 needs 100 items that occur in the stream" in err
+        assert "only 55 of its 1023 items" in err
+        assert not out.exists()
+
 
 class TestVerifyFldp:
     def test_fhr_certificate_passes(self, tmp_path, capsys):

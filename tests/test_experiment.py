@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from fldp import experiment
 from fldp.datasets import DatasetSpec
 from fldp.experiment import (
     RESULT_COLUMNS,
@@ -114,6 +115,28 @@ class TestDegenerateDomain:
         rows = run_experiment(spec)
         for row in rows:
             assert np.isfinite([row.kld, row.re, row.se, row.ncr]).all()
+
+
+class TestTooFewPresentItems:
+    """200 Zipf draws over 1023 items (seed 0) hit only 55 distinct items."""
+
+    @staticmethod
+    def _spec(tmp_path, topk):
+        dataset = DatasetSpec(source="zipf", n=200, domain_size=1023, seed=0)
+        return _tiny_spec(tmp_path, dataset=dataset, topk_list=topk)
+
+    def test_rejected_before_any_perturbation(self, tmp_path, monkeypatch):
+        def estimate_once_must_not_run(*args):
+            raise AssertionError("estimate_once ran")
+
+        monkeypatch.setattr(experiment, "estimate_once", estimate_once_must_not_run)
+        with pytest.raises(ValueError, match=r"k=100 needs 100 items .* only 55 of its 1023"):
+            run_experiment(self._spec(tmp_path, (5, 100)))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_k_equal_to_the_present_count_runs(self, tmp_path):
+        rows = run_experiment(self._spec(tmp_path, (55,)))
+        assert len(rows) == 3
 
 
 class TestSpecValidation:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fldp.hadamard import (
     HadamardOrder,
     ItemRowMap,
-    entry,
     fwht,
     min_order_for_domain,
     positions_of_sign,
@@ -57,33 +56,29 @@ class TestMinOrder:
 
 
 class TestEntry:
+    """Single entries, read from one-row blocks of :func:`sign_block`."""
+
     def test_row_0_is_all_ones(self):
         for order in (2, 4, 8, 16):
-            assert all(entry(0, col, order) == 1 for col in range(order))
+            assert (sign_block(np.array([0]), order) == 1).all()
 
     def test_row_3_col_3_order_4(self):
         # 3 AND 3 = 3 has popcount 2, an even count
-        assert entry(3, 3, 4) == 1
+        assert sign_block(np.array([3]), 4)[0, 3] == 1
 
     def test_row_1_col_1_order_2(self):
-        assert entry(1, 1, 2) == -1
+        assert sign_block(np.array([1]), 2)[0, 1] == -1
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(IndexError):
-            entry(4, 0, 4)
-        with pytest.raises(IndexError):
-            entry(0, 4, 4)
-        with pytest.raises(IndexError):
-            entry(-1, 0, 4)
+        for row in (4, -1):
+            with pytest.raises(IndexError):
+                sign_block(np.array([row]), 4)
 
     @pytest.mark.parametrize("r", range(1, 7))
     def test_matches_block_recursion(self, r):
         order = 1 << r
-        expected = sylvester_matrix(r)
-        built = np.array(
-            [[entry(row, col, order) for col in range(order)] for row in range(order)]
-        )
-        assert np.array_equal(built, expected)
+        built = sign_block(np.arange(order), order)
+        assert np.array_equal(built, sylvester_matrix(r))
 
 
 class TestRowVector:

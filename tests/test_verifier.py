@@ -12,12 +12,12 @@ from fldp.verifier import (
     FldpCertificate,
     OutputRange,
     certificate_passes,
-    certify,
     certify_mechanism,
     certify_ranges,
     enumerate_range,
-    ratio_profile,
 )
+
+from _oracles import ratio_profile_oracle
 
 
 def _fhr_params(eps):
@@ -82,25 +82,24 @@ class TestCertify:
     @pytest.mark.parametrize("domain", [3, 7, 15])  # orders 4, 8, 16
     @pytest.mark.parametrize("eps", [0.4, 1.0, 2.0])
     def test_fhr_eta_half_and_tight_ratio(self, domain, eps):
-        cert = certify("fhr", _fhr_params(eps), domain)
+        cert = certify_mechanism("fhr", eps, domain)
         assert cert.eta_observed == 0.5
         assert abs(cert.epsilon_effective - eps) <= 1e-9
 
     def test_fhr_range_and_intersection_counts(self):
-        cert = certify("fhr", _fhr_params(1.0), 7)
+        cert = certify_mechanism("fhr", 1.0, 7)
         assert cert.range_size_min == cert.range_size_max == 32
         assert cert.intersection_size_min == cert.intersection_size_max == 16
 
     def test_grr_eta_one(self):
         for d in (3, 8, 30):
-            cert = certify("grr", PrivacyParams.for_grr(1.0, d), d)
+            cert = certify_mechanism("grr", 1.0, d)
             assert cert.eta_observed == 1.0
             assert cert.epsilon_effective <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("variant", ["oue", "rappor"])
     def test_unary_eta_one(self, variant):
-        params = MECHANISMS[variant].params(1.0, 5)
-        cert = certify(variant, params, 5)
+        cert = certify_mechanism(variant, 1.0, 5)
         assert cert.eta_observed == 1.0
         assert cert.epsilon_effective <= 1.0 + 1e-9
 
@@ -115,11 +114,10 @@ class TestCertify:
         assert cert.pair_witnesses == ()
 
     def test_witnesses_attain_max_ratio(self):
-        params = _fhr_params(1.0)
-        cert = certify("fhr", params, 7)
+        cert = certify_mechanism("fhr", 1.0, 7)
         assert cert.pair_witnesses
         for t, t_prime, output in cert.pair_witnesses:
-            profile = ratio_profile("fhr", params, 7, (t, t_prime))
+            profile = ratio_profile_oracle("fhr", _fhr_params(1.0), 7, (t, t_prime))
             assert profile[output] == pytest.approx(cert.max_ratio_observed)
 
     def test_single_item_rejected(self):
@@ -136,7 +134,7 @@ class TestCertify:
 class TestRatioProfile:
     def test_fhr_only_three_ratio_values(self):
         eps = 1.0
-        profile = ratio_profile("fhr", _fhr_params(eps), 7, (0, 5))
+        profile = ratio_profile_oracle("fhr", _fhr_params(eps), 7, (0, 5))
         expected = {1.0, math.exp(eps), math.exp(-eps)}
         for ratio in profile.values():
             assert min(abs(ratio - v) for v in expected) < 1e-12
@@ -150,7 +148,7 @@ class TestRatioProfile:
         va, vb = row_vector(1, order.order), row_vector(2, order.order)
         x = int(np.nonzero((va == 1) & (vb == 1))[0][0])
         y = int(np.nonzero((va == -1) & (vb == -1))[0][0])
-        profile = ratio_profile("fhr", params, 7, (0, 1))
+        profile = ratio_profile_oracle("fhr", params, 7, (0, 1))
         assert profile[(x, y)] == pytest.approx(1.0, abs=1e-12)
 
     def test_fhr_disagreeing_signs_ratio_e_eps(self):
@@ -161,17 +159,21 @@ class TestRatioProfile:
         va, vb = row_vector(1, order.order), row_vector(2, order.order)
         x = int(np.nonzero((va == 1) & (vb == -1))[0][0])
         y = int(np.nonzero((va == -1) & (vb == 1))[0][0])
-        profile = ratio_profile("fhr", params, 7, (0, 1))
+        profile = ratio_profile_oracle("fhr", params, 7, (0, 1))
         assert profile[(x, y)] == pytest.approx(math.exp(eps), rel=1e-12)
 
     def test_identical_pair_rejected(self):
         with pytest.raises(ValueError):
-            ratio_profile("fhr", _fhr_params(1.0), 7, (3, 3))
+            ratio_profile_oracle("fhr", _fhr_params(1.0), 7, (3, 3))
+        # nor does the audit pair an item with itself, which would share
+        # its whole range of 32 outputs
+        cert = certify_mechanism("fhr", 1.0, 7)
+        assert cert.intersection_size_max < cert.range_size_min
 
     def test_grr_profile(self):
         eps, d = 1.0, 5
         params = PrivacyParams.for_grr(eps, d)
-        profile = ratio_profile("grr", params, d, (0, 1))
+        profile = ratio_profile_oracle("grr", params, d, (0, 1))
         assert profile[0] == pytest.approx(math.exp(eps))
         assert profile[1] == pytest.approx(math.exp(-eps))
         assert profile[3] == pytest.approx(1.0)

@@ -19,9 +19,7 @@ from fldp.wire import (
     pack_fhr,
     packed_size,
     read_report_file,
-    report_from_json_line,
     report_size_table,
-    report_to_json_line,
     unpack_fhr,
     write_report_file,
 )
@@ -287,36 +285,6 @@ class TestAtomicReportFile:
         assert written == [16]
         assert path.read_bytes() == previous
         assert [p.name for p in tmp_path.iterdir()] == ["reports.bin"]
-
-
-class TestJsonLines:
-    def test_round_trip(self):
-        report = FhrReport(index_x=5, index_y=2)
-        line = report_to_json_line(report)
-        assert report_from_json_line(line) == report
-
-    def test_fields(self):
-        import json
-
-        fields = json.loads(report_to_json_line(FhrReport(index_x=1, index_y=0)))
-        assert fields == {"index_x": 1, "sign": 1, "index_y": 0}
-
-    def test_sign_zero_accepted_and_ignored(self):
-        report = report_from_json_line('{"index_x": 3, "sign": 0, "index_y": 1}')
-        assert (report.index_x, report.index_y) == (3, 1)
-
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "not json",
-            '{"index_x": 1}',
-            '{"index_x": 1, "sign": 2, "index_y": 0}',
-            '{"index_x": 1, "sign": 1, "index_y": 1}',
-        ],
-    )
-    def test_bad_lines_rejected(self, line):
-        with pytest.raises(WireFormatError):
-            report_from_json_line(line)
 
 
 class TestSizeTable:
