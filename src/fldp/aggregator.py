@@ -10,7 +10,8 @@ O(order log order), whose entry ``i + 1`` is item ``i``'s dot product.
 
 The baseline estimators are the usual unbiased inversions of their flip
 probabilities: ``(observed - n*q) / (p - q)`` for GRR and unary encodings,
-and ``(C(t) - n/g) / (p - 1/g)`` for OLH support counts.
+and ``(C(t) - n/g) / (p - 1/g)`` for OLH support counts, which are
+tallied item by item with one add and one compare per report.
 
 Estimates live on the count scale and are neither clipped nor normalized
 here; negative values are meaningful to the variance tests and it is the
@@ -26,7 +27,14 @@ from typing import Iterable
 import numpy as np
 
 from .hadamard import HadamardOrder, ItemRowMap, fwht
-from .mechanisms import FhrReport, PrivacyParams, _report_pairs
+from .mechanisms import (
+    FhrReport,
+    PrivacyParams,
+    _check_olh_keys,
+    _olh_buckets,
+    _olh_keys,
+    _report_pairs,
+)
 
 __all__ = [
     "SumVector",
@@ -170,29 +178,41 @@ def unary_estimate(bit_counts: np.ndarray, params: PrivacyParams, n: int) -> Fre
 
 
 def olh_support_counts(
-    seeds: np.ndarray,
-    values: np.ndarray,
-    items: np.ndarray,
-    g: int,
-    chunk: int = 32,
+    seeds: np.ndarray, values: np.ndarray, items: np.ndarray, g: int
 ) -> np.ndarray:
     """C(t) per item: how many reports hash t to their reported bucket.
 
-    Re-hashes every item under every report seed, chunked over items to
-    bound the (reports x chunk) intermediate.
+    Report i supports item t when its key ``a_i*t + b_i`` falls in the key
+    interval [lo, lo + width) of its reported bucket (see
+    :func:`fldp.mechanisms.olh_hash`), that is when
+    ``(a_i*t + b_i - lo) mod 2^64 < width``. The items are walked in order
+    with that offset key held per report and advanced in place by
+    ``a_i * (t - previous)``, so an item costs one add, one compare and one
+    count over the n reports, and no hash is recomputed.
     """
-    from .mechanisms import olh_hash
-
     seeds = np.asarray(seeds, dtype=np.uint64)
     values = np.asarray(values, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
+    keys = _check_olh_keys(items).tolist()
     if seeds.shape != values.shape:
         raise ValueError("seeds and values must have matching shapes")
-    out = np.empty(items.size, dtype=np.int64)
-    for start in range(0, items.size, chunk):
-        block = items[start : start + chunk]
-        hashed = olh_hash(seeds[:, None], block[None, :], g)
-        out[start : start + chunk] = (hashed == values[:, None]).sum(axis=0)
+    if values.size and (values.min() < 0 or values.max() >= g):
+        raise ValueError(f"reported buckets must lie in [0, {g})")
+    a, b = _olh_keys(seeds)
+    lo, width = _olh_buckets(g)
+    offset = b - lo[values]  # the offset key of item 0
+    width = width[values]
+    hit = np.empty(offset.shape, dtype=bool)
+    out = np.empty(len(keys), dtype=np.int64)
+    previous = 0
+    for k, t in enumerate(keys):
+        step = t - previous
+        if step == 1:
+            offset += a
+        elif step:
+            offset += a * np.uint64(step % 2**64)
+        previous = t
+        np.less(offset, width, out=hit)
+        out[k] = np.count_nonzero(hit)
     return out
 
 

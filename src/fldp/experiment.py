@@ -1,6 +1,7 @@
 """Evaluation sweep: mechanisms x privacy budgets x trials on one workload.
 
-Each cell perturbs every user in the stream, aggregates, estimates all
+Each cell perturbs every user in the stream (OUE and RAPPOR at the level
+of bit counts, see :func:`estimate_once`), aggregates, estimates all
 item counts, and scores the estimate against the exact ground truth with
 all four metrics at each requested k. Raw per-trial rows and per-cell
 means land in results.csv; every resolved parameter lands in
@@ -55,8 +56,6 @@ RESULT_COLUMNS = (
     "wall_time_ms",
     "report_bits",
 )
-
-_UNARY_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -127,20 +126,6 @@ def _cell_rng(seed: int, mech_idx: int, eps_idx: int, trial: int) -> np.random.G
     return np.random.default_rng(ss)
 
 
-def _unary_bit_counts(
-    items: np.ndarray,
-    params: mechanisms.PrivacyParams,
-    domain_size: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    counts = np.zeros(domain_size, dtype=np.int64)
-    for start in range(0, items.size, _UNARY_CHUNK):
-        chunk = items[start : start + _UNARY_CHUNK]
-        bits = mechanisms.unary_perturb_bits(chunk, params, domain_size, rng)
-        counts += bits.sum(axis=0, dtype=np.int64)
-    return counts
-
-
 def estimate_once(
     mechanism: str,
     items: np.ndarray,
@@ -150,10 +135,12 @@ def estimate_once(
 ) -> np.ndarray:
     """Perturb a whole stream once and return count-scale estimates.
 
-    Parameters come from the mechanism's registry record. The perturb and
-    estimate steps are called through the ``mechanisms`` and
-    ``aggregator`` module attributes, which is where perfbench's tracer
-    times each layer, so each mechanism keeps its own branch here.
+    Parameters come from the mechanism's registry record. OUE and RAPPOR
+    draw their per-position bit counts directly, with the distribution of
+    the summed per-user reports. The perturb and estimate steps are called
+    through the ``mechanisms`` and ``aggregator`` module attributes, which
+    is where perfbench's tracer times each layer, so each mechanism keeps
+    its own branch here.
     """
     params = mechanisms.lookup(mechanism).params(epsilon, domain_size)
     n = items.size
@@ -167,7 +154,7 @@ def estimate_once(
         counts = np.bincount(values, minlength=domain_size)
         return aggregator.grr_estimate(counts, params, domain_size, n).estimates
     if mechanism in ("oue", "rappor"):
-        bit_counts = _unary_bit_counts(items, params, domain_size, rng)
+        bit_counts = mechanisms.unary_sample_counts(items, params, domain_size, rng)
         return aggregator.unary_estimate(bit_counts, params, n).estimates
     if mechanism == "olh":
         seeds, values = mechanisms.olh_perturb_batch(items, params, domain_size, rng)

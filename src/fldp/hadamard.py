@@ -139,9 +139,12 @@ def sign_block(rows: np.ndarray, order: int) -> np.ndarray:
     Costs O(len(rows) * order); to multiply the whole matrix by a vector,
     use :func:`fwht` instead.
     """
-    rows = np.asarray(rows, dtype=_U64)
-    if rows.size and int(rows.max()) >= order:
-        raise IndexError(f"row {int(rows.max())} out of range [0, {order})")
+    rows = np.asarray(rows)
+    if rows.size:
+        # checked as the integers given, before the cast could wrap them
+        lo, hi = int(rows.min()), int(rows.max())
+        _check_index("row", lo if lo < 0 else hi, order)
+    rows = rows.astype(_U64)
     cols = np.arange(order, dtype=_U64)
     par = _parity(rows[:, None] & cols[None, :])
     return (1 - 2 * par).astype(np.int8)

@@ -8,7 +8,13 @@ pair of column indices, so it costs 2r+1 bits regardless of domain size.
 The baselines are the standard constructions: generalized randomized
 response (GRR), unary encoding in its symmetric (RAPPOR) and optimized
 (OUE) variants, and optimized local hashing (OLH) with a per-report random
-hash seed.
+hash seed. OLH hashes with multiply-shift, a universal family
+(Dietzfelbinger et al., 1997), whose keys are the items below 2^32.
+
+Unary encodings have two samplers: :func:`unary_perturb_bits` is the
+per-user client, and :func:`unary_sample_counts` draws the per-position
+bit counts a whole batch of those reports would sum to, with exactly the
+same distribution, in O(domain_size) in place of O(n * domain_size).
 
 Each mechanism is defined once, as a :class:`Mechanism` record in the
 ordered :data:`MECHANISMS` registry: how its parameters follow from the
@@ -39,6 +45,7 @@ __all__ = [
     "fhr_perturb_batch",
     "grr_perturb_batch",
     "unary_perturb_bits",
+    "unary_sample_counts",
     "olh_perturb_batch",
     "olh_hash",
 ]
@@ -48,6 +55,9 @@ _U64 = np.uint64
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_M1 = 0xBF58476D1CE4E5B9
 _SM_M2 = 0x94D049BB133111EB
+# OLH hashes keys below 2^32 through the upper half of a 64-bit word
+_OLH_KEY_LIMIT = 1 << 32
+_HALF = _U64(32)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -272,6 +282,13 @@ def grr_perturb_batch(
     return np.where(keep, items, (items + offset) % domain_size)
 
 
+def _unary_items(items: np.ndarray, params: PrivacyParams, domain_size: int) -> np.ndarray:
+    if domain_size < 2:
+        raise ValueError(f"unary encoding needs a domain of at least 2, got {domain_size}")
+    _require_q(params)
+    return _check_domain(items, domain_size)
+
+
 def unary_perturb_bits(
     items: np.ndarray, params: PrivacyParams, domain_size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -282,15 +299,27 @@ def unary_perturb_bits(
     probability q. RAPPOR uses the symmetric p = e^(eps/2)/(e^(eps/2)+1),
     q = 1-p; OUE uses p = 1/2, q = 1/(e^eps+1).
     """
-    if domain_size < 2:
-        raise ValueError(f"unary encoding needs a domain of at least 2, got {domain_size}")
-    _require_q(params)
-    items = _check_domain(items, domain_size)
+    items = _unary_items(items, params, domain_size)
     u = rng.random((items.size, domain_size))
     bits = u < params.q
     users = np.arange(items.size)
     bits[users, items] = u[users, items] < params.p
     return bits.view(np.uint8)
+
+
+def unary_sample_counts(
+    items: np.ndarray, params: PrivacyParams, domain_size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Set-bit count per position over a batch of unary reports, int64.
+
+    The count at position j sums n_j bits kept with probability p and
+    n - n_j bits set with probability q, all independent, so it is drawn
+    as Bin(n_j, p) + Bin(n - n_j, q): exactly the distribution of
+    ``unary_perturb_bits(items, ...).sum(axis=0)``, without the n x D draws.
+    """
+    items = _unary_items(items, params, domain_size)
+    holders = np.bincount(items, minlength=domain_size)
+    return rng.binomial(holders, params.p) + rng.binomial(items.size - holders, params.q)
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -300,20 +329,52 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-def _mix_items(items: np.ndarray) -> np.ndarray:
-    return _splitmix64(np.asarray(items, dtype=_U64) * _U64(_SM_GAMMA) + _U64(1))
+def _olh_keys(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The multiply-shift pair (a, b) of each 64-bit report seed.
+
+    The first two outputs of a splitmix64 generator started at the seed.
+    """
+    seeds = np.asarray(seeds, dtype=_U64)
+    return _splitmix64(seeds), _splitmix64(seeds + _U64(_SM_GAMMA))
+
+
+def _check_olh_keys(items: np.ndarray) -> np.ndarray:
+    items = np.asarray(items)
+    if items.size:
+        lo, hi = int(items.min()), int(items.max())
+        if lo < 0 or hi >= _OLH_KEY_LIMIT:
+            raise ValueError(f"item {lo if lo < 0 else hi} is not an OLH key in [0, 2^32)")
+    return items.astype(_U64)
 
 
 def olh_hash(seed: int | np.ndarray, item: int | np.ndarray, g: int) -> int | np.ndarray:
     """Keyed hash of an item into [0, g); the OLH hash family.
 
-    A split-mix style 64-bit mixer keyed by the report seed. Scalar in,
-    scalar out; arrays broadcast elementwise.
+    Multiply-shift: with (a, b) derived from the 64-bit seed, the bucket of
+    item t is ``((((a*t + b) mod 2^64) >> 32) * g) >> 32``. The upper half
+    of ``a*t + b`` is pairwise independent over random (a, b) for keys
+    below 2^32, so two distinct items collide with probability about 1/g;
+    larger items raise ValueError. Scalar in, scalar out; arrays broadcast
+    elementwise.
     """
-    # the mixer's arithmetic is modulo 2^64; numpy warns of wraparound on scalars
+    items = _check_olh_keys(item)
+    # the arithmetic is modulo 2^64; numpy warns of wraparound on scalars
     with np.errstate(over="ignore"):
-        mixed = _mix_items(np.asarray(item))
-        return (_splitmix64(np.asarray(seed, dtype=_U64) ^ mixed) % _U64(g)).astype(np.int64)
+        a, b = _olh_keys(seed)
+        return (((a * items + b) >> _HALF) * _U64(g) >> _HALF).astype(np.int64)
+
+
+def _olh_buckets(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket v of :func:`olh_hash` as the key interval [lo[v], lo[v] + width[v]).
+
+    A key ``a*t + b mod 2^64`` lands in bucket v exactly when its upper
+    half is at least ceil(v * 2^32 / g) and below ceil((v+1) * 2^32 / g).
+    """
+    starts = [-(-v * _OLH_KEY_LIMIT // g) << 32 for v in range(g + 1)]
+    return (
+        np.array(starts[:-1], dtype=_U64),
+        np.array([hi - lo for lo, hi in itertools.pairwise(starts)], dtype=_U64),
+    )
 
 
 def olh_perturb_batch(

@@ -93,9 +93,15 @@ def splitmix64_oracle(z: int) -> int:
 
 
 def olh_hash_oracle(seed: int, item: int, g: int) -> int:
-    """The OLH hash one (seed, item) pair at a time."""
-    mixed = splitmix64_oracle((item * _SM_GAMMA + 1) & _MASK64)
-    return splitmix64_oracle(seed ^ mixed) % g
+    """The OLH hash one (seed, item) pair at a time, on python ints.
+
+    Multiply-shift: (a, b) are the first two splitmix64 outputs from the
+    seed, and the bucket scales the upper 32 bits of a*item + b onto [0, g).
+    """
+    a = splitmix64_oracle(seed)
+    b = splitmix64_oracle((seed + _SM_GAMMA) & _MASK64)
+    upper = ((a * item + b) & _MASK64) >> 32
+    return upper * g >> 32
 
 
 def fhr_estimate_all_oracle(sum_vector, domain_size: int, params, order, chunk: int = 256):

@@ -223,7 +223,9 @@ def test_criterion_07_sweep_trends(capsys, tmp_path):
         mechanisms=("fhr", "oue", "olh"),
         epsilons=epsilons,
         topk_list=(20,),
-        trials=10,
+        # the trend rule reads per-budget medians of noisy trials; at 10
+        # trials that noise alone broke it at 26 of 30 sweep seeds for FHR
+        trials=50,
         seed=708,
         output_dir=tmp_path,
     )

@@ -30,7 +30,7 @@ from fldp.mechanisms import (
     olh_perturb_batch,
 )
 
-from _oracles import fhr_estimate_all_oracle, fhr_estimate_oracle
+from _oracles import fhr_estimate_all_oracle, fhr_estimate_oracle, olh_hash_oracle
 
 
 def _reports(pairs):
@@ -295,14 +295,38 @@ class TestOlhEstimate:
         rng = np.random.default_rng(2)
         items = rng.integers(0, d, size=n)
         seeds, values = olh_perturb_batch(items, params, d, rng)
-        counts = olh_support_counts(seeds, values, np.arange(d), params.g, chunk=5)
+        counts = olh_support_counts(seeds, values, np.arange(d), params.g)
         for t in range(d):
             direct = sum(
                 1
                 for s, v in zip(seeds, values)
-                if olh_hash(int(s), t, params.g) == v
+                if olh_hash_oracle(int(s), t, params.g) == v
             )
             assert counts[t] == direct
+
+    def test_support_counts_for_any_item_order(self):
+        # the decode walks the items in the order given, stepping its keys
+        # by the differences, backwards and across the whole key range too
+        eps, d, n = 2.0, 12, 3000
+        params = PrivacyParams.for_olh(eps)
+        rng = np.random.default_rng(3)
+        items = rng.integers(0, d, size=n)
+        seeds, values = olh_perturb_batch(items, params, d, rng)
+        queried = np.array([9, 2, 2, 0, 2**32 - 1, 11, 4, 2**31])
+        expected = [int(np.sum(olh_hash(seeds, int(t), params.g) == values)) for t in queried]
+        assert olh_support_counts(seeds, values, queried, params.g).tolist() == expected
+
+    def test_support_counts_reject_bad_input(self):
+        params = PrivacyParams.for_olh(1.0)
+        seeds = np.arange(4, dtype=np.uint64)
+        with pytest.raises(ValueError, match="reported buckets"):
+            olh_support_counts(seeds, np.array([0, 1, params.g, 0]), np.arange(3), params.g)
+        with pytest.raises(ValueError, match="reported buckets"):
+            olh_support_counts(seeds, np.array([0, -1, 0, 0]), np.arange(3), params.g)
+        with pytest.raises(ValueError, match="not an OLH key"):
+            olh_support_counts(seeds, np.zeros(4, dtype=np.int64), np.array([2**32]), params.g)
+        with pytest.raises(ValueError, match="matching shapes"):
+            olh_support_counts(seeds, np.zeros(3, dtype=np.int64), np.arange(3), params.g)
 
     def test_monte_carlo_unbiased(self):
         eps, d, n, trials = 1.0, 32, 20_000, 30

@@ -71,8 +71,12 @@ class TestEntry:
 
     def test_out_of_range_rejected(self):
         for row in (4, -1):
-            with pytest.raises(IndexError):
+            with pytest.raises(IndexError, match=f"row {row} out of range"):
                 sign_block(np.array([row]), 4)
+            with pytest.raises(IndexError, match=f"row {row} out of range"):
+                sign_block([row], 4)
+            with pytest.raises(IndexError, match=f"row {row} out of range"):
+                sign_block(np.array([1, row], dtype=np.int64), 4)
 
     @pytest.mark.parametrize("r", range(1, 7))
     def test_matches_block_recursion(self, r):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from fldp.mechanisms import (
     olh_hash,
     olh_perturb_batch,
     unary_perturb_bits,
+    unary_sample_counts,
 )
 from fldp.wire import report_size_table
 
@@ -246,6 +248,69 @@ class TestUnaryPerturb:
             unary_perturb_bits(np.array([4]), params, 4, np.random.default_rng(0))
 
 
+class TestUnarySampleCounts:
+    """The count-level sampler has the law of the summed per-user reports."""
+
+    @staticmethod
+    def _both_paths(variant, trials):
+        eps, d = 1.0, 8
+        params = MECHANISMS[variant].params(eps, d)
+        items = np.repeat(np.arange(d), [300, 150, 80, 40, 20, 10, 0, 400])
+        per_user = np.array([
+            unary_perturb_bits(items, params, d, np.random.default_rng(100 + t)).sum(axis=0)
+            for t in range(trials)
+        ])
+        sampled = np.array([
+            unary_sample_counts(items, params, d, np.random.default_rng(5000 + t))
+            for t in range(trials)
+        ])
+        holders = np.bincount(items, minlength=d)
+        mean = holders * params.p + (items.size - holders) * params.q
+        var = holders * params.p * (1 - params.p) + (items.size - holders) * params.q * (1 - params.q)
+        return per_user, sampled, mean, var
+
+    @pytest.mark.parametrize("variant", ["oue", "rappor"])
+    def test_mean_and_variance_match_per_user_path(self, variant):
+        trials = 2000
+        per_user, sampled, mean, var = self._both_paths(variant, trials)
+        for counts in (per_user, sampled):
+            # 5 standard errors of the sample mean, and of the sample
+            # variance (its standard error is about var * sqrt(2/trials))
+            assert np.all(np.abs(counts.mean(axis=0) - mean) <= 5 * np.sqrt(var / trials))
+            spread = counts.var(axis=0, ddof=1)
+            assert np.all(np.abs(spread - var) <= 5 * var * math.sqrt(2 / trials))
+
+    @pytest.mark.parametrize("variant", ["oue", "rappor"])
+    def test_chi_square_across_positions(self, variant):
+        # sum over positions of squared standardized mean gaps: chi-square
+        # with d degrees of freedom, each path against the exact means and
+        # the two paths against each other
+        trials = 2000
+        per_user, sampled, mean, var = self._both_paths(variant, trials)
+        d = mean.size
+        for counts in (per_user, sampled):
+            statistic = np.sum((counts.mean(axis=0) - mean) ** 2 / (var / trials))
+            assert stats.chi2.sf(statistic, d) > 1e-3
+        gap = per_user.mean(axis=0) - sampled.mean(axis=0)
+        assert stats.chi2.sf(np.sum(gap**2 / (2 * var / trials)), d) > 1e-3
+
+    def test_count_range_and_dtype(self):
+        params = PrivacyParams.for_oue(0.5)
+        items = np.array([0, 0, 3, 9])
+        counts = unary_sample_counts(items, params, 10, np.random.default_rng(0))
+        assert counts.shape == (10,) and counts.dtype == np.int64
+        assert counts.min() >= 0 and counts.max() <= items.size
+
+    def test_validates_like_the_per_user_path(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="item outside domain"):
+            unary_sample_counts(np.array([4]), PrivacyParams.for_rappor(1.0), 4, rng)
+        with pytest.raises(ValueError):
+            unary_sample_counts(np.array([0]), PrivacyParams.for_fhr(1.0), 4, rng)
+        with pytest.raises(ValueError, match="at least 2"):
+            unary_sample_counts(np.array([0]), PrivacyParams.for_oue(1.0), 1, rng)
+
+
 class TestOlh:
     def test_hash_is_deterministic_and_in_range(self):
         for g in (2, 3, 5):
@@ -260,6 +325,30 @@ class TestOlh:
         for s, i, v in zip(seeds, items, vec):
             assert olh_hash_oracle(int(s), int(i), 3) == v
             assert olh_hash(int(s), int(i), 3) == v
+
+    @pytest.mark.parametrize("g", [2, 3, 5])
+    def test_distinct_items_collide_at_rate_one_over_g(self, g):
+        seeds = np.random.default_rng(31).integers(0, 2**64, size=40_000, dtype=np.uint64)
+        bound = 5 * math.sqrt((1 / g) * (1 - 1 / g) / seeds.size)
+        for t, u in ((0, 1), (17, 18), (3, 1000), (5, 2**32 - 1)):
+            rate = np.mean(olh_hash(seeds, t, g) == olh_hash(seeds, u, g))
+            assert abs(rate - 1 / g) <= bound, (t, u, rate)
+        # each item alone spreads evenly over the g buckets
+        shares = np.bincount(olh_hash(seeds, 7, g), minlength=g) / seeds.size
+        assert np.all(np.abs(shares - 1 / g) <= bound)
+
+    def test_keys_beyond_32_bits_rejected(self):
+        for item in (2**32, 2**40, -1):
+            with pytest.raises(ValueError, match="not an OLH key"):
+                olh_hash(7, item, 3)
+            with pytest.raises(ValueError, match="not an OLH key"):
+                olh_hash(np.array([7, 8], dtype=np.uint64), np.array([0, item]), 3)
+        assert 0 <= olh_hash(7, 2**32 - 1, 3) < 3
+        # a domain may be wider than the hash's keys; such items are refused
+        with pytest.raises(ValueError, match="not an OLH key"):
+            olh_perturb_batch(
+                np.array([2**32]), PrivacyParams.for_olh(1.0), 2**40, np.random.default_rng(0)
+            )
 
     def test_support_rate_matches_p(self):
         eps = 1.0
