@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -120,6 +121,16 @@ def generate_zipf(spec: DatasetSpec) -> ItemStream:
     )
 
 
+def _csv_rows(path: Path, handle) -> Iterator[list[str]]:
+    """The rows of an open CSV file; a row the csv module cannot parse (an
+    oversized field, a NUL byte) raises ValueError with its line number."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def ingest_csv(
     path: str | Path, column: int = 0, skip_header: bool = False
 ) -> ItemStream:
@@ -132,8 +143,7 @@ def ingest_csv(
     encoding: dict[str, int] = {}
     items: list[int] = []
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        for line_number, row in enumerate(reader, start=1):
+        for line_number, row in enumerate(_csv_rows(path, handle), start=1):
             if skip_header and line_number == 1:
                 continue
             if not row:

@@ -7,15 +7,22 @@ enumerates the full output distribution of a mechanism analytically over a
 small domain (never by sampling), then certifies the observed eta and the
 worst-case ratio with the witnessing input pairs and outputs.
 
-Output encodings per mechanism:
+Each item's range is a pair of arrays: the output codes in enumeration
+order and their probabilities. :func:`certify_ranges` scatters them into
+one items x outputs probability matrix P. Its support S = P > 0 gives the
+range sizes (row sums) and every pair's overlap (S . S^T). The ratios are
+then taken one row t at a time: P[t, R(t)] against the rows below it,
+P[t+1:, R(t)], so no more than one row's pairs are held at once.
 
-- fhr: ordered sign-assigned index pair ``(x, y)`` meaning +1 at column x
-  and -1 at column y. Under this counting each item reaches order^2 / 2
-  outputs and any two items share order^2 / 4 of them, so eta is exactly
-  one half regardless of order.
+Output codes per mechanism:
+
+- fhr: the ordered sign-assigned index pair ``(x, y)``, meaning +1 at
+  column x and -1 at column y, has code ``x * order + y``. Under this
+  counting each item reaches order^2 / 2 outputs and any two items share
+  order^2 / 4 of them, so eta is exactly one half regardless of order.
 - grr: the reported value itself.
 - rappor / oue: the perturbed bit vector packed into an int (bit j is
-  position j), which keeps 2^D outputs hashable and compact.
+  position j).
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
+
+import numpy as np
 
 from .hadamard import min_order_for_domain, positions_of_sign
 from .mechanisms import PrivacyParams, lookup
@@ -36,8 +45,8 @@ __all__ = [
     "certificate_passes",
 ]
 
-_MAX_FHR_ORDER = 64
-_MAX_GRR_DOMAIN = 64
+_MAX_FHR_ORDER = 128
+_MAX_GRR_DOMAIN = 256
 _MAX_UNARY_DOMAIN = 12
 _MAX_WITNESSES = 8
 _PROB_SUM_TOL = 1e-9
@@ -51,27 +60,54 @@ class EnumerationLimitError(ValueError):
     """The mechanism's output space is too large to enumerate exactly."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutputRange:
     """Exact output distribution of a mechanism run on one item.
 
-    ``probabilities`` maps each reachable output to its exact probability;
-    outputs that cannot occur are absent rather than carried at zero.
+    ``codes`` lists each reachable output's code in enumeration order and
+    ``probs`` its exact probability; outputs that cannot occur are absent
+    rather than carried at zero. The codes are small nonnegative ints, as
+    they index the columns of the certifier's probability matrix.
+    ``order`` is set for FHR only, whose code ``x * order + y`` stands for
+    the pair ``(x, y)``.
     """
 
     item: int
-    probabilities: dict
+    codes: np.ndarray
+    probs: np.ndarray
+    order: int = 0
 
     def __post_init__(self) -> None:
-        total = math.fsum(self.probabilities.values())
+        object.__setattr__(self, "codes", np.asarray(self.codes, dtype=np.int64))
+        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
+        if self.codes.ndim != 1 or self.codes.shape != self.probs.shape:
+            raise ValueError("codes and probs must be 1-D arrays of one length")
+        total = math.fsum(self.probs.tolist())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        if any(p <= 0 for p in self.probabilities.values()):
+        if not (self.probs > 0).all():
             raise ValueError("output ranges must not carry zero-probability outputs")
+        ordered = np.sort(self.codes)
+        if ordered[0] < 0:
+            raise ValueError("output codes must be nonnegative")
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("output codes must be distinct")
 
     @property
     def size(self) -> int:
-        return len(self.probabilities)
+        return self.codes.size
+
+    def output(self, code: int) -> object:
+        """The output ``code`` stands for: ``(x, y)`` for FHR, else the code."""
+        return divmod(code, self.order) if self.order else code
+
+    @property
+    def probabilities(self) -> dict:
+        """``{output: probability}`` in enumeration order."""
+        return {
+            self.output(code): prob
+            for code, prob in zip(self.codes.tolist(), self.probs.tolist())
+        }
 
 
 @dataclass(frozen=True)
@@ -113,16 +149,14 @@ def _fhr_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRang
     row = item + 1
     if item < 0 or row >= d:
         raise ValueError(f"item {item} outside domain [0, {domain_size})")
-    pos = positions_of_sign(row, d, +1)
-    neg = positions_of_sign(row, d, -1)
+    pos = positions_of_sign(row, d, +1)[:, None]
+    neg = positions_of_sign(row, d, -1)[None, :]
     p_keep = params.p * 4 / (d * d)
     p_flip = (1 - params.p) * 4 / (d * d)
-    probabilities = {}
-    for x in pos:
-        for y in neg:
-            probabilities[(int(x), int(y))] = p_keep
-            probabilities[(int(y), int(x))] = p_flip
-    return OutputRange(item=item, probabilities=probabilities)
+    # for x in pos, y in neg: (x, y) kept, then (y, x) flipped
+    codes = np.stack([pos * d + neg, neg * d + pos], axis=-1).ravel()
+    probs = np.tile([p_keep, p_flip], codes.size // 2)
+    return OutputRange(item=item, codes=codes, probs=probs, order=d)
 
 
 def _grr_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRange:
@@ -134,9 +168,9 @@ def _grr_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRang
         raise ValueError(f"item {item} outside domain [0, {domain_size})")
     if params.q is None:
         raise ValueError("GRR enumeration needs params with a q probability")
-    probabilities = {value: params.q for value in range(domain_size)}
-    probabilities[item] = params.p
-    return OutputRange(item=item, probabilities=probabilities)
+    probs = np.full(domain_size, params.q)
+    probs[item] = params.p
+    return OutputRange(item=item, codes=np.arange(domain_size), probs=probs)
 
 
 def _unary_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRange:
@@ -149,16 +183,13 @@ def _unary_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRa
     if params.q is None:
         raise ValueError("unary enumeration needs params with a q probability")
     p, q = params.p, params.q
-    probabilities = {}
-    for mask in range(1 << domain_size):
-        prob = 1.0
-        for j in range(domain_size):
-            bit = (mask >> j) & 1
-            hot = p if bit else 1 - p
-            cold = q if bit else 1 - q
-            prob *= hot if j == item else cold
-        probabilities[mask] = prob
-    return OutputRange(item=item, probabilities=probabilities)
+    masks = np.arange(1 << domain_size)
+    probs = np.ones(masks.size)
+    # one factor per bit position, in position order (which fixes the rounding)
+    for j in range(domain_size):
+        on, off = (p, 1 - p) if j == item else (q, 1 - q)
+        probs *= np.where((masks >> j) & 1, on, off)
+    return OutputRange(item=item, codes=masks, probs=probs)
 
 
 def enumerate_range(
@@ -179,51 +210,70 @@ def enumerate_range(
 
 
 def certify_ranges(ranges: Mapping[int, OutputRange]) -> FldpCertificate:
-    """Audit precomputed output ranges over every ordered pair of items.
+    """Audit precomputed output ranges over every unordered pair of items.
 
     The eta reported is the worst overlap fraction; the ratio is maximized
     only over outputs both items can produce. Disjoint ranges yield eta 0
     with a trivial ratio of 1, since no shared output exists to compare.
+
+    Witnesses follow a walk over pairs t < t' in item order, each pair's
+    shared outputs in the smaller range's enumeration order (t's on a
+    tie): the running maximum starts at 1.0, and up to eight outputs that
+    tie with it are kept in the order the walk meets them.
     """
     items = sorted(ranges)
     if len(items) < 2:
         raise ValueError("certification needs at least two items")
-    sizes = [ranges[t].size for t in items]
-    eta = 1.0
+    rows = [ranges[t] for t in items]
+    P = np.zeros((len(items), max(int(r.codes.max()) for r in rows) + 1))
+    for a, r in enumerate(rows):
+        P[a, r.codes] = r.probs
+    S = (P > 0).astype(np.float64)
+    sizes = S.sum(axis=1).astype(np.int64)
+    upper = np.triu_indices(len(items), 1)
+    inter = (S @ S.T)[upper].astype(np.int64)
+    del S
+    eta = min(1.0, float((inter / np.maximum(sizes[upper[0]], sizes[upper[1]])).min()))
     max_ratio = 1.0
     witnesses: list[tuple[int, int, object]] = []
-    inter_min, inter_max = None, None
-    for a_idx, t in enumerate(items):
-        probs_t = ranges[t].probabilities
-        for t_prime in items[a_idx + 1 :]:
-            probs_u = ranges[t_prime].probabilities
-            small, large = (
-                (probs_t, probs_u) if len(probs_t) <= len(probs_u) else (probs_u, probs_t)
-            )
-            shared = [s for s in small if s in large]
-            inter_size = len(shared)
-            inter_min = inter_size if inter_min is None else min(inter_min, inter_size)
-            inter_max = inter_size if inter_max is None else max(inter_max, inter_size)
-            eta = min(eta, inter_size / max(len(probs_t), len(probs_u)))
-            for s in shared:
-                forward = probs_t[s] / probs_u[s]
-                ratio, witness = (
-                    (forward, (t, t_prime, s)) if forward >= 1 else (1 / forward, (t_prime, t, s))
-                )
-                if ratio > max_ratio:
-                    max_ratio = ratio
-                    witnesses = [witness]
-                elif ratio == max_ratio and len(witnesses) < _MAX_WITNESSES:
-                    witnesses.append(witness)
+    for a in range(len(items) - 1):
+        c = rows[a].codes
+        block = P[a + 1 :, c]
+        with np.errstate(divide="ignore"):
+            forward = rows[a].probs / block
+        # forward where forward >= 1, else 1 / forward (the same two float
+        # operations as a pair-by-pair walk); 0 off the shared outputs
+        ratio = 1 / forward
+        np.maximum(ratio, forward, out=ratio)
+        ratio[block == 0] = 0.0
+        top = float(ratio.max())
+        if top > max_ratio:
+            max_ratio, witnesses = top, []
+        elif top < max_ratio or len(witnesses) == _MAX_WITNESSES:
+            continue
+        tied = ratio == max_ratio
+        for i in np.flatnonzero(tied.any(axis=1)).tolist():
+            b = a + 1 + i
+            ks = np.flatnonzero(tied[i])
+            if rows[b].size < rows[a].size:
+                # this pair's shared outputs come in the smaller range's order
+                rank = np.zeros(P.shape[1], dtype=np.int64)
+                rank[rows[b].codes] = np.arange(rows[b].size)
+                ks = ks[np.argsort(rank[c[ks]])]
+            for k in ks[: _MAX_WITNESSES - len(witnesses)].tolist():
+                pair = (items[a], items[b]) if forward[i, k] >= 1 else (items[b], items[a])
+                witnesses.append((*pair, rows[a].output(int(c[k]))))
+            if len(witnesses) == _MAX_WITNESSES:
+                break
     return FldpCertificate(
         eta_observed=eta,
         max_ratio_observed=max_ratio,
         epsilon_effective=math.log(max_ratio),
         pair_witnesses=tuple(witnesses),
-        range_size_min=min(sizes),
-        range_size_max=max(sizes),
-        intersection_size_min=inter_min or 0,
-        intersection_size_max=inter_max or 0,
+        range_size_min=int(sizes.min()),
+        range_size_max=int(sizes.max()),
+        intersection_size_min=int(inter.min()),
+        intersection_size_max=int(inter.max()),
     )
 
 

@@ -145,3 +145,56 @@ def ratio_profile_oracle(mechanism: str, params, domain_size: int, pair) -> dict
     range_t = enumerate_range(mechanism, t, params, domain_size).probabilities
     range_u = enumerate_range(mechanism, t_prime, params, domain_size).probabilities
     return {s: range_t[s] / range_u[s] for s in range_t if s in range_u}
+
+
+def certify_ranges_oracle(ranges):
+    """The certificate by the pairwise audit: a python loop over item pairs.
+
+    ``ranges`` maps each item to its ``{output: probability}`` dict. For
+    every unordered pair t < t' the shared outputs are walked in the
+    smaller range's insertion order (t's on a tie); the running maximum
+    ratio starts at 1.0 and keeps up to eight tying witnesses, in order.
+    """
+    from fldp.verifier import FldpCertificate
+
+    max_witnesses = 8
+    items = sorted(ranges)
+    if len(items) < 2:
+        raise ValueError("certification needs at least two items")
+    sizes = [len(ranges[t]) for t in items]
+    eta = 1.0
+    max_ratio = 1.0
+    witnesses = []
+    inter_min, inter_max = None, None
+    for a_idx, t in enumerate(items):
+        probs_t = ranges[t]
+        for t_prime in items[a_idx + 1 :]:
+            probs_u = ranges[t_prime]
+            small, large = (
+                (probs_t, probs_u) if len(probs_t) <= len(probs_u) else (probs_u, probs_t)
+            )
+            shared = [s for s in small if s in large]
+            inter_size = len(shared)
+            inter_min = inter_size if inter_min is None else min(inter_min, inter_size)
+            inter_max = inter_size if inter_max is None else max(inter_max, inter_size)
+            eta = min(eta, inter_size / max(len(probs_t), len(probs_u)))
+            for s in shared:
+                forward = probs_t[s] / probs_u[s]
+                ratio, witness = (
+                    (forward, (t, t_prime, s)) if forward >= 1 else (1 / forward, (t_prime, t, s))
+                )
+                if ratio > max_ratio:
+                    max_ratio = ratio
+                    witnesses = [witness]
+                elif ratio == max_ratio and len(witnesses) < max_witnesses:
+                    witnesses.append(witness)
+    return FldpCertificate(
+        eta_observed=eta,
+        max_ratio_observed=max_ratio,
+        epsilon_effective=math.log(max_ratio),
+        pair_witnesses=tuple(witnesses),
+        range_size_min=min(sizes),
+        range_size_max=max(sizes),
+        intersection_size_min=inter_min or 0,
+        intersection_size_max=inter_max or 0,
+    )

@@ -129,6 +129,19 @@ class TestRun:
         assert manifest["dataset"]["domain_size"] == 2
         capsys.readouterr()
 
+    def test_oversized_csv_field_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("apple\n" + "x" * 200_000 + "\npear\n", encoding="utf-8")
+        code = _run([
+            "run", "--dataset", "csv", "--csv", str(data),
+            "--mechanisms", "fhr", "--epsilons", "1.0",
+            "--trials", "1", "--topk", "2", "--out", str(tmp_path / "sweep"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fldp: ")
+        assert "big.csv:2: field larger than field limit" in err
+
     def test_missing_csv_path(self, tmp_path, capsys):
         code = _run([
             "run", "--dataset", "csv",
@@ -187,7 +200,7 @@ class TestVerifyFldp:
         capsys.readouterr()
 
     def test_enumeration_limit_is_usage_error(self, capsys):
-        assert _run(["verify-fldp", "fhr", "--epsilon", "1.0", "--order", "128"]) == 1
+        assert _run(["verify-fldp", "fhr", "--epsilon", "1.0", "--order", "256"]) == 1
         capsys.readouterr()
 
     def test_failed_certificate_exits_two(self, tmp_path, capsys, monkeypatch):

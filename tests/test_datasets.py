@@ -96,6 +96,14 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match=r":2:"):
             ingest_csv(path)
 
+    def test_oversized_field_is_a_value_error(self, tmp_path):
+        # a field past csv.field_size_limit() is the csv module's own error,
+        # which ingestion reports as ValueError with the line number
+        path = tmp_path / "oversized.csv"
+        path.write_text("a\n" + "b" * 200_000 + "\nc\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"oversized\.csv:2: field larger than field limit"):
+            ingest_csv(path)
+
     def test_header_skipping(self, tmp_path):
         path = tmp_path / "with_header.csv"
         path.write_text("value\nx\ny\nx\n", encoding="utf-8")

@@ -17,7 +17,7 @@ from fldp.verifier import (
     enumerate_range,
 )
 
-from _oracles import ratio_profile_oracle
+from _oracles import certify_ranges_oracle, ratio_profile_oracle
 
 
 def _fhr_params(eps):
@@ -61,11 +61,29 @@ class TestEnumerateRange:
 
     def test_enumeration_limits(self):
         with pytest.raises(EnumerationLimitError):
-            enumerate_range("fhr", 0, _fhr_params(1.0), 127)
+            enumerate_range("fhr", 0, _fhr_params(1.0), 255)
         with pytest.raises(EnumerationLimitError):
-            enumerate_range("grr", 0, PrivacyParams.for_grr(1.0, 65), 65)
+            enumerate_range("grr", 0, PrivacyParams.for_grr(1.0, 257), 257)
         with pytest.raises(EnumerationLimitError):
             enumerate_range("oue", 0, PrivacyParams.for_oue(1.0), 13)
+
+    def test_limits_raise_before_allocating(self):
+        # output spaces far beyond memory: each limit must trip before any
+        # array of that size is asked for
+        with pytest.raises(EnumerationLimitError):
+            enumerate_range("fhr", 0, _fhr_params(1.0), 2**40 - 1)
+        with pytest.raises(EnumerationLimitError):
+            enumerate_range("grr", 0, PrivacyParams.for_grr(1.0, 10**12), 10**12)
+        with pytest.raises(EnumerationLimitError):
+            enumerate_range("rappor", 0, PrivacyParams.for_rappor(1.0), 60)
+
+    def test_output_codes(self):
+        # fhr codes x * order + y decode to the pair; other codes are the output
+        rng = enumerate_range("fhr", 2, _fhr_params(1.0), 7)
+        assert list(rng.probabilities) == [divmod(int(c), 8) for c in rng.codes]
+        assert all(type(x) is int for pair in rng.probabilities for x in pair)
+        rng = enumerate_range("rappor", 1, PrivacyParams.for_rappor(1.0), 3)
+        assert list(rng.probabilities) == list(range(8))
 
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(ValueError):
@@ -73,9 +91,15 @@ class TestEnumerateRange:
 
     def test_output_range_validation(self):
         with pytest.raises(ValueError):
-            OutputRange(item=0, probabilities={0: 0.5, 1: 0.4})
+            OutputRange(item=0, codes=[0, 1], probs=[0.5, 0.4])
         with pytest.raises(ValueError):
-            OutputRange(item=0, probabilities={0: 1.0, 1: 0.0})
+            OutputRange(item=0, codes=[0, 1], probs=[1.0, 0.0])
+        with pytest.raises(ValueError, match="distinct"):
+            OutputRange(item=0, codes=[3, 3], probs=[0.5, 0.5])
+        with pytest.raises(ValueError, match="nonnegative"):
+            OutputRange(item=0, codes=[-1, 0], probs=[0.5, 0.5])
+        with pytest.raises(ValueError, match="one length"):
+            OutputRange(item=0, codes=[0, 1, 2], probs=[0.5, 0.5])
 
 
 class TestCertify:
@@ -91,6 +115,13 @@ class TestCertify:
         assert cert.range_size_min == cert.range_size_max == 32
         assert cert.intersection_size_min == cert.intersection_size_max == 16
 
+    def test_fhr_order_128(self):
+        cert = certify_mechanism("fhr", 1.0, 127)
+        assert cert.eta_observed == 0.5
+        assert abs(cert.epsilon_effective - 1.0) <= 1e-9
+        assert cert.range_size_min == cert.range_size_max == 8192
+        assert cert.intersection_size_min == cert.intersection_size_max == 4096
+
     def test_grr_eta_one(self):
         for d in (3, 8, 30):
             cert = certify_mechanism("grr", 1.0, d)
@@ -105,13 +136,14 @@ class TestCertify:
 
     def test_disjoint_ranges_give_eta_zero(self):
         ranges = {
-            0: OutputRange(item=0, probabilities={"a": 0.5, "b": 0.5}),
-            1: OutputRange(item=1, probabilities={"c": 0.5, "d": 0.5}),
+            0: OutputRange(item=0, codes=[0, 1], probs=[0.5, 0.5]),
+            1: OutputRange(item=1, codes=[2, 3], probs=[0.5, 0.5]),
         }
         cert = certify_ranges(ranges)
         assert cert.eta_observed == 0.0
         assert cert.max_ratio_observed == 1.0
         assert cert.pair_witnesses == ()
+        assert cert == certify_ranges_oracle({t: r.probabilities for t, r in ranges.items()})
 
     def test_witnesses_attain_max_ratio(self):
         cert = certify_mechanism("fhr", 1.0, 7)
@@ -122,13 +154,71 @@ class TestCertify:
 
     def test_single_item_rejected(self):
         with pytest.raises(ValueError):
-            certify_ranges({0: OutputRange(item=0, probabilities={"a": 1.0})})
+            certify_ranges({0: OutputRange(item=0, codes=[0], probs=[1.0])})
 
     def test_certificate_validation(self):
         with pytest.raises(ValueError):
             FldpCertificate(eta_observed=1.5, max_ratio_observed=1.0, epsilon_effective=0.0)
         with pytest.raises(ValueError):
             FldpCertificate(eta_observed=0.5, max_ratio_observed=0.5, epsilon_effective=0.0)
+
+
+class TestMatrixAgainstPairwiseOracle:
+    """The matrix certificate equals the pairwise audit's, field for field."""
+
+    @staticmethod
+    def _both(mechanism, eps, domain):
+        params = MECHANISMS[mechanism].params(eps, domain)
+        ranges = {t: enumerate_range(mechanism, t, params, domain) for t in range(domain)}
+        oracle = certify_ranges_oracle({t: r.probabilities for t, r in ranges.items()})
+        return certify_ranges(ranges), oracle
+
+    @pytest.mark.parametrize("eps", [0.4, 1.0, 2.0, 4.5])
+    @pytest.mark.parametrize(
+        "mechanism,domain",
+        [("fhr", d) for d in (3, 7, 15, 31)]
+        + [("grr", d) for d in (2, 3, 8, 30, 64)]
+        + [(m, d) for m in ("oue", "rappor") for d in (2, 3, 5, 7)],
+    )
+    def test_grid(self, mechanism, domain, eps):
+        cert, oracle = self._both(mechanism, eps, domain)
+        assert cert == oracle
+        assert repr(cert) == repr(oracle)  # python ints and floats, as JSON needs
+        assert certify_mechanism(mechanism, eps, domain) == oracle
+
+    def test_fhr_order_64(self):
+        cert, oracle = self._both("fhr", 1.0, 63)
+        assert cert == oracle
+        assert len(cert.pair_witnesses) == 8
+
+    def test_ties_at_ratio_one(self):
+        # with no ratio above 1, outputs of equal probability are the
+        # witnesses, oriented from the lower item and in its order
+        ranges = {
+            0: OutputRange(item=0, codes=[0, 1, 2], probs=[0.5, 0.25, 0.25]),
+            1: OutputRange(item=1, codes=[2, 1, 3], probs=[0.25, 0.25, 0.5]),
+        }
+        cert = certify_ranges(ranges)
+        assert cert == certify_ranges_oracle({t: r.probabilities for t, r in ranges.items()})
+        assert cert.max_ratio_observed == 1.0
+        assert cert.pair_witnesses == ((0, 1, 1), (0, 1, 2))
+        assert cert.eta_observed == 2 / 3
+
+    def test_unequal_range_sizes(self):
+        # pair (0, 1) shares outputs 1, 3, 5; item 1's range is the smaller,
+        # so its order 5, 3, 1 is the order its witnesses come in
+        ranges = {
+            0: OutputRange(item=0, codes=[0, 1, 2, 3, 4, 5], probs=[1 / 6] * 6),
+            1: OutputRange(item=1, codes=[5, 3, 1], probs=[1 / 3] * 3),
+            2: OutputRange(item=2, codes=[4, 3, 2, 1, 0, 6], probs=[1 / 6] * 6),
+        }
+        cert = certify_ranges(ranges)
+        assert cert == certify_ranges_oracle({t: r.probabilities for t, r in ranges.items()})
+        assert cert.max_ratio_observed == 2.0
+        assert cert.pair_witnesses == ((1, 0, 5), (1, 0, 3), (1, 0, 1), (1, 2, 3), (1, 2, 1))
+        assert (cert.range_size_min, cert.range_size_max) == (3, 6)
+        assert (cert.intersection_size_min, cert.intersection_size_max) == (2, 5)
+        assert cert.eta_observed == 2 / 6
 
 
 class TestRatioProfile:
