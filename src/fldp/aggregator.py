@@ -28,12 +28,13 @@ import numpy as np
 
 from .hadamard import HadamardOrder, ItemRowMap, fwht
 from .mechanisms import (
+    _OLH_KEY_LIMIT,
     FhrReport,
     PrivacyParams,
-    _check_olh_keys,
     _olh_buckets,
     _olh_keys,
     _report_pairs,
+    _require,
 )
 
 __all__ = [
@@ -134,8 +135,7 @@ def fhr_estimate_all(
     row's dot product with the sums, so the cost is O(order log order) in
     place of O(domain_size * order) for the rows one at a time.
     """
-    if params.correction is None:
-        raise ValueError("params were not built for FHR (use PrivacyParams.for_fhr)")
+    _require(params, "correction", "FHR")
     rows = ItemRowMap(domain_size=domain_size, order=order)
     if sum_vector.sums.size != order.order:
         raise ValueError(
@@ -149,22 +149,19 @@ def fhr_estimate_all(
 
 
 def _check_invertible(params: PrivacyParams) -> None:
-    if params.q is None:
-        raise ValueError("params lack a q probability; wrong mechanism?")
+    _require(params, "q", "GRR or unary encoding")
     if math.isclose(params.p, params.q):
         raise ValueError("degenerate parameters: p == q cannot be inverted")
 
 
-def grr_estimate(
-    counts: np.ndarray, params: PrivacyParams, domain_size: int, n: int
-) -> FrequencyEstimate:
-    """Invert GRR report tallies: (count_t - n*q) / (p - q) per item."""
+def grr_estimate(counts: np.ndarray, params: PrivacyParams) -> FrequencyEstimate:
+    """Invert GRR report tallies, one per item: (count_t - n*q) / (p - q).
+
+    Every report lands on exactly one item, so n is the tallies' total.
+    """
     _check_invertible(params)
     counts = np.asarray(counts, dtype=np.float64)
-    if counts.size != domain_size:
-        raise ValueError(f"expected {domain_size} counts, got {counts.size}")
-    if not math.isclose(counts.sum(), n, rel_tol=1e-9, abs_tol=1e-6):
-        raise ValueError(f"counts sum to {counts.sum()}, expected n={n}")
+    n = counts.sum()
     return FrequencyEstimate(estimates=(counts - n * params.q) / (params.p - params.q), n=n)
 
 
@@ -178,21 +175,24 @@ def unary_estimate(bit_counts: np.ndarray, params: PrivacyParams, n: int) -> Fre
 
 
 def olh_support_counts(
-    seeds: np.ndarray, values: np.ndarray, items: np.ndarray, g: int
+    seeds: np.ndarray, values: np.ndarray, domain_size: int, g: int
 ) -> np.ndarray:
-    """C(t) per item: how many reports hash t to their reported bucket.
+    """C(t) for every item t in [0, domain_size): how many reports hash t
+    to their reported bucket.
 
     Report i supports item t when its key ``a_i*t + b_i`` falls in the key
     interval [lo, lo + width) of its reported bucket (see
     :func:`fldp.mechanisms.olh_hash`), that is when
     ``(a_i*t + b_i - lo) mod 2^64 < width``. The items are walked in order
-    with that offset key held per report and advanced in place by
-    ``a_i * (t - previous)``, so an item costs one add, one compare and one
-    count over the n reports, and no hash is recomputed.
+    with that offset key held per report and advanced in place by ``a_i``,
+    so an item costs one add, one compare and one count over the n
+    reports, and no hash is recomputed. The items must be OLH keys, so
+    domain_size lies in [1, 2^32].
     """
+    if not 1 <= domain_size <= _OLH_KEY_LIMIT:
+        raise ValueError(f"OLH domain size must lie in [1, 2^32], got {domain_size}")
     seeds = np.asarray(seeds, dtype=np.uint64)
     values = np.asarray(values, dtype=np.int64)
-    keys = _check_olh_keys(items).tolist()
     if seeds.shape != values.shape:
         raise ValueError("seeds and values must have matching shapes")
     if values.size and (values.min() < 0 or values.max() >= g):
@@ -202,17 +202,12 @@ def olh_support_counts(
     offset = b - lo[values]  # the offset key of item 0
     width = width[values]
     hit = np.empty(offset.shape, dtype=bool)
-    out = np.empty(len(keys), dtype=np.int64)
-    previous = 0
-    for k, t in enumerate(keys):
-        step = t - previous
-        if step == 1:
+    out = np.empty(domain_size, dtype=np.int64)
+    for t in range(domain_size):
+        if t:
             offset += a
-        elif step:
-            offset += a * np.uint64(step % 2**64)
-        previous = t
         np.less(offset, width, out=hit)
-        out[k] = np.count_nonzero(hit)
+        out[t] = np.count_nonzero(hit)
     return out
 
 
@@ -223,10 +218,9 @@ def olh_estimate_all(
     params: PrivacyParams,
 ) -> FrequencyEstimate:
     """Estimate every item in [0, domain_size) from OLH reports."""
-    if params.g is None:
-        raise ValueError("params were not built for OLH (use PrivacyParams.for_olh)")
+    _require(params, "g", "OLH")
     n = np.asarray(seeds).size
-    counts = olh_support_counts(seeds, values, np.arange(domain_size), params.g)
+    counts = olh_support_counts(seeds, values, domain_size, params.g)
     estimates = (counts - n / params.g) / (params.p - 1 / params.g)
     return FrequencyEstimate(estimates=estimates, n=n)
 

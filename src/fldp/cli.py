@@ -28,8 +28,7 @@ from .datasets import (
     DatasetSpec,
     export_ground_truth,
     export_stream_csv,
-    generate_zipf,
-    ingest_csv,
+    load_stream,
 )
 from .experiment import (
     DEFAULT_EPSILONS,
@@ -39,7 +38,7 @@ from .experiment import (
     run_experiment,
 )
 from .mechanisms import MECHANISMS
-from .verifier import EnumerationLimitError, certificate_passes, certify_mechanism
+from .verifier import certificate_passes, certify_mechanism
 from .wire import report_size_table
 
 __all__ = ["main", "build_parser", "verify_fldp"]
@@ -149,8 +148,7 @@ def _dataset_spec(args: argparse.Namespace) -> DatasetSpec:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    spec = _dataset_spec(args)
-    stream = generate_zipf(spec) if spec.source == "zipf" else ingest_csv(spec.path)
+    stream = load_stream(_dataset_spec(args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.csv"
@@ -256,10 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _COMMANDS[args.command](args)
-    except EnumerationLimitError as exc:
-        print(f"fldp: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # EnumerationLimitError included
         print(f"fldp: {exc}", file=sys.stderr)
         return 1
 

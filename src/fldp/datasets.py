@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -24,6 +23,7 @@ __all__ = [
     "ItemStream",
     "generate_zipf",
     "ingest_csv",
+    "load_stream",
     "exact_frequencies",
     "export_stream_csv",
     "export_ground_truth",
@@ -121,41 +121,31 @@ def generate_zipf(spec: DatasetSpec) -> ItemStream:
     )
 
 
-def _csv_rows(path: Path, handle) -> Iterator[list[str]]:
-    """The rows of an open CSV file; a row the csv module cannot parse (an
-    oversized field, a NUL byte) raises ValueError with its line number."""
-    reader = csv.reader(handle)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+def ingest_csv(path: str | Path) -> ItemStream:
+    """Load one item per row from the first column, dictionary-encoding
+    values by first appearance.
 
-
-def ingest_csv(
-    path: str | Path, column: int = 0, skip_header: bool = False
-) -> ItemStream:
-    """Load one item per row, dictionary-encoding values by first appearance.
-
-    Rows shorter than the requested column are rejected with their line
-    number; an input with no data rows is an error, not an empty stream.
+    Blank lines are skipped. A blank value, or a row the csv module cannot
+    parse (an oversized field, a NUL byte), raises ValueError naming the
+    file line the row ends on, which a quoted field spanning lines moves
+    past the row count. An input with no data rows is an error, not an
+    empty stream.
     """
     path = Path(path)
     encoding: dict[str, int] = {}
     items: list[int] = []
     with path.open(newline="", encoding="utf-8") as handle:
-        for line_number, row in enumerate(_csv_rows(path, handle), start=1):
-            if skip_header and line_number == 1:
-                continue
-            if not row:
-                continue  # blank separator lines are not records
-            if column >= len(row):
-                raise ValueError(
-                    f"{path}:{line_number}: row has {len(row)} columns, need {column + 1}"
-                )
-            value = row[column].strip()
-            if not value:
-                raise ValueError(f"{path}:{line_number}: empty value")
-            items.append(encoding.setdefault(value, len(encoding)))
+        reader = csv.reader(handle)
+        try:
+            for row in reader:
+                if not row:
+                    continue  # blank separator lines are not records
+                value = row[0].strip()
+                if not value:
+                    raise ValueError(f"{path}:{reader.line_num}: empty value")
+                items.append(encoding.setdefault(value, len(encoding)))
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     if not items:
         raise ValueError(f"{path}: no data rows")
     arr = np.asarray(items, dtype=np.int64)
@@ -166,6 +156,11 @@ def ingest_csv(
         ground_truth=exact_frequencies(arr, domain_size),
         labels=tuple(encoding),
     )
+
+
+def load_stream(spec: DatasetSpec) -> ItemStream:
+    """The workload ``spec`` describes: a Zipf draw or an ingested CSV."""
+    return generate_zipf(spec) if spec.source == "zipf" else ingest_csv(spec.path)
 
 
 def export_stream_csv(stream: ItemStream, path: str | Path) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import aggregator, mechanisms, metrics
 from ._atomic import replace_atomically
-from .datasets import DatasetSpec, ItemStream, generate_zipf, ingest_csv
+from .datasets import DatasetSpec, ItemStream, load_stream
 from .hadamard import min_order_for_domain
 from .wire import report_size_table
 
@@ -143,7 +143,6 @@ def estimate_once(
     its own branch here.
     """
     params = mechanisms.lookup(mechanism).params(epsilon, domain_size)
-    n = items.size
     if mechanism == "fhr":
         order = min_order_for_domain(domain_size)
         index_x, index_y = mechanisms.fhr_perturb_batch(items, params, order, rng)
@@ -152,10 +151,10 @@ def estimate_once(
     if mechanism == "grr":
         values = mechanisms.grr_perturb_batch(items, params, domain_size, rng)
         counts = np.bincount(values, minlength=domain_size)
-        return aggregator.grr_estimate(counts, params, domain_size, n).estimates
+        return aggregator.grr_estimate(counts, params).estimates
     if mechanism in ("oue", "rappor"):
         bit_counts = mechanisms.unary_sample_counts(items, params, domain_size, rng)
-        return aggregator.unary_estimate(bit_counts, params, n).estimates
+        return aggregator.unary_estimate(bit_counts, params, items.size).estimates
     if mechanism == "olh":
         seeds, values = mechanisms.olh_perturb_batch(items, params, domain_size, rng)
         return aggregator.olh_estimate_all(seeds, values, domain_size, params).estimates
@@ -176,15 +175,9 @@ def _score(
     return kld_value, re_value, se_value, ncr_value
 
 
-def _load_stream(spec: DatasetSpec) -> ItemStream:
-    if spec.source == "zipf":
-        return generate_zipf(spec)
-    return ingest_csv(spec.path)
-
-
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run the sweep, returning all rows and writing results + manifest."""
-    stream = _load_stream(spec.dataset)
+    stream = load_stream(spec.dataset)
     # every top-k candidate needs a positive true count (see metrics.related_error)
     k = max(spec.topk_list)
     needed = min(k, stream.domain_size)

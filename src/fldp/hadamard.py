@@ -24,7 +24,6 @@ __all__ = [
     "ItemRowMap",
     "min_order_for_domain",
     "row_vector",
-    "positions_of_sign",
     "sign_block",
     "fwht",
 ]
@@ -100,12 +99,6 @@ def _parity(masked: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masked).astype(np.int8) & np.int8(1)
 
 
-def _check_data_row(row: int, order: int) -> None:
-    _check_index("row", row, order)
-    if row == 0:
-        raise ValueError("row 0 is the reserved all-ones row")
-
-
 def row_vector(row: int, order: int) -> np.ndarray:
     """Signed row of the matrix as an int8 vector of +/-1.
 
@@ -113,24 +106,11 @@ def row_vector(row: int, order: int) -> np.ndarray:
     balance properties the encoding relies on. Every returned row has
     exactly ``order/2`` entries of each sign.
     """
-    _check_data_row(row, order)
+    _check_index("row", row, order)
+    if row == 0:
+        raise ValueError("row 0 is the reserved all-ones row")
     cols = np.arange(order, dtype=_U64)
     return (1 - 2 * _parity(cols & _U64(row))).astype(np.int8)
-
-
-def positions_of_sign(row: int, order: int, sign: int) -> np.ndarray:
-    """Column indices where the row carries ``sign`` (+1 or -1).
-
-    The two sign classes partition the columns into halves of size
-    ``order/2``.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    _check_data_row(row, order)
-    cols = np.arange(order, dtype=_U64)
-    par = _parity(cols & _U64(row))
-    want = np.int8(0) if sign == 1 else np.int8(1)
-    return np.nonzero(par == want)[0]
 
 
 def sign_block(rows: np.ndarray, order: int) -> np.ndarray:

@@ -11,10 +11,10 @@ response (GRR), unary encoding in its symmetric (RAPPOR) and optimized
 hash seed. OLH hashes with multiply-shift, a universal family
 (Dietzfelbinger et al., 1997), whose keys are the items below 2^32.
 
-Unary encodings have two samplers: :func:`unary_perturb_bits` is the
-per-user client, and :func:`unary_sample_counts` draws the per-position
-bit counts a whole batch of those reports would sum to, with exactly the
-same distribution, in O(domain_size) in place of O(n * domain_size).
+Unary encodings are sampled at count level: :func:`unary_sample_counts`
+draws the per-position bit counts that a batch of per-user reports (each
+a one-hot vector with every bit flipped independently) would sum to, with
+exactly that distribution, in O(domain_size) in place of O(n * domain_size).
 
 Each mechanism is defined once, as a :class:`Mechanism` record in the
 ordered :data:`MECHANISMS` registry: how its parameters follow from the
@@ -44,7 +44,6 @@ __all__ = [
     "FhrReport",
     "fhr_perturb_batch",
     "grr_perturb_batch",
-    "unary_perturb_bits",
     "unary_sample_counts",
     "olh_perturb_batch",
     "olh_hash",
@@ -69,8 +68,10 @@ def _check_epsilon(epsilon: float) -> None:
 class PrivacyParams:
     """Privacy budget plus the mechanism constants derived from it.
 
-    ``q`` is only set for mechanisms with a second flip probability
-    (GRR, unary, OLH), ``g`` only for OLH, ``correction`` only for FHR.
+    Each constructor sets exactly one optional field, which names the
+    mechanisms the params were built for: ``q`` for GRR and the unary
+    encodings, ``g`` for OLH, ``correction`` for FHR. Every function that
+    reads a field checks first that it is set.
     """
 
     epsilon: float
@@ -117,11 +118,18 @@ class PrivacyParams:
 
     @classmethod
     def for_olh(cls, epsilon: float) -> "PrivacyParams":
-        """Hash range g = ceil(eps + 1), then GRR probabilities inside it."""
+        """Hash range g = ceil(eps + 1), then GRR's keep probability inside it."""
         _check_epsilon(epsilon)
         g = max(2, math.ceil(epsilon + 1))
         e = math.exp(epsilon)
-        return cls(epsilon=epsilon, p=e / (e + g - 1), q=1 / (e + g - 1), g=g)
+        return cls(epsilon=epsilon, p=e / (e + g - 1), g=g)
+
+
+def _require(params: PrivacyParams, field: str, mechanism: str) -> None:
+    """Raise ValueError unless ``params`` sets ``field``, the constant
+    that only ``mechanism``'s params carry."""
+    if getattr(params, field) is None:
+        raise ValueError(f"params were not built for {mechanism}")
 
 
 @dataclass(frozen=True)
@@ -238,8 +246,7 @@ def fhr_perturb_batch(
     (the lowest set bit of ``rho``) folds the columns two-to-one onto the
     wanted half, preserving uniformity.
     """
-    if params.correction is None:
-        raise ValueError("params were not built for FHR (use PrivacyParams.for_fhr)")
+    _require(params, "correction", "FHR")
     rows = _item_rows(items, order)
     n = rows.size
     d = order.order
@@ -258,11 +265,6 @@ def fhr_perturb_batch(
     return index_x, index_y
 
 
-def _require_q(params: PrivacyParams) -> None:
-    if params.q is None or params.g is not None:
-        raise ValueError("params were not built for GRR or unary encoding")
-
-
 def _check_domain(items: np.ndarray, domain_size: int) -> np.ndarray:
     items = np.asarray(items, dtype=np.int64)
     if items.size and (items.min() < 0 or items.max() >= domain_size):
@@ -274,7 +276,7 @@ def grr_perturb_batch(
     items: np.ndarray, params: PrivacyParams, domain_size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Generalized randomized response over [0, domain_size)."""
-    _require_q(params)
+    _require(params, "q", "GRR or unary encoding")
     items = _check_domain(items, domain_size)
     keep = rng.random(items.size) < params.p
     # uniform over the d-1 wrong answers, realized as a nonzero cyclic shift
@@ -282,42 +284,23 @@ def grr_perturb_batch(
     return np.where(keep, items, (items + offset) % domain_size)
 
 
-def _unary_items(items: np.ndarray, params: PrivacyParams, domain_size: int) -> np.ndarray:
-    if domain_size < 2:
-        raise ValueError(f"unary encoding needs a domain of at least 2, got {domain_size}")
-    _require_q(params)
-    return _check_domain(items, domain_size)
-
-
-def unary_perturb_bits(
-    items: np.ndarray, params: PrivacyParams, domain_size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Perturbed one-hot encodings for a batch of users, shape (n, domain_size).
-
-    Each user's item is one-hot encoded and every bit flipped independently:
-    a set bit stays 1 with probability p, a clear bit becomes 1 with
-    probability q. RAPPOR uses the symmetric p = e^(eps/2)/(e^(eps/2)+1),
-    q = 1-p; OUE uses p = 1/2, q = 1/(e^eps+1).
-    """
-    items = _unary_items(items, params, domain_size)
-    u = rng.random((items.size, domain_size))
-    bits = u < params.q
-    users = np.arange(items.size)
-    bits[users, items] = u[users, items] < params.p
-    return bits.view(np.uint8)
-
-
 def unary_sample_counts(
     items: np.ndarray, params: PrivacyParams, domain_size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Set-bit count per position over a batch of unary reports, int64.
 
-    The count at position j sums n_j bits kept with probability p and
+    Each user's report one-hot encodes the item and flips every bit
+    independently: a set bit stays 1 with probability p, a clear bit
+    becomes 1 with probability q. RAPPOR uses the symmetric
+    p = e^(eps/2)/(e^(eps/2)+1), q = 1-p; OUE uses p = 1/2, q = 1/(e^eps+1).
+    The count at position j thus sums n_j bits kept with probability p and
     n - n_j bits set with probability q, all independent, so it is drawn
-    as Bin(n_j, p) + Bin(n - n_j, q): exactly the distribution of
-    ``unary_perturb_bits(items, ...).sum(axis=0)``, without the n x D draws.
+    as Bin(n_j, p) + Bin(n - n_j, q), without the n x D per-user draws.
     """
-    items = _unary_items(items, params, domain_size)
+    if domain_size < 2:
+        raise ValueError(f"unary encoding needs a domain of at least 2, got {domain_size}")
+    _require(params, "q", "GRR or unary encoding")
+    items = _check_domain(items, domain_size)
     holders = np.bincount(items, minlength=domain_size)
     return rng.binomial(holders, params.p) + rng.binomial(items.size - holders, params.q)
 
@@ -338,15 +321,6 @@ def _olh_keys(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _splitmix64(seeds), _splitmix64(seeds + _U64(_SM_GAMMA))
 
 
-def _check_olh_keys(items: np.ndarray) -> np.ndarray:
-    items = np.asarray(items)
-    if items.size:
-        lo, hi = int(items.min()), int(items.max())
-        if lo < 0 or hi >= _OLH_KEY_LIMIT:
-            raise ValueError(f"item {lo if lo < 0 else hi} is not an OLH key in [0, 2^32)")
-    return items.astype(_U64)
-
-
 def olh_hash(seed: int | np.ndarray, item: int | np.ndarray, g: int) -> int | np.ndarray:
     """Keyed hash of an item into [0, g); the OLH hash family.
 
@@ -357,11 +331,15 @@ def olh_hash(seed: int | np.ndarray, item: int | np.ndarray, g: int) -> int | np
     larger items raise ValueError. Scalar in, scalar out; arrays broadcast
     elementwise.
     """
-    items = _check_olh_keys(item)
+    items = np.asarray(item)
+    if items.size:
+        lo, hi = int(items.min()), int(items.max())
+        if lo < 0 or hi >= _OLH_KEY_LIMIT:
+            raise ValueError(f"item {lo if lo < 0 else hi} is not an OLH key in [0, 2^32)")
     # the arithmetic is modulo 2^64; numpy warns of wraparound on scalars
     with np.errstate(over="ignore"):
         a, b = _olh_keys(seed)
-        return (((a * items + b) >> _HALF) * _U64(g) >> _HALF).astype(np.int64)
+        return (((a * items.astype(_U64) + b) >> _HALF) * _U64(g) >> _HALF).astype(np.int64)
 
 
 def _olh_buckets(g: int) -> tuple[np.ndarray, np.ndarray]:
@@ -382,8 +360,7 @@ def olh_perturb_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """OLH reports for a batch: fresh 64-bit seed per user, hash into
     [0, g), then GRR inside the hashed domain. Returns (seeds, values)."""
-    if params.g is None:
-        raise ValueError("params were not built for OLH (use PrivacyParams.for_olh)")
+    _require(params, "g", "OLH")
     g = params.g
     items = _check_domain(items, domain_size)
     seeds = rng.integers(0, 2**64, size=items.size, dtype=np.uint64)

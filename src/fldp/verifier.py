@@ -33,8 +33,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .hadamard import min_order_for_domain, positions_of_sign
-from .mechanisms import PrivacyParams, lookup
+from .hadamard import min_order_for_domain, row_vector
+from .mechanisms import PrivacyParams, _require, lookup
 
 __all__ = [
     "EnumerationLimitError",
@@ -140,6 +140,7 @@ class FldpCertificate:
 
 
 def _fhr_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRange:
+    _require(params, "correction", "FHR")
     order = min_order_for_domain(domain_size)
     d = order.order
     if d > _MAX_FHR_ORDER:
@@ -149,8 +150,9 @@ def _fhr_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRang
     row = item + 1
     if item < 0 or row >= d:
         raise ValueError(f"item {item} outside domain [0, {domain_size})")
-    pos = positions_of_sign(row, d, +1)[:, None]
-    neg = positions_of_sign(row, d, -1)[None, :]
+    signs = row_vector(row, d)
+    pos = np.flatnonzero(signs > 0)[:, None]
+    neg = np.flatnonzero(signs < 0)[None, :]
     p_keep = params.p * 4 / (d * d)
     p_flip = (1 - params.p) * 4 / (d * d)
     # for x in pos, y in neg: (x, y) kept, then (y, x) flipped
@@ -166,8 +168,7 @@ def _grr_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRang
         )
     if not 0 <= item < domain_size:
         raise ValueError(f"item {item} outside domain [0, {domain_size})")
-    if params.q is None:
-        raise ValueError("GRR enumeration needs params with a q probability")
+    _require(params, "q", "GRR")
     probs = np.full(domain_size, params.q)
     probs[item] = params.p
     return OutputRange(item=item, codes=np.arange(domain_size), probs=probs)
@@ -180,8 +181,7 @@ def _unary_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRa
         )
     if not 0 <= item < domain_size:
         raise ValueError(f"item {item} outside domain [0, {domain_size})")
-    if params.q is None:
-        raise ValueError("unary enumeration needs params with a q probability")
+    _require(params, "q", "unary encoding")
     p, q = params.p, params.q
     masks = np.arange(1 << domain_size)
     probs = np.ones(masks.size)

@@ -80,6 +80,22 @@ def tally_oracle(items) -> dict[int, int]:
     return counts
 
 
+def unary_perturb_bits_oracle(items, params, domain_size: int, rng) -> np.ndarray:
+    """Per-user unary reports, shape (n, domain_size), uint8: the law that
+    ``unary_sample_counts`` draws the column sums of.
+
+    Each user's item is one-hot encoded and every bit flipped independently:
+    a set bit stays 1 with probability p, a clear bit becomes 1 with
+    probability q. Vectorised over users, as the tests need 10^5 of them.
+    """
+    items = np.asarray(items, dtype=np.int64)
+    u = rng.random((items.size, domain_size))
+    bits = u < params.q
+    users = np.arange(items.size)
+    bits[users, items] = u[users, items] < params.p
+    return bits.view(np.uint8)
+
+
 _MASK64 = (1 << 64) - 1
 _SM_GAMMA = 0x9E3779B97F4A7C15
 

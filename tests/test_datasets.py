@@ -84,16 +84,18 @@ class TestIngestCsv:
         with pytest.raises(ValueError):
             ingest_csv(path)
 
-    def test_missing_column_reports_line_number(self, tmp_path):
-        path = tmp_path / "narrow.csv"
-        path.write_text("a,x\nb\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r":2:"):
-            ingest_csv(path, column=1)
-
     def test_empty_value_reports_line_number(self, tmp_path):
         path = tmp_path / "blankish.csv"
         path.write_text("a\n  \nb\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r":2:"):
+            ingest_csv(path)
+
+    def test_line_number_counts_lines_not_rows(self, tmp_path):
+        # the quoted value spans lines 2 and 3, so the blank value is the
+        # third row but the fourth line
+        path = tmp_path / "multiline.csv"
+        path.write_text('a\n"b\nc"\n  \nd\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"multiline\.csv:4: empty value"):
             ingest_csv(path)
 
     def test_oversized_field_is_a_value_error(self, tmp_path):
@@ -103,20 +105,6 @@ class TestIngestCsv:
         path.write_text("a\n" + "b" * 200_000 + "\nc\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"oversized\.csv:2: field larger than field limit"):
             ingest_csv(path)
-
-    def test_header_skipping(self, tmp_path):
-        path = tmp_path / "with_header.csv"
-        path.write_text("value\nx\ny\nx\n", encoding="utf-8")
-        stream = ingest_csv(path, skip_header=True)
-        assert stream.labels == ("x", "y")
-        assert stream.ground_truth.tolist() == [2, 1]
-
-    def test_second_column_selection(self, tmp_path):
-        path = tmp_path / "two_cols.csv"
-        path.write_text("1,a\n2,b\n3,a\n", encoding="utf-8")
-        stream = ingest_csv(path, column=1)
-        assert stream.labels == ("a", "b")
-        assert stream.ground_truth.tolist() == [2, 1]
 
     def test_round_trip_preserves_per_label_counts(self, tmp_path):
         # ids are renumbered by first appearance, so compare per label

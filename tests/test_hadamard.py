@@ -10,10 +10,11 @@ from fldp.hadamard import (
     ItemRowMap,
     fwht,
     min_order_for_domain,
-    positions_of_sign,
     row_vector,
     sign_block,
 )
+from fldp.mechanisms import PrivacyParams
+from fldp.verifier import enumerate_range
 
 from _oracles import sylvester_matrix
 
@@ -127,24 +128,37 @@ class TestRowVector:
 
 
 class TestPositions:
+    """A row's +1 and -1 columns, as the exact FHR range takes them: a kept
+    output (x, y) pairs a +1 column x with a -1 column y."""
+
+    @staticmethod
+    def _kept_halves(row, order):
+        params = PrivacyParams.for_fhr(1.0)
+        output_range = enumerate_range("fhr", row - 1, params, order - 1)
+        # kept outputs have probability 4p / order^2, flipped 4(1 - p) / order^2
+        kept = [out for out, prob in output_range.probabilities.items() if prob > 2 / order**2]
+        return {x for x, _ in kept}, {y for _, y in kept}
+
     def test_row_1_order_4_positive(self):
-        assert set(positions_of_sign(1, 4, +1).tolist()) == {0, 2}
+        assert self._kept_halves(1, 4)[0] == {0, 2}
 
     def test_row_1_order_4_negative(self):
-        assert set(positions_of_sign(1, 4, -1).tolist()) == {1, 3}
+        assert self._kept_halves(1, 4)[1] == {1, 3}
 
     @given(st.integers(min_value=1, max_value=6), st.data())
     def test_partition(self, r, data):
         order = 1 << r
         row = data.draw(st.integers(min_value=1, max_value=order - 1))
-        pos = positions_of_sign(row, order, +1)
-        neg = positions_of_sign(row, order, -1)
+        pos, neg = self._kept_halves(row, order)
         assert len(pos) == len(neg) == order // 2
-        assert sorted(pos.tolist() + neg.tolist()) == list(range(order))
+        assert sorted(pos | neg) == list(range(order))
+        signs = row_vector(row, order)
+        assert all(signs[x] == 1 for x in pos) and all(signs[y] == -1 for y in neg)
 
     def test_row_0_rejected(self):
+        # item -1 would be the reserved all-ones row 0
         with pytest.raises(ValueError):
-            positions_of_sign(0, 4, 1)
+            enumerate_range("fhr", -1, PrivacyParams.for_fhr(1.0), 3)
 
 
 class TestItemRowMap:

@@ -8,8 +8,15 @@ from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fldp.aggregator import fhr_accumulate
-from fldp.hadamard import HadamardOrder, min_order_for_domain, positions_of_sign, row_vector
+from fldp.aggregator import (
+    SumVector,
+    fhr_accumulate,
+    fhr_estimate_all,
+    grr_estimate,
+    olh_estimate_all,
+    unary_estimate,
+)
+from fldp.hadamard import HadamardOrder, min_order_for_domain, row_vector
 from fldp.mechanisms import (
     MECHANISMS,
     FhrReport,
@@ -19,12 +26,12 @@ from fldp.mechanisms import (
     lookup,
     olh_hash,
     olh_perturb_batch,
-    unary_perturb_bits,
     unary_sample_counts,
 )
+from fldp.verifier import enumerate_range
 from fldp.wire import report_size_table
 
-from _oracles import olh_hash_oracle
+from _oracles import olh_hash_oracle, unary_perturb_bits_oracle
 
 
 class TestPrivacyParams:
@@ -141,7 +148,7 @@ class TestFhrPerturb:
         for order in (8, 16):
             for row in range(1, order):
                 m = row & -row
-                pos = set(positions_of_sign(row, order, +1).tolist())
+                pos = set(np.flatnonzero(row_vector(row, order) > 0).tolist())
                 hits = {c: 0 for c in pos}
                 for u in range(order):
                     x = u if bin(row & u).count("1") % 2 == 0 else u ^ m
@@ -209,9 +216,12 @@ class TestGrrPerturb:
 
 
 class TestUnaryPerturb:
+    """The per-user law (tests/_oracles.py) that the count sampler draws
+    the sums of, and the checks the sampler makes on its inputs."""
+
     def test_report_shape_and_dtype(self):
         params = PrivacyParams.for_oue(1.0)
-        bits = unary_perturb_bits(np.array([3]), params, 10, np.random.default_rng(0))
+        bits = unary_perturb_bits_oracle(np.array([3]), params, 10, np.random.default_rng(0))
         assert bits.shape == (1, 10) and bits.dtype == np.uint8
         assert set(np.unique(bits)) <= {0, 1}
 
@@ -221,7 +231,7 @@ class TestUnaryPerturb:
         params = MECHANISMS[variant].params(eps, d)
         rng = np.random.default_rng(21)
         items = np.full(100_000, 2, dtype=np.int64)
-        bits = unary_perturb_bits(items, params, d, rng)
+        bits = unary_perturb_bits_oracle(items, params, d, rng)
         hot_rate = bits[:, 2].mean()
         cold_rate = bits[:, 5].mean()
         assert hot_rate == pytest.approx(params.p, abs=0.01)
@@ -231,21 +241,23 @@ class TestUnaryPerturb:
         eps, d = math.log(3), 16
         params = PrivacyParams.for_oue(eps)
         rng = np.random.default_rng(2)
-        bits = unary_perturb_bits(np.zeros(50_000, dtype=np.int64), params, d, rng)
+        bits = unary_perturb_bits_oracle(np.zeros(50_000, dtype=np.int64), params, d, rng)
         expected = params.p + (d - 1) * params.q
         assert bits.sum(axis=1).mean() == pytest.approx(expected, rel=0.02)
 
     def test_unknown_variant_rejected(self):
         # the variant is whatever params are passed; non-unary ones are refused
         with pytest.raises(ValueError):
-            unary_perturb_bits(np.array([0]), PrivacyParams.for_fhr(1.0), 4, np.random.default_rng(0))
+            unary_sample_counts(
+                np.array([0]), PrivacyParams.for_fhr(1.0), 4, np.random.default_rng(0)
+            )
         with pytest.raises(ValueError, match="unknown mechanism"):
             lookup("sue")
 
     def test_item_outside_domain_rejected(self):
         params = PrivacyParams.for_rappor(1.0)
         with pytest.raises(ValueError, match="item outside domain"):
-            unary_perturb_bits(np.array([4]), params, 4, np.random.default_rng(0))
+            unary_sample_counts(np.array([4]), params, 4, np.random.default_rng(0))
 
 
 class TestUnarySampleCounts:
@@ -257,7 +269,7 @@ class TestUnarySampleCounts:
         params = MECHANISMS[variant].params(eps, d)
         items = np.repeat(np.arange(d), [300, 150, 80, 40, 20, 10, 0, 400])
         per_user = np.array([
-            unary_perturb_bits(items, params, d, np.random.default_rng(100 + t)).sum(axis=0)
+            unary_perturb_bits_oracle(items, params, d, np.random.default_rng(100 + t)).sum(axis=0)
             for t in range(trials)
         ])
         sampled = np.array([
@@ -302,11 +314,8 @@ class TestUnarySampleCounts:
         assert counts.min() >= 0 and counts.max() <= items.size
 
     def test_validates_like_the_per_user_path(self):
+        # the item and params checks are TestUnaryPerturb's
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="item outside domain"):
-            unary_sample_counts(np.array([4]), PrivacyParams.for_rappor(1.0), 4, rng)
-        with pytest.raises(ValueError):
-            unary_sample_counts(np.array([0]), PrivacyParams.for_fhr(1.0), 4, rng)
         with pytest.raises(ValueError, match="at least 2"):
             unary_sample_counts(np.array([0]), PrivacyParams.for_oue(1.0), 1, rng)
 
@@ -417,3 +426,75 @@ class TestRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown mechanism 'shr'"):
             lookup("shr")
+
+
+# each function that reads a params field, with the mechanisms whose params
+# set that field, its own first; called with any other mechanism's params
+# it must refuse
+_PARAMS_READERS = {
+    "fhr_perturb_batch": (
+        ("fhr",),
+        lambda params: fhr_perturb_batch(
+            np.array([0]), params, HadamardOrder(2), np.random.default_rng(0)
+        ),
+    ),
+    "fhr_estimate_all": (
+        ("fhr",),
+        lambda params: fhr_estimate_all(SumVector.zero(4), 3, params, HadamardOrder(2)),
+    ),
+    "enumerate_range[fhr]": (("fhr",), lambda params: enumerate_range("fhr", 0, params, 3)),
+    "grr_perturb_batch": (
+        ("grr", "oue", "rappor"),
+        lambda params: grr_perturb_batch(np.array([0]), params, 4, np.random.default_rng(0)),
+    ),
+    "unary_sample_counts": (
+        ("oue", "rappor", "grr"),
+        lambda params: unary_sample_counts(np.array([0]), params, 4, np.random.default_rng(0)),
+    ),
+    "grr_estimate": (
+        ("grr", "oue", "rappor"),
+        lambda params: grr_estimate(np.array([1.0, 0.0, 0.0, 0.0]), params),
+    ),
+    "unary_estimate": (
+        ("oue", "rappor", "grr"),
+        lambda params: unary_estimate(np.array([1.0, 0.0, 0.0, 0.0]), params, 1),
+    ),
+    **{
+        f"enumerate_range[{name}]": (
+            (name, *({"grr", "oue", "rappor"} - {name})),
+            lambda params, name=name: enumerate_range(name, 0, params, 4),
+        )
+        for name in ("grr", "oue", "rappor")
+    },
+    "olh_perturb_batch": (
+        ("olh",),
+        lambda params: olh_perturb_batch(np.array([0]), params, 4, np.random.default_rng(0)),
+    ),
+    "olh_estimate_all": (
+        ("olh",),
+        lambda params: olh_estimate_all(
+            np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64), 4, params
+        ),
+    ),
+}
+
+
+class TestParamsChecks:
+    @pytest.mark.parametrize(
+        "reader, foreign",
+        [
+            (reader, name)
+            for reader, (owners, _) in _PARAMS_READERS.items()
+            for name in MECHANISMS
+            if name not in owners
+        ],
+    )
+    def test_another_mechanisms_params_rejected(self, reader, foreign):
+        call = _PARAMS_READERS[reader][1]
+        with pytest.raises(ValueError, match="params were not built for"):
+            call(MECHANISMS[foreign].params(1.0, 4))
+
+    @pytest.mark.parametrize("reader", list(_PARAMS_READERS))
+    def test_own_params_accepted(self, reader):
+        owners, call = _PARAMS_READERS[reader]
+        call(MECHANISMS[owners[0]].params(1.0, 4))
