@@ -11,7 +11,10 @@ O(order log order), whose entry ``i + 1`` is item ``i``'s dot product.
 The baseline estimators are the usual unbiased inversions of their flip
 probabilities: ``(observed - n*q) / (p - q)`` for GRR and unary encodings,
 and ``(C(t) - n/g) / (p - 1/g)`` for OLH support counts, which are
-tallied item by item with one add and one compare per report.
+tallied item by item with one add and one compare per report. Large
+batches of OLH reports are split into contiguous shards, one thread each
+up to the usable CPU count; the per-item numpy calls release the GIL, and
+the shards' integer counts add up to exactly the one-shard tally.
 
 Estimates live on the count scale and are neither clipped nor normalized
 here; negative values are meaningful to the variance tests and it is the
@@ -21,6 +24,7 @@ metrics layer that decides how to project onto a distribution.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -31,6 +35,7 @@ from .mechanisms import (
     _OLH_KEY_LIMIT,
     FhrReport,
     PrivacyParams,
+    _check_epsilon,
     _olh_buckets,
     _olh_keys,
     _report_pairs,
@@ -52,6 +57,9 @@ __all__ = [
     "oue_variance",
     "variance_crossover",
 ]
+
+# the fewest reports worth a thread of their own in the OLH support tally
+_MIN_SHARD = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -174,6 +182,29 @@ def unary_estimate(bit_counts: np.ndarray, params: PrivacyParams, n: int) -> Fre
     return FrequencyEstimate(estimates=(bit_counts - n * params.q) / (params.p - params.q), n=n)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, where the platform says so."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _tally(offset: np.ndarray, a: np.ndarray, width: np.ndarray, domain_size: int) -> np.ndarray:
+    """Support counts of items [0, domain_size) over one shard of reports.
+
+    ``offset`` holds item 0's offset keys and is advanced in place.
+    """
+    hit = np.empty(offset.shape, dtype=bool)
+    out = np.empty(domain_size, dtype=np.int64)
+    for t in range(domain_size):
+        if t:
+            offset += a
+        np.less(offset, width, out=hit)
+        out[t] = np.count_nonzero(hit)
+    return out
+
+
 def olh_support_counts(
     seeds: np.ndarray, values: np.ndarray, domain_size: int, g: int
 ) -> np.ndarray:
@@ -188,6 +219,11 @@ def olh_support_counts(
     so an item costs one add, one compare and one count over the n
     reports, and no hash is recomputed. The items must be OLH keys, so
     domain_size lies in [1, 2^32].
+
+    The reports are cut into min(usable CPUs, n // 2^14) contiguous
+    shards, at least one. Each shard walks the items on its own thread
+    (the numpy calls release the GIL) into its own row of counts, and the
+    rows are summed, so the counts do not depend on the shard count.
     """
     if not 1 <= domain_size <= _OLH_KEY_LIMIT:
         raise ValueError(f"OLH domain size must lie in [1, 2^32], got {domain_size}")
@@ -201,14 +237,20 @@ def olh_support_counts(
     lo, width = _olh_buckets(g)
     offset = b - lo[values]  # the offset key of item 0
     width = width[values]
-    hit = np.empty(offset.shape, dtype=bool)
-    out = np.empty(domain_size, dtype=np.int64)
-    for t in range(domain_size):
-        if t:
-            offset += a
-        np.less(offset, width, out=hit)
-        out[t] = np.count_nonzero(hit)
-    return out
+    n = offset.size
+    shards = max(1, min(_usable_cpus(), n // _MIN_SHARD))
+    if shards == 1:
+        return _tally(offset, a, width, domain_size)
+    # imported here so that importing fldp does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    # the workers call only numpy and private helpers, which perfbench's
+    # tracer leaves unwrapped: its one span stack is not thread-safe
+    cuts = [n * k // shards for k in range(shards + 1)]
+    parts = [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
+    with ThreadPoolExecutor(max_workers=shards) as pool:
+        rows = list(pool.map(lambda s: _tally(offset[s], a[s], width[s], domain_size), parts))
+    return np.sum(rows, axis=0)
 
 
 def olh_estimate_all(
@@ -225,14 +267,20 @@ def olh_estimate_all(
     return FrequencyEstimate(estimates=estimates, n=n)
 
 
+def _fhr_variance_coefficient(epsilon: float) -> float:
+    """B = (e^eps+1)^2 / (2 (e^eps-1)^2), squared as a ratio so that no
+    budget with a finite e^eps overflows."""
+    _check_epsilon(epsilon)
+    e = math.exp(epsilon)
+    return ((e + 1) / (e - 1)) ** 2 / 2
+
+
 def fhr_variance_bound(epsilon: float, n: int) -> float:
     """Upper bound (e^eps+1)^2 / (2 (e^eps-1)^2) * n on Var[f-hat_t]."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    b = _fhr_variance_coefficient(epsilon)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    e = math.exp(epsilon)
-    return (e + 1) ** 2 / (2 * (e - 1) ** 2) * n
+    return b * n
 
 
 def fhr_variance_exact(epsilon: float, n: int, true_count: int) -> float:
@@ -241,19 +289,17 @@ def fhr_variance_exact(epsilon: float, n: int, true_count: int) -> float:
     Coincides with :func:`fhr_variance_bound` when the item never occurs;
     for n_t > 0 it exceeds the bound whenever B > 1 (small epsilon).
     """
+    b = _fhr_variance_coefficient(epsilon)
     if not 0 <= true_count <= n:
         raise ValueError(f"true_count must lie in [0, {n}], got {true_count}")
-    e = math.exp(epsilon)
-    b = (e + 1) ** 2 / (2 * (e - 1) ** 2)
     return b * n + (b - 1) * true_count
 
 
 def oue_variance(epsilon: float, n: int) -> float:
     """OUE per-item estimator variance 4 e^eps / (e^eps - 1)^2 * n."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     e = math.exp(epsilon)
-    return 4 * e / (e - 1) ** 2 * n
+    return 4 / (e - 1) * (e / (e - 1)) * n
 
 
 def variance_crossover() -> float:

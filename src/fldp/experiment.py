@@ -80,8 +80,7 @@ class ExperimentSpec:
         if not self.epsilons:
             raise ValueError("need at least one epsilon")
         for eps in self.epsilons:
-            if not eps > 0:
-                raise ValueError(f"epsilon must be positive, got {eps}")
+            mechanisms._check_epsilon(eps)
         if not self.topk_list:
             raise ValueError("need at least one k")
         for k in self.topk_list:

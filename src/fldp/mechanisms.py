@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -57,11 +58,17 @@ _SM_M2 = 0x94D049BB133111EB
 # OLH hashes keys below 2^32 through the upper half of a 64-bit word
 _OLH_KEY_LIMIT = 1 << 32
 _HALF = _U64(32)
+# the largest budget whose e^eps is a finite float
+_MAX_EPSILON = math.log(sys.float_info.max)
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    """Raise ValueError unless 0 < epsilon and e^epsilon is a finite float."""
+    if not 0 < epsilon <= _MAX_EPSILON:
+        raise ValueError(
+            f"epsilon must lie in (0, {_MAX_EPSILON:.2f}] so that e^epsilon is finite, "
+            f"got {epsilon}"
+        )
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,7 @@ class PrivacyParams:
         (e^eps+1)/(2(e^eps-1))."""
         _check_epsilon(epsilon)
         e = math.exp(epsilon)
-        return cls(epsilon=epsilon, p=e / (e + 1), correction=(e + 1) / (2 * (e - 1)))
+        return cls(epsilon=epsilon, p=e / (e + 1), correction=(e + 1) / (e - 1) / 2)
 
     @classmethod
     def for_grr(cls, epsilon: float, domain_size: int) -> "PrivacyParams":

@@ -1,6 +1,8 @@
 """Accumulation, estimation inversions, and variance closed forms."""
 
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fldp import aggregator
 from fldp.aggregator import (
     SumVector,
     fhr_accumulate,
@@ -347,6 +350,72 @@ class TestOlhEstimate:
         assert np.all(np.abs(means - truth) <= 4 * sigma)
 
 
+def _olh_batch(eps, d, n, seed):
+    params = PrivacyParams.for_olh(eps)
+    rng = np.random.default_rng(seed)
+    seeds, values = olh_perturb_batch(rng.integers(0, d, size=n), params, d, rng)
+    return params.g, seeds, values
+
+
+def _counts_on(monkeypatch, cpus, *args):
+    monkeypatch.setattr(aggregator, "_usable_cpus", lambda: cpus)
+    return olh_support_counts(*args)
+
+
+class TestOlhShards:
+    """The tally split over threads gives the one-shard counts exactly."""
+
+    @pytest.mark.parametrize("eps", [1.0, 2.0])  # g = 2 and g = 3
+    @pytest.mark.parametrize(
+        "n",
+        [
+            aggregator._MIN_SHARD - 1,
+            aggregator._MIN_SHARD + 1,
+            2 * aggregator._MIN_SHARD + 1,
+            3 * aggregator._MIN_SHARD + 2,  # three shards, n not divisible by 3
+        ],
+    )
+    def test_shards_equal_one_shard_and_the_oracle(self, monkeypatch, eps, n):
+        d = 3
+        g, seeds, values = _olh_batch(eps, d, n, seed=n)
+        single = _counts_on(monkeypatch, 1, seeds, values, d, g)
+        sharded = _counts_on(monkeypatch, 3, seeds, values, d, g)
+        assert sharded.dtype == np.int64
+        assert sharded.tolist() == single.tolist()
+        pairs = list(zip(seeds.tolist(), values.tolist()))
+        oracle = [sum(olh_hash_oracle(s, t, g) == v for s, v in pairs) for t in range(d)]
+        assert sharded.tolist() == oracle
+
+    @pytest.mark.parametrize("cpus,shards", [(1, 1), (2, 2), (3, 3), (8, 3)])
+    def test_one_shard_per_cpu_up_to_the_minimum_shard(self, monkeypatch, cpus, shards):
+        n = 3 * aggregator._MIN_SHARD + 2
+        g, seeds, values = _olh_batch(1.0, 2, n, seed=5)
+        calls = []
+        tally = aggregator._tally
+
+        def spy(offset, *rest):
+            calls.append((threading.get_ident(), offset.size))
+            return tally(offset, *rest)
+
+        monkeypatch.setattr(aggregator, "_tally", spy)
+        _counts_on(monkeypatch, cpus, seeds, values, 2, g)
+        sizes = [size for _, size in calls]
+        assert len(sizes) == shards
+        assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+        assert len({ident for ident, _ in calls}) <= cpus
+
+    def test_empty_batch_and_single_item(self, monkeypatch):
+        empty = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+        assert _counts_on(monkeypatch, 3, *empty, 1, 2).tolist() == [0]
+        g, seeds, values = _olh_batch(2.0, 4, 2 * aggregator._MIN_SHARD, seed=6)
+        single = _counts_on(monkeypatch, 1, seeds, values, 1, g)
+        assert _counts_on(monkeypatch, 3, seeds, values, 1, g).tolist() == single.tolist()
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert aggregator._usable_cpus() == (os.cpu_count() or 1)
+
+
 class TestVarianceFormulas:
     def test_bound_at_ln3(self):
         # (3+1)^2 / (2 (3-1)^2) * 1000 = 16/8 * 1000
@@ -384,6 +453,20 @@ class TestVarianceFormulas:
         observed = np.var(estimates, ddof=1)
         expected = fhr_variance_bound(eps, n)
         assert observed == pytest.approx(expected, rel=0.25)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, 1000.0])
+    def test_budgets_without_a_finite_exponential_rejected(self, eps):
+        for variance in (fhr_variance_bound, oue_variance):
+            with pytest.raises(ValueError, match="epsilon must lie in"):
+                variance(eps, 10)
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            fhr_variance_exact(eps, 10, 1)
+
+    def test_largest_budget_has_finite_variances(self):
+        eps = math.log(np.finfo(np.float64).max)
+        assert fhr_variance_bound(eps, 10) == pytest.approx(5.0)
+        assert fhr_variance_exact(eps, 10, 4) == pytest.approx(3.0)
+        assert 0 <= oue_variance(eps, 10) < 1e-300
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):

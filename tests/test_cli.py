@@ -41,6 +41,26 @@ class TestUsageErrors:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["size-table", "15", "--epsilon", "inf"],
+            ["size-table", "15", "--epsilon", "1e308"],
+            ["verify-fldp", "fhr", "--order", "8", "--epsilon", "1e308"],
+            ["run", "--epsilons", "1000", "--trials", "1", "--topk", "5",
+             "--zipf-n", "100", "--zipf-d", "8"],
+        ],
+    )
+    def test_budget_with_overflowing_exponential_is_a_usage_error(
+        self, argv, capsys, tmp_path
+    ):
+        out = [] if argv[0] == "size-table" else ["--out", str(tmp_path)]
+        assert _run(argv + out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fldp: epsilon must lie in")
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestGenData:
     def test_writes_dataset_and_ground_truth(self, tmp_path, capsys):

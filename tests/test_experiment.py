@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from fldp import experiment
+from fldp import aggregator, experiment
 from fldp.datasets import DatasetSpec
 from fldp.experiment import (
     RESULT_COLUMNS,
@@ -39,6 +39,41 @@ def _read_rows(path):
 def _strip_wall_time(rows):
     wall_idx = RESULT_COLUMNS.index("wall_time_ms")
     return [row[:wall_idx] + row[wall_idx + 1 :] for row in rows]
+
+
+class TestOlhShards:
+    def test_rows_do_not_depend_on_the_shard_count(self, tmp_path, monkeypatch):
+        # above two minimum shards, so that the tally is split when it may be
+        n = 2 * aggregator._MIN_SHARD + 1001
+        outputs = []
+        tally = aggregator._tally
+        for cpus in (1, 3):
+            calls = []
+
+            def spy(*args):
+                calls.append(args[0].size)
+                return tally(*args)
+
+            monkeypatch.setattr(aggregator, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(aggregator, "_tally", spy)
+            out = tmp_path / f"cpus{cpus}"
+            spec = _tiny_spec(
+                out,
+                dataset=DatasetSpec(source="zipf", n=n, domain_size=64, seed=12),
+                mechanisms=("olh",),
+                epsilons=(1.0, 2.0),
+                topk_list=(5, 10),
+                trials=2,
+            )
+            run_experiment(spec)
+            assert len(calls) == 4 * min(cpus, 2)  # 2 budgets x 2 trials
+            outputs.append(
+                (
+                    _strip_wall_time(_read_rows(out / "results.csv")),
+                    (out / "manifest.json").read_bytes(),
+                )
+            )
+        assert outputs[0] == outputs[1]
 
 
 class TestRowAccounting:

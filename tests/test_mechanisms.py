@@ -69,6 +69,22 @@ class TestPrivacyParams:
         with pytest.raises(ValueError):
             PrivacyParams.for_fhr(eps)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 1e308, 1000.0, 709.79])
+    @pytest.mark.parametrize("name", list(MECHANISMS))
+    def test_budget_with_overflowing_exponential_rejected(self, name, eps):
+        # e^eps must be a finite float; above ln(max float) it is not
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            MECHANISMS[name].params(eps, 16)
+
+    @pytest.mark.parametrize("name", list(MECHANISMS))
+    def test_largest_budget_builds_finite_params(self, name):
+        eps = math.log(np.finfo(np.float64).max)
+        params = MECHANISMS[name].params(eps, 16)
+        fields = (params.p, params.q, params.g, params.correction)
+        assert all(math.isfinite(v) for v in fields if v is not None)
+        if name == "fhr":
+            assert params.correction == 0.5
+
     def test_grr_needs_domain_of_two(self):
         with pytest.raises(ValueError):
             PrivacyParams.for_grr(1.0, 1)
