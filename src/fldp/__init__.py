@@ -22,7 +22,7 @@ from .aggregator import (
 )
 from .datasets import DatasetSpec, ItemStream, exact_frequencies, generate_zipf, ingest_csv
 from .experiment import ExperimentSpec, ResultRow, run_experiment
-from .hadamard import HadamardOrder, ItemRowMap, min_order_for_domain, row_vector
+from .hadamard import HadamardOrder, min_order_for_domain, row_vector
 from .mechanisms import MECHANISMS, FhrReport, Mechanism, PrivacyParams, fhr_perturb_batch
 from .metrics import NoOverlapError, TopKSelection, kld, ncr, related_error, squared_error, top_k
 from .verifier import (

@@ -3,6 +3,9 @@
 FHR aggregation is a two-step pipeline: fold every report's implied sparse
 vector (+1 at index_x, -1 at index_y) into a running :class:`SumVector`,
 then estimate item i's count as ``correction * (sums . H[i + 1])``.
+Reports arrive as index arrays, either the two columns the client
+perturber returns or the (n, 2) rows :func:`fldp.wire.read_report_file`
+decodes, and are folded with two bincounts.
 Accumulation is a commutative integer merge, so partial sums from chunks
 or workers combine into exactly the sequential result. The whole domain
 is decoded at once by one fast Walsh-Hadamard transform of the sums,
@@ -26,19 +29,16 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .hadamard import HadamardOrder, ItemRowMap, fwht
+from .hadamard import HadamardOrder, fwht
 from .mechanisms import (
     _OLH_KEY_LIMIT,
-    FhrReport,
     PrivacyParams,
     _check_epsilon,
     _olh_buckets,
     _olh_keys,
-    _report_pairs,
     _require,
 )
 
@@ -122,12 +122,12 @@ def fhr_accumulate_indices(
     return SumVector(sums=sums.astype(np.int64), n=index_x.size)
 
 
-def fhr_accumulate(reports: Iterable[FhrReport], order: HadamardOrder) -> SumVector:
-    """Accumulate a stream of reports; equals the batched index-array path."""
-    try:
-        pairs = _report_pairs(reports)
-    except OverflowError as exc:
-        raise ValueError(f"corrupt report: index outside [0, {order.order})") from exc
+def fhr_accumulate(pairs: np.ndarray, order: HadamardOrder) -> SumVector:
+    """Fold an (n, 2) array of (index_x, index_y) rows, as a report file
+    reads back; raises ValueError for any other shape."""
+    pairs = np.asarray(pairs)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"report pairs must have shape (n, 2), got {pairs.shape}")
     return fhr_accumulate_indices(pairs[:, 0], pairs[:, 1], order)
 
 
@@ -139,20 +139,24 @@ def fhr_estimate_all(
 ) -> FrequencyEstimate:
     """Estimate every item in [0, domain_size) from one transform of the sums.
 
-    ``fwht(sums)`` is ``H @ sums``, whose entry at item i's row is that
-    row's dot product with the sums, so the cost is O(order log order) in
-    place of O(domain_size * order) for the rows one at a time.
+    ``fwht(sums)`` is ``H @ sums``, whose entry ``i + 1`` is item i's row's
+    dot product with the sums (row 0 is reserved), so the cost is
+    O(order log order) in place of O(domain_size * order) for the rows one
+    at a time.
     """
     _require(params, "correction", "FHR")
-    rows = ItemRowMap(domain_size=domain_size, order=order)
+    if not 1 <= domain_size < order.order:
+        raise ValueError(
+            f"order {order.order} too small for {domain_size} items "
+            "(need 1 <= items < order: item i reads row i + 1)"
+        )
     if sum_vector.sums.size != order.order:
         raise ValueError(
             f"sums of length {sum_vector.sums.size} do not match order {order.order}"
         )
     products = fwht(sum_vector.sums.astype(np.int64))
-    first, last = rows.row_of(0), rows.row_of(domain_size - 1)
     return FrequencyEstimate(
-        estimates=params.correction * products[first : last + 1], n=sum_vector.n
+        estimates=params.correction * products[1 : domain_size + 1], n=sum_vector.n
     )
 
 

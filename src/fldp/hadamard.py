@@ -2,11 +2,11 @@
 
 The matrix of order ``2^r`` is defined by the recursion ``H_{r+1} = [[H_r, H_r],
 [H_r, -H_r]]`` with ``H_0 = [1]``. Its entries admit a closed form,
-``H[row, col] = (-1)^popcount(row AND col)``, which the row and block
-functions evaluate. Products with the whole matrix go through :func:`fwht`,
-the fast Walsh-Hadamard transform, which unrolls the same recursion in
+``H[row, col] = (-1)^popcount(row AND col)``, which :func:`row_vector`
+evaluates. Products with the whole matrix go through :func:`fwht`, the
+fast Walsh-Hadamard transform, which unrolls the same recursion in
 O(order * r) additions. Nothing is ever built in memory beyond explicitly
-requested row vectors or row blocks, so orders of 2^16 and up stay cheap.
+requested row vectors, so orders of 2^16 and up stay cheap.
 
 Items of a finite domain are encoded as matrix rows. Row 0 is all ones and
 carries no information, so item ``i`` maps to row ``i + 1`` and the matrix
@@ -21,14 +21,10 @@ import numpy as np
 
 __all__ = [
     "HadamardOrder",
-    "ItemRowMap",
     "min_order_for_domain",
     "row_vector",
-    "sign_block",
     "fwht",
 ]
-
-_U64 = np.uint64
 
 
 @dataclass(frozen=True)
@@ -64,41 +60,6 @@ def min_order_for_domain(domain_size: int) -> HadamardOrder:
     return HadamardOrder(r)
 
 
-@dataclass(frozen=True)
-class ItemRowMap:
-    """Deterministic assignment of domain items to matrix rows.
-
-    Item ``i`` maps to row ``i + 1``; row 0 (all +1) is never assigned.
-    """
-
-    domain_size: int
-    order: HadamardOrder
-
-    def __post_init__(self) -> None:
-        if self.domain_size < 1:
-            raise ValueError("domain_size must be >= 1")
-        if self.order.order < self.domain_size + 1:
-            raise ValueError(
-                f"order {self.order.order} too small for {self.domain_size} items "
-                f"(need at least {self.domain_size + 1})"
-            )
-
-    def row_of(self, item: int) -> int:
-        if not 0 <= item < self.domain_size:
-            raise ValueError(f"item {item} outside domain [0, {self.domain_size})")
-        return item + 1
-
-
-def _check_index(name: str, value: int, order: int) -> None:
-    if not 0 <= value < order:
-        raise IndexError(f"{name} {value} out of range [0, {order})")
-
-
-def _parity(masked: np.ndarray) -> np.ndarray:
-    """Popcount parity of a uint64 array, 0 or 1 per element."""
-    return np.bitwise_count(masked).astype(np.int8) & np.int8(1)
-
-
 def row_vector(row: int, order: int) -> np.ndarray:
     """Signed row of the matrix as an int8 vector of +/-1.
 
@@ -106,28 +67,13 @@ def row_vector(row: int, order: int) -> np.ndarray:
     balance properties the encoding relies on. Every returned row has
     exactly ``order/2`` entries of each sign.
     """
-    _check_index("row", row, order)
+    if not 0 <= row < order:
+        raise IndexError(f"row {row} out of range [0, {order})")
     if row == 0:
         raise ValueError("row 0 is the reserved all-ones row")
-    cols = np.arange(order, dtype=_U64)
-    return (1 - 2 * _parity(cols & _U64(row))).astype(np.int8)
-
-
-def sign_block(rows: np.ndarray, order: int) -> np.ndarray:
-    """Matrix block for the given rows, shape (len(rows), order), int8.
-
-    Costs O(len(rows) * order); to multiply the whole matrix by a vector,
-    use :func:`fwht` instead.
-    """
-    rows = np.asarray(rows)
-    if rows.size:
-        # checked as the integers given, before the cast could wrap them
-        lo, hi = int(rows.min()), int(rows.max())
-        _check_index("row", lo if lo < 0 else hi, order)
-    rows = rows.astype(_U64)
-    cols = np.arange(order, dtype=_U64)
-    par = _parity(rows[:, None] & cols[None, :])
-    return (1 - 2 * par).astype(np.int8)
+    cols = np.arange(order, dtype=np.uint64)
+    parity = np.bitwise_count(cols & np.uint64(row)).astype(np.int8) & np.int8(1)
+    return 1 - 2 * parity
 
 
 def fwht(values: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -218,15 +218,6 @@ class FhrReport:
             raise ValueError("report indices must be nonnegative")
         if self.index_x == self.index_y:
             raise ValueError(f"report indices must differ, got {self.index_x} twice")
-
-
-def _report_pairs(reports: Iterable[FhrReport]) -> np.ndarray:
-    """The reports' (index_x, index_y) as an (n, 2) int64 array.
-
-    Raises OverflowError for an index beyond int64.
-    """
-    flat = itertools.chain.from_iterable((rep.index_x, rep.index_y) for rep in reports)
-    return np.fromiter(flat, dtype=np.int64).reshape(-1, 2)
 
 
 def _item_rows(items: np.ndarray, order: HadamardOrder) -> np.ndarray:

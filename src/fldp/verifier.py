@@ -101,14 +101,6 @@ class OutputRange:
         """The output ``code`` stands for: ``(x, y)`` for FHR, else the code."""
         return divmod(code, self.order) if self.order else code
 
-    @property
-    def probabilities(self) -> dict:
-        """``{output: probability}`` in enumeration order."""
-        return {
-            self.output(code): prob
-            for code, prob in zip(self.codes.tolist(), self.probs.tolist())
-        }
-
 
 @dataclass(frozen=True)
 class FldpCertificate:

@@ -13,13 +13,16 @@ count) followed by the packed records. A report file's order exponent is
 capped at r <= 31: a record (2r+1 <= 63 bits) then fits one uint64 word,
 which is how files are packed and unpacked, all records at once with numpy
 shifts and masks, and the server's dense sum vector stays at or below 2^31
-entries. The single-report :func:`pack_fhr` and :func:`unpack_fhr` take
-any order the matrix allows (r <= 63). Files are written whole or not at
-all (see :mod:`fldp._atomic`).
+entries. A file is read back as one (n, 2) int64 array of (index_x,
+index_y) rows, the form :func:`fldp.aggregator.fhr_accumulate` folds; no
+per-record object is built on the server side. The single-report
+:func:`pack_fhr` and :func:`unpack_fhr` take any order the matrix allows
+(r <= 63). Files are written whole or not at all (see :mod:`fldp._atomic`).
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from pathlib import Path
@@ -29,7 +32,7 @@ import numpy as np
 
 from ._atomic import replace_atomically
 from .hadamard import HadamardOrder
-from .mechanisms import MECHANISMS, FhrReport, _report_pairs
+from .mechanisms import MECHANISMS, FhrReport
 
 __all__ = [
     "WireFormatError",
@@ -117,8 +120,9 @@ def _pack_records(pairs: np.ndarray, order: HadamardOrder) -> bytes:
     return words.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - size :].tobytes()
 
 
-def _unpack_records(body: bytes, order: HadamardOrder) -> list[FhrReport]:
-    """:func:`unpack_fhr` over every record of a file body at once."""
+def _unpack_records(body: bytes, order: HadamardOrder) -> np.ndarray:
+    """:func:`unpack_fhr` over every record of a file body at once, as an
+    (n, 2) int64 array of (index_x, index_y) rows."""
     r = order.r
     size = packed_size(order)
     count = len(body) // size
@@ -130,14 +134,23 @@ def _unpack_records(body: bytes, order: HadamardOrder) -> list[FhrReport]:
     if bad.size:
         raise WireFormatError(f"record {bad[0]}: padding bits must be zero")
     words >>= np.uint64(pad)
-    index_y = words & np.uint64((1 << r) - 1)
-    index_x = words >> np.uint64(r + 1)
-    equal = np.flatnonzero(index_x == index_y)
+    words = words.view(np.int64)  # 2r+1 <= 63 bits, so every word is nonnegative
+    pairs = np.stack((words >> (r + 1), words & ((1 << r) - 1)), axis=1)
+    equal = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
     if equal.size:
         raise WireFormatError(
-            f"record {equal[0]}: equal indices {index_x[equal[0]]} are not a valid report"
+            f"record {equal[0]}: equal indices {pairs[equal[0], 0]} are not a valid report"
         )
-    return list(map(FhrReport, index_x.tolist(), index_y.tolist()))
+    return pairs
+
+
+def _report_pairs(reports: Iterable[FhrReport]) -> np.ndarray:
+    """The reports' (index_x, index_y) as an (n, 2) int64 array.
+
+    Raises OverflowError for an index beyond int64.
+    """
+    flat = itertools.chain.from_iterable((rep.index_x, rep.index_y) for rep in reports)
+    return np.fromiter(flat, dtype=np.int64).reshape(-1, 2)
 
 
 def write_report_file(
@@ -160,12 +173,16 @@ def write_report_file(
     return len(pairs)
 
 
-def read_report_file(path: str | Path) -> tuple[HadamardOrder, list[FhrReport]]:
-    """Read a report file back; validates magic, order, length, and every record.
+def read_report_file(path: str | Path) -> tuple[HadamardOrder, np.ndarray]:
+    """Read a report file back as its order and an (n, 2) int64 array of
+    (index_x, index_y) rows; validates magic, order, length, and every record.
 
-    The header is checked against the file's size before the body is
-    read, so a header promising more records than the file holds, or an
-    order beyond the cap, costs no allocation.
+    Row i is what :func:`unpack_fhr` gives for record i, and the file is
+    rejected with :class:`WireFormatError` exactly when some record's
+    :func:`unpack_fhr` would raise. The header is checked against the
+    file's size before the body is read, so a header promising more
+    records than the file holds, or an order beyond the cap, costs no
+    allocation.
     """
     with Path(path).open("rb") as handle:
         header = handle.read(_HEADER.size)

@@ -120,19 +120,35 @@ def olh_hash_oracle(seed: int, item: int, g: int) -> int:
     return upper * g >> 32
 
 
+def sign_block_oracle(rows, order: int) -> np.ndarray:
+    """Matrix block for the given rows, shape (len(rows), order), int8,
+    from the popcount closed form over the whole block at once."""
+    rows = np.asarray(rows, dtype=np.uint64)
+    cols = np.arange(order, dtype=np.uint64)
+    parity = np.bitwise_count(rows[:, None] & cols[None, :]).astype(np.int8) & 1
+    return 1 - 2 * parity
+
+
+def range_probabilities(output_range) -> dict:
+    """An ``OutputRange`` as ``{output: probability}`` in enumeration order,
+    FHR outputs as ``(x, y)`` pairs."""
+    return {
+        output_range.output(code): prob
+        for code, prob in zip(output_range.codes.tolist(), output_range.probs.tolist())
+    }
+
+
 def fhr_estimate_all_oracle(sum_vector, domain_size: int, params, order, chunk: int = 256):
     """FHR decode by explicit row blocks: O(domain_size * order) products.
 
     Item i's estimate is correction * (H[i + 1] . sums), with the rows
-    taken ``chunk`` at a time from ``sign_block``.
+    taken ``chunk`` at a time from :func:`sign_block_oracle`.
     """
-    from fldp.hadamard import sign_block
-
     rows = np.arange(1, domain_size + 1, dtype=np.uint64)
     sums = sum_vector.sums.astype(np.int64)
     out = np.empty(domain_size, dtype=np.float64)
     for start in range(0, domain_size, chunk):
-        block = sign_block(rows[start : start + chunk], order.order)
+        block = sign_block_oracle(rows[start : start + chunk], order.order)
         out[start : start + chunk] = block.astype(np.int64) @ sums
     return params.correction * out
 
@@ -158,8 +174,8 @@ def ratio_profile_oracle(mechanism: str, params, domain_size: int, pair) -> dict
     t, t_prime = pair
     if t == t_prime:
         raise ValueError(f"pair items must be distinct, got {t} twice")
-    range_t = enumerate_range(mechanism, t, params, domain_size).probabilities
-    range_u = enumerate_range(mechanism, t_prime, params, domain_size).probabilities
+    range_t = range_probabilities(enumerate_range(mechanism, t, params, domain_size))
+    range_u = range_probabilities(enumerate_range(mechanism, t_prime, params, domain_size))
     return {s: range_t[s] / range_u[s] for s in range_t if s in range_u}
 
 

@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 from _oracles import (
     kld_oracle,
     ncr_oracle,
+    range_probabilities,
     related_error_oracle,
     squared_error_oracle,
     sylvester_matrix,
@@ -28,7 +29,7 @@ from fldp.aggregator import (
 )
 from fldp.datasets import DatasetSpec, generate_zipf
 from fldp.experiment import ExperimentSpec, estimate_once, run_experiment
-from fldp.hadamard import ItemRowMap, min_order_for_domain, row_vector, sign_block
+from fldp.hadamard import fwht, min_order_for_domain, row_vector
 from fldp.mechanisms import FhrReport, PrivacyParams, fhr_perturb_batch
 from fldp.metrics import NoOverlapError, kld, ncr, related_error, squared_error, top_k
 from fldp.verifier import certify_mechanism, enumerate_range
@@ -112,8 +113,7 @@ def test_criterion_03_variance_law(capsys):
     domain = 255
     order = min_order_for_domain(domain)
     target = 17
-    row_map = ItemRowMap(domain_size=domain, order=order)
-    signs = row_vector(row_map.row_of(target), order.order).astype(np.int64)
+    signs = row_vector(target + 1, order.order).astype(np.int64)
     batch = 500
     results = []
     passed = True
@@ -160,16 +160,15 @@ def test_criterion_05_report_dot_distributions(capsys):
     """Exhaustive order-8 enumeration of the per-report dot products."""
     domain = 7
     order = min_order_for_domain(domain)
-    row_map = ItemRowMap(domain_size=domain, order=order)
     worst = 0.0
     for epsilon in (0.4, 1.0, 2.0):
         params = PrivacyParams.for_fhr(epsilon)
         for item in range(domain):
             output_range = enumerate_range("fhr", item, params, domain)
             for candidate in range(domain):
-                signs = row_vector(row_map.row_of(candidate), order.order)
+                signs = row_vector(candidate + 1, order.order)
                 buckets = {-2: [], 0: [], 2: []}
-                for (x, y), prob in output_range.probabilities.items():
+                for (x, y), prob in range_probabilities(output_range).items():
                     buckets[int(signs[x]) - int(signs[y])].append(prob)
                 dist = {dot: math.fsum(probs) for dot, probs in buckets.items()}
                 if candidate == item:
@@ -263,13 +262,19 @@ def test_criterion_07_sweep_trends(capsys, tmp_path):
 
 
 def test_criterion_08_hadamard_equivalence(capsys):
-    """Bit-trick entries equal the block-recursion matrix exactly."""
+    """Bit-trick rows and the FWHT equal the block-recursion matrix exactly."""
     passed = True
     for r in range(1, 7):
         order = 2**r
-        built = sign_block(np.arange(order, dtype=np.uint64), order)
-        passed &= bool(np.array_equal(built, sylvester_matrix(r)))
-    _report(capsys, 8, passed, "popcount entries == block recursion for r <= 6")
+        matrix = sylvester_matrix(r)
+        rows = np.array([row_vector(row, order) for row in range(1, order)])
+        passed &= bool(np.array_equal(rows, matrix[1:]))
+        # the FWHT of the identity's columns is the whole matrix, row 0 included
+        columns = [fwht(unit) for unit in np.eye(order, dtype=np.int64)]
+        passed &= bool(np.array_equal(np.column_stack(columns), matrix))
+    _report(
+        capsys, 8, passed, "popcount rows 1.. and FWHT columns == block recursion for r <= 6"
+    )
 
 
 def test_criterion_09_wire_format(capsys):

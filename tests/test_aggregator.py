@@ -27,7 +27,6 @@ from fldp.aggregator import (
 )
 from fldp.hadamard import HadamardOrder, min_order_for_domain
 from fldp.mechanisms import (
-    FhrReport,
     PrivacyParams,
     fhr_perturb_batch,
     olh_hash,
@@ -42,32 +41,38 @@ from _oracles import (
 )
 
 
-def _reports(pairs):
-    return [FhrReport(index_x=x, index_y=y) for x, y in pairs]
+def _pairs(pairs):
+    """(index_x, index_y) tuples as the (n, 2) int64 array a report file reads back."""
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 class TestAccumulate:
     def test_two_reports_cancel(self):
-        summed = fhr_accumulate(_reports([(0, 1), (1, 0)]), HadamardOrder(2))
+        summed = fhr_accumulate(_pairs([(0, 1), (1, 0)]), HadamardOrder(2))
         assert summed.sums.tolist() == [0, 0, 0, 0]
         assert summed.n == 2
 
     def test_single_report(self):
-        summed = fhr_accumulate(_reports([(2, 3)]), HadamardOrder(2))
+        summed = fhr_accumulate(_pairs([(2, 3)]), HadamardOrder(2))
         assert summed.sums.tolist() == [0, 0, 1, -1]
         assert summed.n == 1
 
     def test_empty_stream(self):
-        summed = fhr_accumulate([], HadamardOrder(3))
+        summed = fhr_accumulate(_pairs([]), HadamardOrder(3))
         assert summed.n == 0
         assert not summed.sums.any()
 
     def test_index_out_of_order_rejected(self):
         with pytest.raises(ValueError):
             fhr_accumulate_indices(np.array([4]), np.array([1]), HadamardOrder(2))
-        for index in (8, 2**63, 2**70):  # the last two do not fit int64
+        for index in (8, 2**63, 2**64 - 1):  # the last two do not fit int64
             with pytest.raises(ValueError, match=r"index outside \[0, 8\)"):
-                fhr_accumulate(_reports([(index, 0)]), HadamardOrder(3))
+                fhr_accumulate(np.array([[index, 0]], dtype=np.uint64), HadamardOrder(3))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (0,), (2, 2, 2)])
+    def test_anything_but_index_pairs_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+            fhr_accumulate(np.zeros(shape, dtype=np.int64), HadamardOrder(3))
 
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
@@ -82,13 +87,13 @@ class TestAccumulate:
         ).filter(lambda t: t[0] != t[1])
         batch_a = data.draw(st.lists(pair, max_size=30))
         batch_b = data.draw(st.lists(pair, max_size=30))
-        merged = fhr_accumulate(_reports(batch_a), order).merge(
-            fhr_accumulate(_reports(batch_b), order)
+        merged = fhr_accumulate(_pairs(batch_a), order).merge(
+            fhr_accumulate(_pairs(batch_b), order)
         )
-        merged_flipped = fhr_accumulate(_reports(batch_b), order).merge(
-            fhr_accumulate(_reports(batch_a), order)
+        merged_flipped = fhr_accumulate(_pairs(batch_b), order).merge(
+            fhr_accumulate(_pairs(batch_a), order)
         )
-        sequential = fhr_accumulate(_reports(batch_a + batch_b), order)
+        sequential = fhr_accumulate(_pairs(batch_a + batch_b), order)
         assert np.array_equal(merged.sums, sequential.sums)
         assert np.array_equal(merged_flipped.sums, sequential.sums)
         assert merged.n == merged_flipped.n == sequential.n
@@ -101,7 +106,7 @@ class TestAccumulate:
             st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7)
         ).filter(lambda t: t[0] != t[1])
         batch = data.draw(st.lists(pair, max_size=50))
-        summed = fhr_accumulate(_reports(batch), order)
+        summed = fhr_accumulate(_pairs(batch), order)
         assert summed.sums.sum() == 0
         assert np.abs(summed.sums).max(initial=0) <= summed.n
 
@@ -113,7 +118,7 @@ class TestAccumulate:
 class TestFhrEstimate:
     def test_correction_is_one_at_ln3(self):
         params = PrivacyParams.for_fhr(math.log(3))
-        summed = fhr_accumulate(_reports([(2, 3)]), HadamardOrder(2))
+        summed = fhr_accumulate(_pairs([(2, 3)]), HadamardOrder(2))
         # with correction exactly 1, the estimate is the raw dot product
         est = fhr_estimate_oracle(summed, 0, params)
         vec = np.array([1, -1, 1, -1])
@@ -183,8 +188,9 @@ class TestFhrEstimate:
         order = HadamardOrder(3)
         with pytest.raises(ValueError, match="do not match"):
             fhr_estimate_all(SumVector.zero(16), 7, params, order)
-        with pytest.raises(ValueError, match="too small"):
-            fhr_estimate_all(SumVector.zero(8), 8, params, order)
+        for domain in (0, 8):  # item i reads row i + 1, and row 0 is reserved
+            with pytest.raises(ValueError, match="too small"):
+                fhr_estimate_all(SumVector.zero(8), domain, params, order)
 
 
 class TestGrrEstimate:

@@ -1,22 +1,15 @@
-"""Matrix entry closed form, row mapping, and balance properties."""
+"""Matrix entry closed form, the FWHT, and balance properties."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fldp.hadamard import (
-    HadamardOrder,
-    ItemRowMap,
-    fwht,
-    min_order_for_domain,
-    row_vector,
-    sign_block,
-)
+from fldp.hadamard import HadamardOrder, fwht, min_order_for_domain, row_vector
 from fldp.mechanisms import PrivacyParams
 from fldp.verifier import enumerate_range
 
-from _oracles import sylvester_matrix
+from _oracles import range_probabilities, sign_block_oracle, sylvester_matrix
 
 
 class TestMinOrder:
@@ -57,33 +50,33 @@ class TestMinOrder:
 
 
 class TestEntry:
-    """Single entries, read from one-row blocks of :func:`sign_block`."""
+    """Single entries: row 0 from the FWHT of a unit column, which is that
+    column of the matrix, and every other row from :func:`row_vector`."""
 
     def test_row_0_is_all_ones(self):
         for order in (2, 4, 8, 16):
-            assert (sign_block(np.array([0]), order) == 1).all()
+            for col in range(order):
+                unit = np.zeros(order, dtype=np.int64)
+                unit[col] = 1
+                assert fwht(unit)[0] == 1
 
     def test_row_3_col_3_order_4(self):
         # 3 AND 3 = 3 has popcount 2, an even count
-        assert sign_block(np.array([3]), 4)[0, 3] == 1
+        assert row_vector(3, 4)[3] == 1
 
     def test_row_1_col_1_order_2(self):
-        assert sign_block(np.array([1]), 2)[0, 1] == -1
+        assert row_vector(1, 2)[1] == -1
 
     def test_out_of_range_rejected(self):
         for row in (4, -1):
             with pytest.raises(IndexError, match=f"row {row} out of range"):
-                sign_block(np.array([row]), 4)
-            with pytest.raises(IndexError, match=f"row {row} out of range"):
-                sign_block([row], 4)
-            with pytest.raises(IndexError, match=f"row {row} out of range"):
-                sign_block(np.array([1, row], dtype=np.int64), 4)
+                row_vector(row, 4)
 
     @pytest.mark.parametrize("r", range(1, 7))
     def test_matches_block_recursion(self, r):
         order = 1 << r
-        built = sign_block(np.arange(order), order)
-        assert np.array_equal(built, sylvester_matrix(r))
+        built = np.array([row_vector(row, order) for row in range(1, order)])
+        assert np.array_equal(built, sylvester_matrix(r)[1:])
 
 
 class TestRowVector:
@@ -136,7 +129,8 @@ class TestPositions:
         params = PrivacyParams.for_fhr(1.0)
         output_range = enumerate_range("fhr", row - 1, params, order - 1)
         # kept outputs have probability 4p / order^2, flipped 4(1 - p) / order^2
-        kept = [out for out, prob in output_range.probabilities.items() if prob > 2 / order**2]
+        probabilities = range_probabilities(output_range)
+        kept = [out for out, prob in probabilities.items() if prob > 2 / order**2]
         return {x for x, _ in kept}, {y for _, y in kept}
 
     def test_row_1_order_4_positive(self):
@@ -161,31 +155,14 @@ class TestPositions:
             enumerate_range("fhr", -1, PrivacyParams.for_fhr(1.0), 3)
 
 
-class TestItemRowMap:
-    def test_identity_shift(self):
-        mapping = ItemRowMap(domain_size=7, order=HadamardOrder(3))
-        assert [mapping.row_of(i) for i in range(7)] == list(range(1, 8))
-
-    def test_row_0_never_assigned(self):
-        mapping = ItemRowMap(domain_size=15, order=HadamardOrder(4))
-        assert 0 not in [mapping.row_of(i) for i in range(15)]
-
-    def test_too_small_order_rejected(self):
-        with pytest.raises(ValueError):
-            ItemRowMap(domain_size=4, order=HadamardOrder(2))
-
-    def test_out_of_domain_item_rejected(self):
-        mapping = ItemRowMap(domain_size=3, order=HadamardOrder(2))
-        with pytest.raises(ValueError):
-            mapping.row_of(3)
-
-
 class TestSignBlock:
+    """The decode oracle's row blocks against the library's rows."""
+
     @pytest.mark.parametrize("r", range(1, 6))
     def test_matches_row_vector(self, r):
         order = 1 << r
         rows = np.arange(1, order, dtype=np.uint64)
-        block = sign_block(rows, order)
+        block = sign_block_oracle(rows, order)
         for i, row in enumerate(rows):
             assert np.array_equal(block[i], row_vector(int(row), order))
 

@@ -106,19 +106,19 @@ class TestFhrReport:
     # a single report accumulates to its implied sparse vector
     def test_sparse_expansion(self):
         order = HadamardOrder(2)
-        vec = fhr_accumulate([FhrReport(index_x=0, index_y=1)], order).sums
+        vec = fhr_accumulate(np.array([[0, 1]]), order).sums
         assert vec.tolist() == [1, -1, 0, 0]
 
     def test_sparse_expansion_reversed(self):
         order = HadamardOrder(2)
-        vec = fhr_accumulate([FhrReport(index_x=3, index_y=0)], order).sums
+        vec = fhr_accumulate(np.array([[3, 0]]), order).sums
         assert vec.tolist() == [-1, 0, 0, 1]
 
     @given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15))
     def test_sparse_sums_to_zero(self, x, y):
         if x == y:
             return
-        vec = fhr_accumulate([FhrReport(index_x=x, index_y=y)], HadamardOrder(4)).sums
+        vec = fhr_accumulate(np.array([[x, y]]), HadamardOrder(4)).sums
         assert vec.sum() == 0
 
 

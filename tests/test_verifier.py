@@ -17,7 +17,7 @@ from fldp.verifier import (
     enumerate_range,
 )
 
-from _oracles import certify_ranges_oracle, ratio_profile_oracle
+from _oracles import certify_ranges_oracle, range_probabilities, ratio_profile_oracle
 
 
 def _fhr_params(eps):
@@ -33,14 +33,14 @@ class TestEnumerateRange:
     def test_fhr_probabilities_sum_to_one_per_item(self):
         for item in range(7):
             rng = enumerate_range("fhr", item, _fhr_params(0.6), 7)
-            assert math.fsum(rng.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
+            assert math.fsum(range_probabilities(rng).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_fhr_pair_probabilities(self):
         eps = 1.0
         params = _fhr_params(eps)
         rng = enumerate_range("fhr", 2, params, 7)
         vec = row_vector(3, 8)
-        for (x, y), prob in rng.probabilities.items():
+        for (x, y), prob in range_probabilities(rng).items():
             if vec[x] == 1 and vec[y] == -1:
                 assert prob == pytest.approx(params.p * 4 / 64)
             else:
@@ -49,15 +49,15 @@ class TestEnumerateRange:
     def test_grr_range_is_whole_domain(self):
         params = PrivacyParams.for_grr(1.0, 4)
         rng = enumerate_range("grr", 2, params, 4)
-        assert set(rng.probabilities) == {0, 1, 2, 3}
-        for value, prob in rng.probabilities.items():
+        assert set(range_probabilities(rng)) == {0, 1, 2, 3}
+        for value, prob in range_probabilities(rng).items():
             assert prob == pytest.approx(params.p if value == 2 else params.q)
 
     def test_unary_range_is_all_bit_patterns(self):
         params = PrivacyParams.for_oue(1.0)
         rng = enumerate_range("oue", 1, params, 3)
         assert rng.size == 8
-        assert math.fsum(rng.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(range_probabilities(rng).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_enumeration_limits(self):
         with pytest.raises(EnumerationLimitError):
@@ -80,10 +80,11 @@ class TestEnumerateRange:
     def test_output_codes(self):
         # fhr codes x * order + y decode to the pair; other codes are the output
         rng = enumerate_range("fhr", 2, _fhr_params(1.0), 7)
-        assert list(rng.probabilities) == [divmod(int(c), 8) for c in rng.codes]
-        assert all(type(x) is int for pair in rng.probabilities for x in pair)
+        outputs = [rng.output(c) for c in rng.codes.tolist()]
+        assert outputs == [divmod(int(c), 8) for c in rng.codes]
+        assert all(type(x) is int for pair in outputs for x in pair)
         rng = enumerate_range("rappor", 1, PrivacyParams.for_rappor(1.0), 3)
-        assert list(rng.probabilities) == list(range(8))
+        assert [rng.output(c) for c in rng.codes.tolist()] == list(range(8))
 
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(ValueError):
@@ -143,7 +144,9 @@ class TestCertify:
         assert cert.eta_observed == 0.0
         assert cert.max_ratio_observed == 1.0
         assert cert.pair_witnesses == ()
-        assert cert == certify_ranges_oracle({t: r.probabilities for t, r in ranges.items()})
+        assert cert == certify_ranges_oracle(
+            {t: range_probabilities(r) for t, r in ranges.items()}
+        )
 
     def test_witnesses_attain_max_ratio(self):
         cert = certify_mechanism("fhr", 1.0, 7)
@@ -170,7 +173,7 @@ class TestMatrixAgainstPairwiseOracle:
     def _both(mechanism, eps, domain):
         params = MECHANISMS[mechanism].params(eps, domain)
         ranges = {t: enumerate_range(mechanism, t, params, domain) for t in range(domain)}
-        oracle = certify_ranges_oracle({t: r.probabilities for t, r in ranges.items()})
+        oracle = certify_ranges_oracle({t: range_probabilities(r) for t, r in ranges.items()})
         return certify_ranges(ranges), oracle
 
     @pytest.mark.parametrize("eps", [0.4, 1.0, 2.0, 4.5])
@@ -199,7 +202,9 @@ class TestMatrixAgainstPairwiseOracle:
             1: OutputRange(item=1, codes=[2, 1, 3], probs=[0.25, 0.25, 0.5]),
         }
         cert = certify_ranges(ranges)
-        assert cert == certify_ranges_oracle({t: r.probabilities for t, r in ranges.items()})
+        assert cert == certify_ranges_oracle(
+            {t: range_probabilities(r) for t, r in ranges.items()}
+        )
         assert cert.max_ratio_observed == 1.0
         assert cert.pair_witnesses == ((0, 1, 1), (0, 1, 2))
         assert cert.eta_observed == 2 / 3
@@ -213,7 +218,9 @@ class TestMatrixAgainstPairwiseOracle:
             2: OutputRange(item=2, codes=[4, 3, 2, 1, 0, 6], probs=[1 / 6] * 6),
         }
         cert = certify_ranges(ranges)
-        assert cert == certify_ranges_oracle({t: r.probabilities for t, r in ranges.items()})
+        assert cert == certify_ranges_oracle(
+            {t: range_probabilities(r) for t, r in ranges.items()}
+        )
         assert cert.max_ratio_observed == 2.0
         assert cert.pair_witnesses == ((1, 0, 5), (1, 0, 3), (1, 0, 1), (1, 2, 3), (1, 2, 1))
         assert (cert.range_size_min, cert.range_size_max) == (3, 6)
@@ -280,7 +287,7 @@ class TestReportDotDistributions:
             rng = enumerate_range("fhr", item, params, 7)
             vec = row_vector(item + 1, order.order).astype(int)
             mass = {}
-            for (x, y), prob in rng.probabilities.items():
+            for (x, y), prob in range_probabilities(rng).items():
                 dot = int(vec[x] - vec[y])
                 mass[dot] = mass.get(dot, 0.0) + prob
             assert set(mass) == {2, -2}
@@ -300,7 +307,7 @@ class TestReportDotDistributions:
                     continue
                 vec = row_vector(other + 1, order.order).astype(int)
                 mass = {0: 0.0, 2: 0.0, -2: 0.0}
-                for (x, y), prob in rng.probabilities.items():
+                for (x, y), prob in range_probabilities(rng).items():
                     mass[int(vec[x] - vec[y])] += prob
                 assert mass[0] == pytest.approx(0.5, abs=1e-12)
                 assert mass[2] == pytest.approx(0.25, abs=1e-12)

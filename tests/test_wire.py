@@ -94,6 +94,11 @@ class TestPackedLayout:
         assert unpack_fhr(packed, order) == report
 
 
+def _rows(reports):
+    """The reports' (index_x, index_y) pairs, one list per report."""
+    return [[report.index_x, report.index_y] for report in reports]
+
+
 class TestReportFile:
     def _sample_reports(self, order):
         return [
@@ -109,7 +114,21 @@ class TestReportFile:
         assert count == len(reports)
         read_order, read_back = read_report_file(path)
         assert read_order == order
-        assert read_back == reports
+        assert read_back.tolist() == _rows(reports)
+
+    def test_reads_back_a_contiguous_int64_pair_array(self, tmp_path):
+        order = HadamardOrder(16)
+        rng = np.random.default_rng(11)
+        index_x = rng.integers(0, order.order, size=5000)
+        index_y = (index_x + rng.integers(1, order.order, size=5000)) % order.order
+        reports = [FhrReport(x, y) for x, y in zip(index_x.tolist(), index_y.tolist())]
+        path = tmp_path / "reports.bin"
+        write_report_file(path, reports, order)
+        _, pairs = read_report_file(path)
+        assert isinstance(pairs, np.ndarray)
+        assert pairs.dtype == np.int64 and pairs.shape == (5000, 2)
+        assert pairs.flags.c_contiguous
+        assert np.array_equal(pairs[:, 0], index_x) and np.array_equal(pairs[:, 1], index_y)
 
     def test_header_is_sixteen_bytes(self, tmp_path):
         order = HadamardOrder(2)
@@ -189,13 +208,16 @@ class TestReportFileCodec:
             pack_fhr(report, order) for report in reports
         )
         assert path.read_bytes() == expected
-        assert read_report_file(path) == (order, reports)
+        read_order, pairs = read_report_file(path)
+        assert read_order == order and pairs.tolist() == _rows(reports)
 
     def test_empty_file_round_trip(self, tmp_path):
         path = tmp_path / "empty.bin"
         assert write_report_file(path, [], HadamardOrder(5)) == 0
         assert path.read_bytes() == struct.pack(">4sIQ", FILE_MAGIC, 5, 0)
-        assert read_report_file(path) == (HadamardOrder(5), [])
+        read_order, pairs = read_report_file(path)
+        assert read_order == HadamardOrder(5)
+        assert pairs.shape == (0, 2) and pairs.dtype == np.int64
 
     def _file_with_middle_record(self, tmp_path, r, middle):
         order = HadamardOrder(r)
@@ -248,7 +270,8 @@ class TestReportFileCodec:
             with pytest.raises(WireFormatError):
                 read_report_file(path)
             return
-        assert read_report_file(path) == (order, expected)
+        read_order, pairs = read_report_file(path)
+        assert read_order == order and pairs.tolist() == _rows(expected)
 
 
 class TestAtomicReportFile:
