@@ -188,9 +188,17 @@ class TestFhrEstimate:
         order = HadamardOrder(3)
         with pytest.raises(ValueError, match="do not match"):
             fhr_estimate_all(SumVector.zero(16), 7, params, order)
-        for domain in (0, 8):  # item i reads row i + 1, and row 0 is reserved
+        with pytest.raises(ValueError, match="too small"):
+            fhr_estimate_all(SumVector.zero(8), 8, params, order)
+
+    def test_too_small_order_rejected(self):
+        # item i reads row i + 1 and row 0 is reserved, so order 2^r holds
+        # at most 2^r - 1 items; an empty domain is rejected too
+        params = PrivacyParams.for_fhr(1.0)
+        for domain, r in ((4, 2), (8, 3), (0, 3)):
+            order = HadamardOrder(r)
             with pytest.raises(ValueError, match="too small"):
-                fhr_estimate_all(SumVector.zero(8), domain, params, order)
+                fhr_estimate_all(SumVector.zero(order.order), domain, params, order)
 
 
 class TestGrrEstimate:
