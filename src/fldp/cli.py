@@ -6,8 +6,8 @@ Commands:
 - ``gen-data``: materialize a workload (Zipf or CSV) plus exact counts.
 - ``run``: execute the mechanism x epsilon x trial sweep, writing
   results.csv and manifest.json.
-- ``verify-fldp``: enumerate a mechanism's output distributions exactly
-  and certify its overlap fraction and worst-case ratio; writes
+- ``verify-fldp``: certify a mechanism's overlap fraction and worst-case
+  ratio exactly (FHR in closed form, the others by enumeration); writes
   certificate.json.
 - ``size-table``: print per-mechanism report sizes in bits.
 

@@ -2,27 +2,28 @@
 
 A mechanism satisfies the flexible notion when, for every pair of inputs,
 the overlap fraction of their output ranges is at least eta and on every
-shared output the probability ratio is at most e^eps. This module
-enumerates the full output distribution of a mechanism analytically over a
-small domain (never by sampling), then certifies the observed eta and the
+shared output the probability ratio is at most e^eps. This module derives
+the full output distribution of a mechanism analytically over a small
+domain (never by sampling), then certifies the observed eta and the
 worst-case ratio with the witnessing input pairs and outputs.
 
-Each item's range is a pair of arrays: the output codes in enumeration
-order and their probabilities. :func:`certify_ranges` scatters them into
-one items x outputs probability matrix P. Its support S = P > 0 gives the
-range sizes (row sums) and every pair's overlap (S . S^T). The ratios are
-then taken one row t at a time: P[t, R(t)] against the rows below it,
-P[t+1:, R(t)], so no more than one row's pairs are held at once.
+GRR and the unary encodings are enumerated: each item's range is a pair
+of arrays, the output codes in enumeration order and their probabilities.
+:func:`certify_ranges` scatters them into one items x outputs probability
+matrix P. Its support S = P > 0 gives the range sizes (row sums) and every
+pair's overlap (S . S^T). The ratios are then taken one row t at a time:
+P[t, R(t)] against the rows below it, P[t+1:, R(t)], so no more than one
+row's pairs are held at once. Output codes:
 
-Output codes per mechanism:
-
-- fhr: the ordered sign-assigned index pair ``(x, y)``, meaning +1 at
-  column x and -1 at column y, has code ``x * order + y``. Under this
-  counting each item reaches order^2 / 2 outputs and any two items share
-  order^2 / 4 of them, so eta is exactly one half regardless of order.
 - grr: the reported value itself.
 - rappor / oue: the perturbed bit vector packed into an int (bit j is
   position j).
+
+FHR is certified in closed form, from the Gram matrix of its rows, with
+no output written down. Its output is the ordered sign-assigned index
+pair ``(x, y)``, meaning +1 at column x and -1 at column y. Under this
+counting each item reaches order^2 / 2 outputs and any two items share
+order^2 / 4 of them, so eta is exactly one half regardless of order.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ __all__ = [
     "certificate_passes",
 ]
 
-_MAX_FHR_ORDER = 128
+_MAX_FHR_ORDER = 4096
+_GRAM_BLOCK = 256  # rows of the FHR Gram matrix taken at once
 _MAX_GRR_DOMAIN = 256
 _MAX_UNARY_DOMAIN = 12
 _MAX_WITNESSES = 8
@@ -68,14 +70,11 @@ class OutputRange:
     ``probs`` its exact probability; outputs that cannot occur are absent
     rather than carried at zero. The codes are small nonnegative ints, as
     they index the columns of the certifier's probability matrix.
-    ``order`` is set for FHR only, whose code ``x * order + y`` stands for
-    the pair ``(x, y)``.
     """
 
     item: int
     codes: np.ndarray
     probs: np.ndarray
-    order: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "codes", np.asarray(self.codes, dtype=np.int64))
@@ -96,10 +95,6 @@ class OutputRange:
     @property
     def size(self) -> int:
         return self.codes.size
-
-    def output(self, code: int) -> object:
-        """The output ``code`` stands for: ``(x, y)`` for FHR, else the code."""
-        return divmod(code, self.order) if self.order else code
 
 
 @dataclass(frozen=True)
@@ -129,28 +124,6 @@ class FldpCertificate:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta_observed}")
         if self.max_ratio_observed < 1:
             raise ValueError(f"max ratio must be at least 1, got {self.max_ratio_observed}")
-
-
-def _fhr_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRange:
-    _require(params, "correction", "FHR")
-    order = min_order_for_domain(domain_size)
-    d = order.order
-    if d > _MAX_FHR_ORDER:
-        raise EnumerationLimitError(
-            f"FHR order {d} exceeds the enumeration limit {_MAX_FHR_ORDER}"
-        )
-    row = item + 1
-    if item < 0 or row >= d:
-        raise ValueError(f"item {item} outside domain [0, {domain_size})")
-    signs = row_vector(row, d)
-    pos = np.flatnonzero(signs > 0)[:, None]
-    neg = np.flatnonzero(signs < 0)[None, :]
-    p_keep = params.p * 4 / (d * d)
-    p_flip = (1 - params.p) * 4 / (d * d)
-    # for x in pos, y in neg: (x, y) kept, then (y, x) flipped
-    codes = np.stack([pos * d + neg, neg * d + pos], axis=-1).ravel()
-    probs = np.tile([p_keep, p_flip], codes.size // 2)
-    return OutputRange(item=item, codes=codes, probs=probs, order=d)
 
 
 def _grr_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRange:
@@ -190,10 +163,9 @@ def enumerate_range(
     """Exact output distribution of ``mechanism`` run on ``item``.
 
     Analytic, never sampled; raises :class:`EnumerationLimitError` when the
-    output space is too large to write down.
+    output space is too large to write down. GRR and the unary encodings
+    only: FHR is certified in closed form by :func:`certify_mechanism`.
     """
-    if mechanism == "fhr":
-        return _fhr_range(item, params, domain_size)
     if mechanism == "grr":
         return _grr_range(item, params, domain_size)
     if mechanism in ("oue", "rappor"):
@@ -227,7 +199,7 @@ def certify_ranges(ranges: Mapping[int, OutputRange]) -> FldpCertificate:
     del S
     eta = min(1.0, float((inter / np.maximum(sizes[upper[0]], sizes[upper[1]])).min()))
     max_ratio = 1.0
-    witnesses: list[tuple[int, int, object]] = []
+    witnesses: list[tuple[int, int, int]] = []
     for a in range(len(items) - 1):
         c = rows[a].codes
         block = P[a + 1 :, c]
@@ -254,7 +226,7 @@ def certify_ranges(ranges: Mapping[int, OutputRange]) -> FldpCertificate:
                 ks = ks[np.argsort(rank[c[ks]])]
             for k in ks[: _MAX_WITNESSES - len(witnesses)].tolist():
                 pair = (items[a], items[b]) if forward[i, k] >= 1 else (items[b], items[a])
-                witnesses.append((*pair, rows[a].output(int(c[k]))))
+                witnesses.append((*pair, int(c[k])))
             if len(witnesses) == _MAX_WITNESSES:
                 break
     return FldpCertificate(
@@ -269,11 +241,98 @@ def certify_ranges(ranges: Mapping[int, OutputRange]) -> FldpCertificate:
     )
 
 
+def _fhr_witnesses(domain_size: int, order: int, ratios: tuple[float, float]) -> tuple:
+    """The witnesses of :func:`certify_ranges`' walk over FHR's ranges.
+
+    Pairs t < t' come in item order, and each pair's outputs in t's
+    enumeration order: (x, y) and then (y, x), for x in P and then y in N,
+    both ascending. Only outputs on which the two rows disagree carry a
+    ratio above 1: for x in P n N' and y in N n P', t keeps the (x, y) that
+    t' flips (``ratios[0]``), and flips the (y, x) that t' keeps
+    (``ratios[1]``, the witness oriented from t').
+    """
+    top = max(ratios)
+    witnesses = []
+    for t in range(domain_size - 1):
+        signs = row_vector(t + 1, order)
+        for u in range(t + 1, domain_size):
+            other = row_vector(u + 1, order)
+            for x in np.flatnonzero((signs > 0) & (other < 0)).tolist():
+                for y in np.flatnonzero((signs < 0) & (other > 0)).tolist():
+                    for ratio, witness in zip(ratios, ((t, u, (x, y)), (u, t, (y, x)))):
+                        if ratio == top:
+                            witnesses.append(witness)
+                            if len(witnesses) == _MAX_WITNESSES:
+                                return tuple(witnesses)
+    return tuple(witnesses)
+
+
+def _certify_fhr(params: PrivacyParams, domain_size: int) -> FldpCertificate:
+    """FHR's certificate in closed form; equal to :func:`certify_ranges` over
+    every item's enumerated range, without writing any output down.
+
+    Item t, with +1 columns P and -1 columns N, outputs (x, y) with
+    probability p_keep and (y, x) with probability p_flip for each x in P
+    and y in N, both times 4/d^2. With M the 0/1 masks of the rows' +1
+    columns and w their weights, a = |P n P'| is an entry of M . M^T,
+    taken ``_GRAM_BLOCK`` rows at a time; |P n N'| = w - a,
+    |N n P'| = w' - a and |N n N'| = d - w - w' + a. A range has
+    2 w (d - w) outputs, and a pair shares
+    2 |P n P'| |N n N'| (ratio 1) plus 2 |P n N'| |N n P'| (ratios
+    p_keep/p_flip and its inverse, both above 1 since p_keep > p_flip).
+    """
+    d = min_order_for_domain(domain_size).order
+    if d > _MAX_FHR_ORDER:
+        raise EnumerationLimitError(
+            f"FHR order {d} exceeds the enumeration limit {_MAX_FHR_ORDER}"
+        )
+    # the flip probability directly, as 1 - p loses it once p nears 1; the
+    # factor 4/d^2 both probabilities carry is a power of two, so it
+    # cancels exactly from the ratios and is left out. The ratios take the
+    # matrix form's float operations: forward, and 1 / forward below 1.
+    keep, flip = params.p, 1 / (math.exp(params.epsilon) + 1)
+    ratios = (keep / flip, 1 / (flip / keep))
+    masks = np.empty((domain_size, d), dtype=np.float32)
+    for t in range(domain_size):
+        masks[t] = row_vector(t + 1, d) > 0
+    w = masks.sum(axis=1, dtype=np.int64)
+    sizes = 2 * w * (d - w)
+    blocks = []  # per block of pairs: worst overlap fraction, overlap range, any ratio above 1
+    for lo in range(0, domain_size - 1, _GRAM_BLOCK):
+        hi = min(lo + _GRAM_BLOCK, domain_size - 1)
+        a = (masks[lo:hi] @ masks[lo:].T).astype(np.int64)
+        upper = np.arange(lo, domain_size) > np.arange(lo, hi)[:, None]
+        wt, wu = w[lo:hi, None], w[None, lo:]
+        cross = ((wt - a) * (wu - a))[upper]
+        inter = 2 * (a * (d - wt - wu + a))[upper] + 2 * cross
+        larger = np.maximum(sizes[lo:hi, None], sizes[None, lo:])[upper]
+        blocks.append((
+            float((inter / larger).min()), int(inter.min()), int(inter.max()),
+            bool((cross > 0).any()),
+        ))
+    fractions, lows, highs, crossings = zip(*blocks)
+    crossed = any(crossings)
+    max_ratio = max(ratios) if crossed else 1.0
+    return FldpCertificate(
+        eta_observed=min(1.0, *fractions),
+        max_ratio_observed=max_ratio,
+        epsilon_effective=math.log(max_ratio),
+        pair_witnesses=_fhr_witnesses(domain_size, d, ratios) if crossed else (),
+        range_size_min=int(sizes.min()),
+        range_size_max=int(sizes.max()),
+        intersection_size_min=min(lows),
+        intersection_size_max=max(highs),
+    )
+
+
 def certify_mechanism(mechanism: str, epsilon: float, domain_size: int) -> FldpCertificate:
-    """Enumerate every item's range under the registry's parameters and audit all pairs."""
+    """Audit all pairs of items under the registry's parameters: FHR in
+    closed form, the others over every item's enumerated range."""
     params = lookup(mechanism).params(epsilon, domain_size)
     if domain_size < 2:
         raise ValueError(f"domain must contain at least 2 items, got {domain_size}")
+    if mechanism == "fhr":
+        return _certify_fhr(params, domain_size)
     ranges = {
         item: enumerate_range(mechanism, item, params, domain_size)
         for item in range(domain_size)

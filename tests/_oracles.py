@@ -7,9 +7,14 @@ library's vectorized or closed-form code is meaningful evidence.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
+
+from fldp.hadamard import min_order_for_domain, row_vector
+from fldp.mechanisms import _require
+from fldp.verifier import FldpCertificate, OutputRange, certify_ranges, enumerate_range
 
 
 def sylvester_matrix(r: int) -> np.ndarray:
@@ -129,11 +134,66 @@ def sign_block_oracle(rows, order: int) -> np.ndarray:
     return 1 - 2 * parity
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class FhrRange(OutputRange):
+    """An FHR item's enumerated range, whose code ``x * order + y`` stands
+    for the pair ``(x, y)``: +1 at column x and -1 at column y."""
+
+    order: int
+
+    def output(self, code: int) -> tuple[int, int]:
+        return divmod(code, self.order)
+
+
+def fhr_range_oracle(item: int, params, domain_size: int) -> FhrRange:
+    """Every output of FHR run on ``item``, in enumeration order.
+
+    For x in the row's +1 columns and y in its -1 columns (both
+    ascending): (x, y), kept with probability p 4/order^2, then (y, x),
+    flipped with probability 4/((e^eps + 1) order^2). Written out whole,
+    order^2 / 2 outputs, so only small orders are practical.
+    """
+    _require(params, "correction", "FHR")
+    d = min_order_for_domain(domain_size).order
+    row = item + 1
+    if item < 0 or row >= d:
+        raise ValueError(f"item {item} outside domain [0, {domain_size})")
+    signs = row_vector(row, d)
+    pos = np.flatnonzero(signs > 0)[:, None]
+    neg = np.flatnonzero(signs < 0)[None, :]
+    p_keep = params.p * 4 / (d * d)
+    p_flip = 1 / (math.exp(params.epsilon) + 1) * 4 / (d * d)
+    codes = np.stack([pos * d + neg, neg * d + pos], axis=-1).ravel()
+    probs = np.tile([p_keep, p_flip], codes.size // 2)
+    return FhrRange(item=item, codes=codes, probs=probs, order=d)
+
+
+def exact_range(mechanism: str, item: int, params, domain_size: int) -> OutputRange:
+    """The enumerated range of any certifiable mechanism, FHR's from the oracle."""
+    if mechanism == "fhr":
+        return fhr_range_oracle(item, params, domain_size)
+    return enumerate_range(mechanism, item, params, domain_size)
+
+
+def certify_fhr_oracle(params, domain_size: int) -> FldpCertificate:
+    """FHR's certificate in matrix form: :func:`certify_ranges` over every
+    item's enumerated range, its witness outputs decoded to (x, y)."""
+    ranges = {t: fhr_range_oracle(t, params, domain_size) for t in range(domain_size)}
+    cert = certify_ranges(ranges)
+    return dataclasses.replace(
+        cert,
+        pair_witnesses=tuple(
+            (t, u, ranges[t].output(code)) for t, u, code in cert.pair_witnesses
+        ),
+    )
+
+
 def range_probabilities(output_range) -> dict:
     """An ``OutputRange`` as ``{output: probability}`` in enumeration order,
     FHR outputs as ``(x, y)`` pairs."""
+    decode = output_range.output if isinstance(output_range, FhrRange) else int
     return {
-        output_range.output(code): prob
+        decode(code): prob
         for code, prob in zip(output_range.codes.tolist(), output_range.probs.tolist())
     }
 
@@ -169,13 +229,11 @@ def fhr_estimate_oracle(sum_vector, item: int, params) -> float:
 
 def ratio_profile_oracle(mechanism: str, params, domain_size: int, pair) -> dict:
     """P(s|t) / P(s|t') over the outputs both items of ``pair`` can produce."""
-    from fldp.verifier import enumerate_range
-
     t, t_prime = pair
     if t == t_prime:
         raise ValueError(f"pair items must be distinct, got {t} twice")
-    range_t = range_probabilities(enumerate_range(mechanism, t, params, domain_size))
-    range_u = range_probabilities(enumerate_range(mechanism, t_prime, params, domain_size))
+    range_t = range_probabilities(exact_range(mechanism, t, params, domain_size))
+    range_u = range_probabilities(exact_range(mechanism, t_prime, params, domain_size))
     return {s: range_t[s] / range_u[s] for s in range_t if s in range_u}
 
 

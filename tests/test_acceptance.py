@@ -14,6 +14,7 @@ import pytest
 from scipy.optimize import brentq
 
 from _oracles import (
+    fhr_range_oracle,
     kld_oracle,
     ncr_oracle,
     range_probabilities,
@@ -32,7 +33,7 @@ from fldp.experiment import ExperimentSpec, estimate_once, run_experiment
 from fldp.hadamard import fwht, min_order_for_domain, row_vector
 from fldp.mechanisms import FhrReport, PrivacyParams, fhr_perturb_batch
 from fldp.metrics import NoOverlapError, kld, ncr, related_error, squared_error, top_k
-from fldp.verifier import certify_mechanism, enumerate_range
+from fldp.verifier import certify_mechanism
 from fldp.wire import WireFormatError, pack_fhr, packed_size, unpack_fhr
 
 
@@ -164,7 +165,7 @@ def test_criterion_05_report_dot_distributions(capsys):
     for epsilon in (0.4, 1.0, 2.0):
         params = PrivacyParams.for_fhr(epsilon)
         for item in range(domain):
-            output_range = enumerate_range("fhr", item, params, domain)
+            output_range = fhr_range_oracle(item, params, domain)
             for candidate in range(domain):
                 signs = row_vector(candidate + 1, order.order)
                 buckets = {-2: [], 0: [], 2: []}

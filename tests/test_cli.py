@@ -220,8 +220,8 @@ class TestVerifyFldp:
         capsys.readouterr()
 
     def test_enumeration_limit_is_usage_error(self, capsys):
-        assert _run(["verify-fldp", "fhr", "--epsilon", "1.0", "--order", "256"]) == 1
-        capsys.readouterr()
+        assert _run(["verify-fldp", "fhr", "--epsilon", "1.0", "--order", "8192"]) == 1
+        assert "enumeration limit 4096" in capsys.readouterr().err
 
     def test_failed_certificate_exits_two(self, tmp_path, capsys, monkeypatch):
         broken = FldpCertificate(

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from fldp.hadamard import HadamardOrder, fwht, min_order_for_domain, row_vector
 from fldp.mechanisms import PrivacyParams
-from fldp.verifier import enumerate_range
 
-from _oracles import range_probabilities, sign_block_oracle, sylvester_matrix
+from _oracles import fhr_range_oracle, range_probabilities, sign_block_oracle, sylvester_matrix
 
 
 class TestMinOrder:
@@ -127,8 +126,8 @@ class TestPositions:
     @staticmethod
     def _kept_halves(row, order):
         params = PrivacyParams.for_fhr(1.0)
-        output_range = enumerate_range("fhr", row - 1, params, order - 1)
-        # kept outputs have probability 4p / order^2, flipped 4(1 - p) / order^2
+        output_range = fhr_range_oracle(row - 1, params, order - 1)
+        # kept outputs have probability 4p / order^2, flipped 4 / ((e^eps + 1) order^2)
         probabilities = range_probabilities(output_range)
         kept = [out for out, prob in probabilities.items() if prob > 2 / order**2]
         return {x for x, _ in kept}, {y for _, y in kept}
@@ -152,7 +151,7 @@ class TestPositions:
     def test_row_0_rejected(self):
         # item -1 would be the reserved all-ones row 0
         with pytest.raises(ValueError):
-            enumerate_range("fhr", -1, PrivacyParams.for_fhr(1.0), 3)
+            fhr_range_oracle(-1, PrivacyParams.for_fhr(1.0), 3)
 
 
 class TestSignBlock:

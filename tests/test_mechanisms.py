@@ -31,7 +31,7 @@ from fldp.mechanisms import (
 from fldp.verifier import enumerate_range
 from fldp.wire import report_size_table
 
-from _oracles import olh_hash_oracle, unary_perturb_bits_oracle
+from _oracles import fhr_range_oracle, olh_hash_oracle, unary_perturb_bits_oracle
 
 
 class TestPrivacyParams:
@@ -458,7 +458,7 @@ _PARAMS_READERS = {
         ("fhr",),
         lambda params: fhr_estimate_all(SumVector.zero(4), 3, params, HadamardOrder(2)),
     ),
-    "enumerate_range[fhr]": (("fhr",), lambda params: enumerate_range("fhr", 0, params, 3)),
+    "fhr_range_oracle": (("fhr",), lambda params: fhr_range_oracle(0, params, 3)),
     "grr_perturb_batch": (
         ("grr", "oue", "rappor"),
         lambda params: grr_perturb_batch(np.array([0]), params, 4, np.random.default_rng(0)),

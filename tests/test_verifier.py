@@ -1,10 +1,12 @@
 """Exact enumeration audits: overlap fractions, ratio bounds, witnesses."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from fldp import verifier
 from fldp.hadamard import min_order_for_domain, row_vector
 from fldp.mechanisms import MECHANISMS, PrivacyParams
 from fldp.verifier import (
@@ -17,7 +19,15 @@ from fldp.verifier import (
     enumerate_range,
 )
 
-from _oracles import certify_ranges_oracle, range_probabilities, ratio_profile_oracle
+import _oracles
+from _oracles import (
+    certify_fhr_oracle,
+    certify_ranges_oracle,
+    exact_range,
+    fhr_range_oracle,
+    range_probabilities,
+    ratio_profile_oracle,
+)
 
 
 def _fhr_params(eps):
@@ -27,18 +37,18 @@ def _fhr_params(eps):
 class TestEnumerateRange:
     def test_fhr_order_8_range_size(self):
         # 16 positive-negative index pairs in two orientations each
-        rng = enumerate_range("fhr", 0, _fhr_params(1.0), 7)
+        rng = fhr_range_oracle(0, _fhr_params(1.0), 7)
         assert rng.size == 32
 
     def test_fhr_probabilities_sum_to_one_per_item(self):
         for item in range(7):
-            rng = enumerate_range("fhr", item, _fhr_params(0.6), 7)
+            rng = fhr_range_oracle(item, _fhr_params(0.6), 7)
             assert math.fsum(range_probabilities(rng).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_fhr_pair_probabilities(self):
         eps = 1.0
         params = _fhr_params(eps)
-        rng = enumerate_range("fhr", 2, params, 7)
+        rng = fhr_range_oracle(2, params, 7)
         vec = row_vector(3, 8)
         for (x, y), prob in range_probabilities(rng).items():
             if vec[x] == 1 and vec[y] == -1:
@@ -60,8 +70,9 @@ class TestEnumerateRange:
         assert math.fsum(range_probabilities(rng).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_enumeration_limits(self):
+        # FHR's limit is order 4096; 4096 items need order 8192
         with pytest.raises(EnumerationLimitError):
-            enumerate_range("fhr", 0, _fhr_params(1.0), 255)
+            certify_mechanism("fhr", 1.0, 4096)
         with pytest.raises(EnumerationLimitError):
             enumerate_range("grr", 0, PrivacyParams.for_grr(1.0, 257), 257)
         with pytest.raises(EnumerationLimitError):
@@ -71,7 +82,7 @@ class TestEnumerateRange:
         # output spaces far beyond memory: each limit must trip before any
         # array of that size is asked for
         with pytest.raises(EnumerationLimitError):
-            enumerate_range("fhr", 0, _fhr_params(1.0), 2**40 - 1)
+            certify_mechanism("fhr", 1.0, 2**40 - 1)
         with pytest.raises(EnumerationLimitError):
             enumerate_range("grr", 0, PrivacyParams.for_grr(1.0, 10**12), 10**12)
         with pytest.raises(EnumerationLimitError):
@@ -79,16 +90,19 @@ class TestEnumerateRange:
 
     def test_output_codes(self):
         # fhr codes x * order + y decode to the pair; other codes are the output
-        rng = enumerate_range("fhr", 2, _fhr_params(1.0), 7)
+        rng = fhr_range_oracle(2, _fhr_params(1.0), 7)
         outputs = [rng.output(c) for c in rng.codes.tolist()]
         assert outputs == [divmod(int(c), 8) for c in rng.codes]
         assert all(type(x) is int for pair in outputs for x in pair)
         rng = enumerate_range("rappor", 1, PrivacyParams.for_rappor(1.0), 3)
-        assert [rng.output(c) for c in rng.codes.tolist()] == list(range(8))
+        assert list(range_probabilities(rng)) == list(range(8))
 
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(ValueError):
             enumerate_range("olh", 0, PrivacyParams.for_olh(1.0), 4)
+        # FHR is certified in closed form, never enumerated
+        with pytest.raises(ValueError):
+            enumerate_range("fhr", 0, _fhr_params(1.0), 3)
 
     def test_output_range_validation(self):
         with pytest.raises(ValueError):
@@ -166,14 +180,76 @@ class TestCertify:
             FldpCertificate(eta_observed=0.5, max_ratio_observed=0.5, epsilon_effective=0.0)
 
 
+class TestFhrClosedForm:
+    """FHR's closed-form certificate equals the matrix form's over its
+    enumerated ranges, field for field, under the same probabilities."""
+
+    @staticmethod
+    def _check(order, eps):
+        cert = certify_mechanism("fhr", eps, order - 1)
+        oracle = certify_fhr_oracle(_fhr_params(eps), order - 1)
+        assert cert == oracle, (order, eps)
+        assert repr(cert) == repr(oracle)  # python ints and floats, as JSON needs
+        return cert
+
+    @pytest.mark.parametrize("order", [4, 8, 16, 32, 64])
+    def test_every_budget(self, order):
+        for k in range(1, 46):
+            self._check(order, k / 10)
+
+    # budgets at which p_keep/p_flip rounds above, equal to and below
+    # 1 / (p_flip/p_keep): the witnesses are the kept outputs, both, or
+    # the flipped ones (oriented from the higher item)
+    @pytest.mark.parametrize(
+        "eps,orientations", [(0.6, {True}), (1.0, {True, False}), (1.3, {False})]
+    )
+    def test_order_128(self, eps, orientations):
+        cert = self._check(128, eps)
+        assert {t < u for t, u, _ in cert.pair_witnesses} == orientations
+
+    def test_gram_blocks_over_uneven_overlaps(self, monkeypatch):
+        # balanced rows in random column orders give the pairs unequal
+        # overlaps; the last two items share one row, so the last pair,
+        # in the last block, alone shares its whole range
+        rng = np.random.default_rng(5)
+        order, domain = 16, 15
+        halves = np.repeat(np.array([1, -1], dtype=np.int8), order // 2)
+        rows = {row: rng.permutation(halves) for row in range(1, order)}
+        rows[order - 1] = rows[order - 2]
+        for module in (verifier, _oracles):
+            monkeypatch.setattr(module, "row_vector", lambda row, _: rows[row])
+        monkeypatch.setattr(verifier, "_GRAM_BLOCK", 4)
+        cert = certify_mechanism("fhr", 1.0, domain)
+        assert cert == certify_fhr_oracle(_fhr_params(1.0), domain)
+        assert cert.intersection_size_min < cert.intersection_size_max == cert.range_size_min
+
+    def test_order_1024(self):
+        cert = certify_mechanism("fhr", 1.0, 1023)
+        assert cert.eta_observed == 0.5
+        assert abs(cert.epsilon_effective - 1.0) <= 1e-9
+        assert cert.range_size_min == cert.range_size_max == 1024**2 // 2
+        assert cert.intersection_size_min == cert.intersection_size_max == 1024**2 // 4
+        assert len(cert.pair_witnesses) == 8
+
+    @pytest.mark.parametrize("eps", [36.0, 40.0, 80.0, 709.0, math.log(sys.float_info.max)])
+    def test_large_budgets_pass(self, eps):
+        # the flip probability 1/(e^eps + 1) survives where 1 - p is 0
+        cert = certify_mechanism("fhr", eps, 7)
+        assert certificate_passes("fhr", eps, cert)
+        assert abs(cert.epsilon_effective - eps) <= 1e-9
+        assert cert.eta_observed == 0.5
+
+
 class TestMatrixAgainstPairwiseOracle:
     """The matrix certificate equals the pairwise audit's, field for field."""
 
     @staticmethod
     def _both(mechanism, eps, domain):
         params = MECHANISMS[mechanism].params(eps, domain)
-        ranges = {t: enumerate_range(mechanism, t, params, domain) for t in range(domain)}
+        ranges = {t: exact_range(mechanism, t, params, domain) for t in range(domain)}
         oracle = certify_ranges_oracle({t: range_probabilities(r) for t, r in ranges.items()})
+        if mechanism == "fhr":
+            return certify_fhr_oracle(params, domain), oracle
         return certify_ranges(ranges), oracle
 
     @pytest.mark.parametrize("eps", [0.4, 1.0, 2.0, 4.5])
@@ -284,7 +360,7 @@ class TestReportDotDistributions:
         params = _fhr_params(eps)
         order = min_order_for_domain(7)
         for item in range(7):
-            rng = enumerate_range("fhr", item, params, 7)
+            rng = fhr_range_oracle(item, params, 7)
             vec = row_vector(item + 1, order.order).astype(int)
             mass = {}
             for (x, y), prob in range_probabilities(rng).items():
@@ -301,7 +377,7 @@ class TestReportDotDistributions:
         params = _fhr_params(eps)
         order = min_order_for_domain(7)
         for item in range(7):
-            rng = enumerate_range("fhr", item, params, 7)
+            rng = fhr_range_oracle(item, params, 7)
             for other in range(7):
                 if other == item:
                     continue
