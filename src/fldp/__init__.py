@@ -14,7 +14,6 @@ from .aggregator import (
     fhr_estimate_all,
     fhr_variance_bound,
     fhr_variance_exact,
-    grr_estimate,
     olh_estimate_all,
     oue_variance,
     unary_estimate,

@@ -12,8 +12,10 @@ is decoded at once by one fast Walsh-Hadamard transform of the sums,
 O(order log order), whose entry ``i + 1`` is item ``i``'s dot product.
 
 The baseline estimators are the usual unbiased inversions of their flip
-probabilities: ``(observed - n*q) / (p - q)`` for GRR and unary encodings,
-and ``(C(t) - n/g) / (p - 1/g)`` for OLH support counts, which are
+probabilities: ``(observed - n*q) / (p - q)`` for the unary encodings'
+bit counts and for GRR, whose tally of reported values is a sum of
+one-hot vectors and so is such a bit count; and
+``(C(t) - n/g) / (p - 1/g)`` for OLH support counts, which are
 tallied item by item with one add and one compare per report. Large
 batches of OLH reports are split into contiguous shards, one thread each
 up to the usable CPU count; the per-item numpy calls release the GIL, and
@@ -48,7 +50,6 @@ __all__ = [
     "fhr_accumulate",
     "fhr_accumulate_indices",
     "fhr_estimate_all",
-    "grr_estimate",
     "unary_estimate",
     "olh_support_counts",
     "olh_estimate_all",
@@ -166,19 +167,12 @@ def _check_invertible(params: PrivacyParams) -> None:
         raise ValueError("degenerate parameters: p == q cannot be inverted")
 
 
-def grr_estimate(counts: np.ndarray, params: PrivacyParams) -> FrequencyEstimate:
-    """Invert GRR report tallies, one per item: (count_t - n*q) / (p - q).
-
-    Every report lands on exactly one item, so n is the tallies' total.
-    """
-    _check_invertible(params)
-    counts = np.asarray(counts, dtype=np.float64)
-    n = counts.sum()
-    return FrequencyEstimate(estimates=(counts - n * params.q) / (params.p - params.q), n=n)
-
-
 def unary_estimate(bit_counts: np.ndarray, params: PrivacyParams, n: int) -> FrequencyEstimate:
-    """Invert per-position set-bit tallies: (c_i - n*q) / (p - q)."""
+    """Invert per-position set-bit tallies of n reports: (c_i - n*q) / (p - q).
+
+    A GRR tally of reported values is one: each report is the one-hot
+    vector of its value, the item with probability p and each other with q.
+    """
     _check_invertible(params)
     bit_counts = np.asarray(bit_counts, dtype=np.float64)
     if bit_counts.size and (bit_counts.min() < 0 or bit_counts.max() > n):

@@ -18,6 +18,7 @@ certification fails its bound.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -201,14 +202,7 @@ def verify_fldp(
         "size": size,
         "domain_size": domain_size,
         "eta_expected": MECHANISMS[mechanism].eta,
-        "eta_observed": certificate.eta_observed,
-        "max_ratio_observed": certificate.max_ratio_observed,
-        "epsilon_effective": certificate.epsilon_effective,
-        "range_size_min": certificate.range_size_min,
-        "range_size_max": certificate.range_size_max,
-        "intersection_size_min": certificate.intersection_size_min,
-        "intersection_size_max": certificate.intersection_size_max,
-        "pair_witnesses": [list(witness) for witness in certificate.pair_witnesses],
+        **dataclasses.asdict(certificate),
         "passed": passed,
     }
     out_dir = Path(out_dir)

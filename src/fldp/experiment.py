@@ -150,7 +150,7 @@ def estimate_once(
     if mechanism == "grr":
         values = mechanisms.grr_perturb_batch(items, params, domain_size, rng)
         counts = np.bincount(values, minlength=domain_size)
-        return aggregator.grr_estimate(counts, params).estimates
+        return aggregator.unary_estimate(counts, params, items.size).estimates
     if mechanism in ("oue", "rappor"):
         bit_counts = mechanisms.unary_sample_counts(items, params, domain_size, rng)
         return aggregator.unary_estimate(bit_counts, params, items.size).estimates

@@ -8,7 +8,8 @@ pair of column indices, so it costs 2r+1 bits regardless of domain size.
 The baselines are the standard constructions: generalized randomized
 response (GRR), unary encoding in its symmetric (RAPPOR) and optimized
 (OUE) variants, and optimized local hashing (OLH) with a per-report random
-hash seed. OLH hashes with multiply-shift, a universal family
+hash seed: GRR over g hashed buckets (Wang et al., 2017), through GRR's
+own draw. OLH hashes with multiply-shift, a universal family
 (Dietzfelbinger et al., 1997), whose keys are the items below 2^32.
 
 Unary encodings are sampled at count level: :func:`unary_sample_counts`
@@ -63,11 +64,12 @@ _MAX_EPSILON = math.log(sys.float_info.max)
 
 
 def _check_epsilon(epsilon: float) -> None:
-    """Raise ValueError unless 0 < epsilon and e^epsilon is a finite float."""
-    if not 0 < epsilon <= _MAX_EPSILON:
+    """Raise ValueError unless e^epsilon is a finite float above 1; it
+    rounds to 1 below about 1.1e-16, where p - q or e^eps - 1 is 0."""
+    if not 0 < epsilon <= _MAX_EPSILON or math.exp(epsilon) == 1:
         raise ValueError(
-            f"epsilon must lie in (0, {_MAX_EPSILON:.2f}] so that e^epsilon is finite, "
-            f"got {epsilon}"
+            f"epsilon must lie in (0, {_MAX_EPSILON:.2f}] so that e^epsilon is finite "
+            f"and above 1, got {epsilon}"
         )
 
 
@@ -270,16 +272,22 @@ def _check_domain(items: np.ndarray, domain_size: int) -> np.ndarray:
     return items
 
 
+def _randomized_response(
+    values: np.ndarray, p: float, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """GRR's draw over [0, size): keep each value with probability p, else
+    report one of the size - 1 others uniformly, as a nonzero cyclic shift."""
+    keep = rng.random(values.size) < p
+    offset = rng.integers(1, size, size=values.size)
+    return np.where(keep, values, (values + offset) % size)
+
+
 def grr_perturb_batch(
     items: np.ndarray, params: PrivacyParams, domain_size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Generalized randomized response over [0, domain_size)."""
     _require(params, "q", "GRR or unary encoding")
-    items = _check_domain(items, domain_size)
-    keep = rng.random(items.size) < params.p
-    # uniform over the d-1 wrong answers, realized as a nonzero cyclic shift
-    offset = rng.integers(1, domain_size, size=items.size)
-    return np.where(keep, items, (items + offset) % domain_size)
+    return _randomized_response(_check_domain(items, domain_size), params.p, domain_size, rng)
 
 
 def unary_sample_counts(
@@ -359,11 +367,7 @@ def olh_perturb_batch(
     """OLH reports for a batch: fresh 64-bit seed per user, hash into
     [0, g), then GRR inside the hashed domain. Returns (seeds, values)."""
     _require(params, "g", "OLH")
-    g = params.g
     items = _check_domain(items, domain_size)
     seeds = rng.integers(0, 2**64, size=items.size, dtype=np.uint64)
-    buckets = olh_hash(seeds, items, g)
-    keep = rng.random(items.size) < params.p
-    offset = rng.integers(1, g, size=items.size)
-    values = np.where(keep, buckets, (buckets + offset) % g)
-    return seeds, values.astype(np.int64)
+    buckets = olh_hash(seeds, items, params.g)
+    return seeds, _randomized_response(buckets, params.p, params.g, rng)

@@ -7,8 +7,10 @@ the full output distribution of a mechanism analytically over a small
 domain (never by sampling), then certifies the observed eta and the
 worst-case ratio with the witnessing input pairs and outputs.
 
-GRR and the unary encodings are enumerated: each item's range is a pair
-of arrays, the output codes in enumeration order and their probabilities.
+GRR and the unary encodings are enumerated by :func:`enumerate_range`,
+which checks the domain against the mechanism's row of one limits table
+and then writes down its law. Each item's range is a pair of arrays, the
+output codes in enumeration order and their probabilities.
 :func:`certify_ranges` scatters them into one items x outputs probability
 matrix P. Its support S = P > 0 gives the range sizes (row sums) and every
 pair's overlap (S . S^T). The ratios are then taken one row t at a time:
@@ -48,8 +50,9 @@ __all__ = [
 
 _MAX_FHR_ORDER = 4096
 _GRAM_BLOCK = 256  # rows of the FHR Gram matrix taken at once
-_MAX_GRR_DOMAIN = 256
-_MAX_UNARY_DOMAIN = 12
+# each enumerable mechanism: the name its limit message gives it, and the
+# largest domain whose output ranges are written down
+_ENUMERABLE = {"grr": ("GRR", 256), "oue": ("unary", 12), "rappor": ("unary", 12)}
 _MAX_WITNESSES = 8
 _PROB_SUM_TOL = 1e-9
 # slack of the pass rule: on the observed overlap, and on the effective
@@ -72,7 +75,6 @@ class OutputRange:
     they index the columns of the certifier's probability matrix.
     """
 
-    item: int
     codes: np.ndarray
     probs: np.ndarray
 
@@ -126,37 +128,6 @@ class FldpCertificate:
             raise ValueError(f"max ratio must be at least 1, got {self.max_ratio_observed}")
 
 
-def _grr_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRange:
-    if domain_size > _MAX_GRR_DOMAIN:
-        raise EnumerationLimitError(
-            f"GRR domain {domain_size} exceeds the enumeration limit {_MAX_GRR_DOMAIN}"
-        )
-    if not 0 <= item < domain_size:
-        raise ValueError(f"item {item} outside domain [0, {domain_size})")
-    _require(params, "q", "GRR")
-    probs = np.full(domain_size, params.q)
-    probs[item] = params.p
-    return OutputRange(item=item, codes=np.arange(domain_size), probs=probs)
-
-
-def _unary_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRange:
-    if domain_size > _MAX_UNARY_DOMAIN:
-        raise EnumerationLimitError(
-            f"unary domain {domain_size} exceeds the enumeration limit {_MAX_UNARY_DOMAIN}"
-        )
-    if not 0 <= item < domain_size:
-        raise ValueError(f"item {item} outside domain [0, {domain_size})")
-    _require(params, "q", "unary encoding")
-    p, q = params.p, params.q
-    masks = np.arange(1 << domain_size)
-    probs = np.ones(masks.size)
-    # one factor per bit position, in position order (which fixes the rounding)
-    for j in range(domain_size):
-        on, off = (p, 1 - p) if j == item else (q, 1 - q)
-        probs *= np.where((masks >> j) & 1, on, off)
-    return OutputRange(item=item, codes=masks, probs=probs)
-
-
 def enumerate_range(
     mechanism: str, item: int, params: PrivacyParams, domain_size: int
 ) -> OutputRange:
@@ -166,11 +137,28 @@ def enumerate_range(
     output space is too large to write down. GRR and the unary encodings
     only: FHR is certified in closed form by :func:`certify_mechanism`.
     """
+    if mechanism not in _ENUMERABLE:
+        raise ValueError(f"cannot enumerate mechanism {mechanism!r}")
+    label, limit = _ENUMERABLE[mechanism]
+    if domain_size > limit:
+        raise EnumerationLimitError(
+            f"{label} domain {domain_size} exceeds the enumeration limit {limit}"
+        )
+    if not 0 <= item < domain_size:
+        raise ValueError(f"item {item} outside domain [0, {domain_size})")
+    _require(params, "q", "GRR or unary encoding")
+    p, q = params.p, params.q
     if mechanism == "grr":
-        return _grr_range(item, params, domain_size)
-    if mechanism in ("oue", "rappor"):
-        return _unary_range(item, params, domain_size)
-    raise ValueError(f"cannot enumerate mechanism {mechanism!r}")
+        probs = np.full(domain_size, q)
+        probs[item] = p
+        return OutputRange(codes=np.arange(domain_size), probs=probs)
+    masks = np.arange(1 << domain_size)
+    probs = np.ones(masks.size)
+    # one factor per bit position, in position order (which fixes the rounding)
+    for j in range(domain_size):
+        on, off = (p, 1 - p) if j == item else (q, 1 - q)
+        probs *= np.where((masks >> j) & 1, on, off)
+    return OutputRange(codes=masks, probs=probs)
 
 
 def certify_ranges(ranges: Mapping[int, OutputRange]) -> FldpCertificate:

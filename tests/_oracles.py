@@ -165,7 +165,7 @@ def fhr_range_oracle(item: int, params, domain_size: int) -> FhrRange:
     p_flip = 1 / (math.exp(params.epsilon) + 1) * 4 / (d * d)
     codes = np.stack([pos * d + neg, neg * d + pos], axis=-1).ravel()
     probs = np.tile([p_keep, p_flip], codes.size // 2)
-    return FhrRange(item=item, codes=codes, probs=probs, order=d)
+    return FhrRange(codes=codes, probs=probs, order=d)
 
 
 def exact_range(mechanism: str, item: int, params, domain_size: int) -> OutputRange:

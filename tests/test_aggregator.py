@@ -18,7 +18,6 @@ from fldp.aggregator import (
     fhr_estimate_all,
     fhr_variance_bound,
     fhr_variance_exact,
-    grr_estimate,
     olh_estimate_all,
     olh_support_counts,
     oue_variance,
@@ -202,19 +201,20 @@ class TestFhrEstimate:
 
 
 class TestGrrEstimate:
+    # a GRR tally is a sum of one-hot reports, so unary_estimate inverts it
     def test_expected_counts_invert_exactly(self):
         eps, d, n = math.log(3), 4, 10_000
         params = PrivacyParams.for_grr(eps, d)
         truth = np.array([5000, 3000, 1500, 500], dtype=np.float64)
         expected_counts = truth * params.p + (n - truth) * params.q
-        est = grr_estimate(expected_counts, params)
+        est = unary_estimate(expected_counts, params, expected_counts.sum())
         assert np.allclose(est.estimates, truth, atol=1e-9)
 
     def test_zero_count_gives_negative_floor(self):
         eps, d, n = 1.0, 5, 1000
         params = PrivacyParams.for_grr(eps, d)
         counts = np.array([n, 0, 0, 0, 0], dtype=np.float64)
-        est = grr_estimate(counts, params)
+        est = unary_estimate(counts, params, counts.sum())
         floor = -n * params.q / (params.p - params.q)
         assert est.estimates[1] == pytest.approx(floor)
 
@@ -229,15 +229,16 @@ class TestGrrEstimate:
             items = np.repeat(np.arange(d), n // d)
             values = grr_perturb_batch(items, params, d, rng)
             counts = np.bincount(values, minlength=d)
-            per_trial.append(grr_estimate(counts, params).estimates)
+            per_trial.append(unary_estimate(counts, params, counts.sum()).estimates)
         means = np.mean(per_trial, axis=0)
         sigma = np.std(per_trial, axis=0, ddof=1) / math.sqrt(trials)
         assert np.all(np.abs(means - n / d) <= 3 * sigma)
 
     def test_degenerate_parameters_rejected(self):
         params = PrivacyParams(epsilon=1e-9, p=0.5, q=0.5 * (1 - 1e-12))
-        with pytest.raises(ValueError):
-            grr_estimate(np.array([1.0, 0.0]), params)
+        counts = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="degenerate"):
+            unary_estimate(counts, params, counts.sum())
 
 
 class TestUnaryEstimate:
@@ -467,6 +468,14 @@ class TestVarianceFormulas:
         observed = np.var(estimates, ddof=1)
         expected = fhr_variance_bound(eps, n)
         assert observed == pytest.approx(expected, rel=0.25)
+
+    def test_budget_whose_exponential_rounds_to_one_rejected(self):
+        # e^1e-17 == 1.0, where each variance divides by e^eps - 1 = 0
+        for variance in (fhr_variance_bound, oue_variance):
+            with pytest.raises(ValueError, match="epsilon must lie in"):
+                variance(1e-17, 10)
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            fhr_variance_exact(1e-17, 10, 1)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, 1000.0])
     def test_budgets_without_a_finite_exponential_rejected(self, eps):

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, artifact files, printed output."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -59,6 +60,26 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("fldp: epsilon must lie in")
         assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["size-table", "15", "--epsilon", "1e-17"],
+            ["verify-fldp", "fhr", "--order", "8", "--epsilon", "1e-17"],
+            ["run", "--epsilons", "1e-17", "--trials", "1", "--topk", "5",
+             "--zipf-n", "100", "--zipf-d", "8"],
+        ],
+    )
+    def test_budget_whose_exponential_rounds_to_one_is_a_usage_error(
+        self, argv, capsys, tmp_path
+    ):
+        out = [] if argv[0] == "size-table" else ["--out", str(tmp_path)]
+        assert _run(argv + out) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith("fldp: epsilon must lie in")
+        assert printed.err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
 
@@ -197,6 +218,15 @@ class TestVerifyFldp:
         assert document["passed"] is True
         assert document["eta_observed"] == 0.5
         assert abs(document["epsilon_effective"] - 1.0) <= 1e-9
+
+    def test_document_is_the_certificate_plus_the_request(self, tmp_path, capsys):
+        document, _ = cli.verify_fldp("grr", 1.0, 4, tmp_path)
+        request = {"mechanism", "epsilon", "size", "domain_size", "eta_expected", "passed"}
+        fields = {f.name for f in dataclasses.fields(FldpCertificate)}
+        assert not request & fields
+        assert set(document) == request | fields
+        on_disk = json.loads((tmp_path / "certificate.json").read_text(encoding="utf-8"))
+        assert set(on_disk) == set(document)
 
     def test_grr_certificate_passes(self, tmp_path, capsys):
         code = _run([

@@ -203,6 +203,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             estimate_once("shr", np.array([0]), 4, 1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 4.0])
+    def test_grr_estimates_total_the_report_count(self, eps):
+        # every GRR report is one value, so inverting the tally with the
+        # report count n gives estimates that sum to n
+        items = np.random.default_rng(5).integers(0, 63, size=10_000)
+        estimates = estimate_once("grr", items, 63, eps, np.random.default_rng(6))
+        assert estimates.sum() == pytest.approx(items.size, rel=1e-12)
+
 
 class TestManifest:
     def test_resolved_parameters_recorded(self, tmp_path):

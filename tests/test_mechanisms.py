@@ -12,7 +12,6 @@ from fldp.aggregator import (
     SumVector,
     fhr_accumulate,
     fhr_estimate_all,
-    grr_estimate,
     olh_estimate_all,
     unary_estimate,
 )
@@ -75,6 +74,14 @@ class TestPrivacyParams:
         # e^eps must be a finite float; above ln(max float) it is not
         with pytest.raises(ValueError, match="epsilon must lie in"):
             MECHANISMS[name].params(eps, 16)
+
+    @pytest.mark.parametrize("name", list(MECHANISMS))
+    def test_budget_whose_exponential_rounds_to_one_rejected(self, name):
+        # e^1e-17 == 1.0, where p - q and e^eps - 1 vanish
+        assert math.exp(1e-17) == 1
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            MECHANISMS[name].params(1e-17, 16)
+        MECHANISMS[name].params(1e-15, 16)
 
     @pytest.mark.parametrize("name", list(MECHANISMS))
     def test_largest_budget_builds_finite_params(self, name):
@@ -200,6 +207,17 @@ class TestGrrPerturb:
         # each wrong answer is equally likely
         assert np.mean(out == 0) == pytest.approx(0.2, abs=0.01)
         assert np.mean(out == 2) == pytest.approx(0.2, abs=0.01)
+
+    def test_draws_keep_then_offset(self):
+        # the keep draws come first and then the nonzero offsets, an order
+        # that fixed-seed reports (and results.csv) depend on
+        params = PrivacyParams.for_grr(1.0, 7)
+        items = np.random.default_rng(1).integers(0, 7, size=2000)
+        out = grr_perturb_batch(items, params, 7, np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        keep = rng.random(items.size) < params.p
+        shifted = (items + rng.integers(1, 7, size=items.size)) % 7
+        assert np.array_equal(out, np.where(keep, items, shifted))
 
     def test_large_epsilon_keeps_item(self):
         params = PrivacyParams.for_grr(40.0, 8)
@@ -405,6 +423,21 @@ class TestOlh:
         b = olh_perturb_batch(items, params, 2**40, np.random.default_rng(8))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize("eps", [0.5, 2.0, 5.0])  # g = 2, 3, 6
+    def test_reports_are_grr_over_the_hashed_buckets(self, eps):
+        # OLH's value is GRR's draw, over g buckets with OLH's p, applied to
+        # the item's hash under the seed drawn first from the same generator
+        params = PrivacyParams.for_olh(eps)
+        grr_params = PrivacyParams.for_grr(eps, params.g)
+        assert grr_params.p == params.p
+        items = np.random.default_rng(3).integers(0, 500, size=5000)
+        seeds, values = olh_perturb_batch(items, params, 500, np.random.default_rng(12))
+        rng = np.random.default_rng(12)
+        grr_seeds = rng.integers(0, 2**64, size=items.size, dtype=np.uint64)
+        buckets = olh_hash(grr_seeds, items, params.g)
+        assert np.array_equal(seeds, grr_seeds)
+        assert np.array_equal(values, grr_perturb_batch(buckets, grr_params, params.g, rng))
+
     def test_wrong_params_type_rejected(self):
         with pytest.raises(ValueError):
             olh_perturb_batch(np.array([0]), PrivacyParams.for_grr(1.0, 4), 4, np.random.default_rng(0))
@@ -466,10 +499,6 @@ _PARAMS_READERS = {
     "unary_sample_counts": (
         ("oue", "rappor", "grr"),
         lambda params: unary_sample_counts(np.array([0]), params, 4, np.random.default_rng(0)),
-    ),
-    "grr_estimate": (
-        ("grr", "oue", "rappor"),
-        lambda params: grr_estimate(np.array([1.0, 0.0, 0.0, 0.0]), params),
     ),
     "unary_estimate": (
         ("oue", "rappor", "grr"),

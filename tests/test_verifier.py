@@ -73,10 +73,12 @@ class TestEnumerateRange:
         # FHR's limit is order 4096; 4096 items need order 8192
         with pytest.raises(EnumerationLimitError):
             certify_mechanism("fhr", 1.0, 4096)
-        with pytest.raises(EnumerationLimitError):
-            enumerate_range("grr", 0, PrivacyParams.for_grr(1.0, 257), 257)
-        with pytest.raises(EnumerationLimitError):
-            enumerate_range("oue", 0, PrivacyParams.for_oue(1.0), 13)
+        for name, domain, label, limit in (
+            ("grr", 257, "GRR", 256), ("oue", 13, "unary", 12), ("rappor", 13, "unary", 12)
+        ):
+            message = f"^{label} domain {domain} exceeds the enumeration limit {limit}$"
+            with pytest.raises(EnumerationLimitError, match=message):
+                enumerate_range(name, 0, MECHANISMS[name].params(1.0, domain), domain)
 
     def test_limits_raise_before_allocating(self):
         # output spaces far beyond memory: each limit must trip before any
@@ -98,23 +100,25 @@ class TestEnumerateRange:
         assert list(range_probabilities(rng)) == list(range(8))
 
     def test_unknown_mechanism_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot enumerate mechanism 'olh'"):
             enumerate_range("olh", 0, PrivacyParams.for_olh(1.0), 4)
         # FHR is certified in closed form, never enumerated
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot enumerate mechanism 'fhr'"):
             enumerate_range("fhr", 0, _fhr_params(1.0), 3)
+        with pytest.raises(ValueError, match="cannot enumerate mechanism 'shr'"):
+            enumerate_range("shr", 0, PrivacyParams.for_grr(1.0, 3), 3)
 
     def test_output_range_validation(self):
         with pytest.raises(ValueError):
-            OutputRange(item=0, codes=[0, 1], probs=[0.5, 0.4])
+            OutputRange(codes=[0, 1], probs=[0.5, 0.4])
         with pytest.raises(ValueError):
-            OutputRange(item=0, codes=[0, 1], probs=[1.0, 0.0])
+            OutputRange(codes=[0, 1], probs=[1.0, 0.0])
         with pytest.raises(ValueError, match="distinct"):
-            OutputRange(item=0, codes=[3, 3], probs=[0.5, 0.5])
+            OutputRange(codes=[3, 3], probs=[0.5, 0.5])
         with pytest.raises(ValueError, match="nonnegative"):
-            OutputRange(item=0, codes=[-1, 0], probs=[0.5, 0.5])
+            OutputRange(codes=[-1, 0], probs=[0.5, 0.5])
         with pytest.raises(ValueError, match="one length"):
-            OutputRange(item=0, codes=[0, 1, 2], probs=[0.5, 0.5])
+            OutputRange(codes=[0, 1, 2], probs=[0.5, 0.5])
 
 
 class TestCertify:
@@ -151,8 +155,8 @@ class TestCertify:
 
     def test_disjoint_ranges_give_eta_zero(self):
         ranges = {
-            0: OutputRange(item=0, codes=[0, 1], probs=[0.5, 0.5]),
-            1: OutputRange(item=1, codes=[2, 3], probs=[0.5, 0.5]),
+            0: OutputRange(codes=[0, 1], probs=[0.5, 0.5]),
+            1: OutputRange(codes=[2, 3], probs=[0.5, 0.5]),
         }
         cert = certify_ranges(ranges)
         assert cert.eta_observed == 0.0
@@ -171,7 +175,7 @@ class TestCertify:
 
     def test_single_item_rejected(self):
         with pytest.raises(ValueError):
-            certify_ranges({0: OutputRange(item=0, codes=[0], probs=[1.0])})
+            certify_ranges({0: OutputRange(codes=[0], probs=[1.0])})
 
     def test_certificate_validation(self):
         with pytest.raises(ValueError):
@@ -274,8 +278,8 @@ class TestMatrixAgainstPairwiseOracle:
         # with no ratio above 1, outputs of equal probability are the
         # witnesses, oriented from the lower item and in its order
         ranges = {
-            0: OutputRange(item=0, codes=[0, 1, 2], probs=[0.5, 0.25, 0.25]),
-            1: OutputRange(item=1, codes=[2, 1, 3], probs=[0.25, 0.25, 0.5]),
+            0: OutputRange(codes=[0, 1, 2], probs=[0.5, 0.25, 0.25]),
+            1: OutputRange(codes=[2, 1, 3], probs=[0.25, 0.25, 0.5]),
         }
         cert = certify_ranges(ranges)
         assert cert == certify_ranges_oracle(
@@ -289,9 +293,9 @@ class TestMatrixAgainstPairwiseOracle:
         # pair (0, 1) shares outputs 1, 3, 5; item 1's range is the smaller,
         # so its order 5, 3, 1 is the order its witnesses come in
         ranges = {
-            0: OutputRange(item=0, codes=[0, 1, 2, 3, 4, 5], probs=[1 / 6] * 6),
-            1: OutputRange(item=1, codes=[5, 3, 1], probs=[1 / 3] * 3),
-            2: OutputRange(item=2, codes=[4, 3, 2, 1, 0, 6], probs=[1 / 6] * 6),
+            0: OutputRange(codes=[0, 1, 2, 3, 4, 5], probs=[1 / 6] * 6),
+            1: OutputRange(codes=[5, 3, 1], probs=[1 / 3] * 3),
+            2: OutputRange(codes=[4, 3, 2, 1, 0, 6], probs=[1 / 6] * 6),
         }
         cert = certify_ranges(ranges)
         assert cert == certify_ranges_oracle(
