@@ -98,7 +98,6 @@ class FrequencyEstimate:
     """Per-item count estimates on the same scale as the raw data."""
 
     estimates: np.ndarray
-    n: int
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.estimates)):
@@ -156,15 +155,7 @@ def fhr_estimate_all(
             f"sums of length {sum_vector.sums.size} do not match order {order.order}"
         )
     products = fwht(sum_vector.sums.astype(np.int64))
-    return FrequencyEstimate(
-        estimates=params.correction * products[1 : domain_size + 1], n=sum_vector.n
-    )
-
-
-def _check_invertible(params: PrivacyParams) -> None:
-    _require(params, "q", "GRR or unary encoding")
-    if math.isclose(params.p, params.q):
-        raise ValueError("degenerate parameters: p == q cannot be inverted")
+    return FrequencyEstimate(estimates=params.correction * products[1 : domain_size + 1])
 
 
 def unary_estimate(bit_counts: np.ndarray, params: PrivacyParams, n: int) -> FrequencyEstimate:
@@ -173,11 +164,11 @@ def unary_estimate(bit_counts: np.ndarray, params: PrivacyParams, n: int) -> Fre
     A GRR tally of reported values is one: each report is the one-hot
     vector of its value, the item with probability p and each other with q.
     """
-    _check_invertible(params)
+    _require(params, "q", "GRR or unary encoding")
     bit_counts = np.asarray(bit_counts, dtype=np.float64)
     if bit_counts.size and (bit_counts.min() < 0 or bit_counts.max() > n):
         raise ValueError(f"bit counts must lie in [0, {n}]")
-    return FrequencyEstimate(estimates=(bit_counts - n * params.q) / (params.p - params.q), n=n)
+    return FrequencyEstimate(estimates=(bit_counts - n * params.q) / (params.p - params.q))
 
 
 def _usable_cpus() -> int:
@@ -262,7 +253,7 @@ def olh_estimate_all(
     n = np.asarray(seeds).size
     counts = olh_support_counts(seeds, values, domain_size, params.g)
     estimates = (counts - n / params.g) / (params.p - 1 / params.g)
-    return FrequencyEstimate(estimates=estimates, n=n)
+    return FrequencyEstimate(estimates=estimates)
 
 
 def _fhr_variance_coefficient(epsilon: float) -> float:

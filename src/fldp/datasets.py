@@ -1,17 +1,20 @@
 """Workload generation and ingestion: Zipf synthesis and CSV loading.
 
 Both paths produce an :class:`ItemStream`, the unit the experiment harness
-consumes: an array of items in [0, D) plus the exact ground-truth counts
-every estimator is judged against. Zipf streams are drawn i.i.d. from the
-truncated law P(i) proportional to (i+1)^(-exponent) and are deterministic
-under their seed; CSV ingestion dictionary-encodes raw values to dense
-item ids in order of first appearance.
+consumes: an array of items in [0, D) and one label per item id. The
+domain size D and the exact ground-truth counts every estimator is judged
+against are derived from those two, never stored beside them. Zipf
+streams are drawn i.i.d. from the truncated law P(i) proportional to
+(i+1)^(-exponent) and are deterministic under their seed; CSV ingestion
+dictionary-encodes raw values to dense item ids in order of first
+appearance.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -65,30 +68,31 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class ItemStream:
-    """Materialized workload: one item per user plus exact truth.
+    """Materialized workload: one item per user, and one label per item id.
 
     ``labels`` maps item ids back to raw values for export; synthetic
-    streams just use the decimal ids.
+    streams just use the decimal ids. The domain is the label count, and
+    the exact truth is computed from the items on first use.
     """
 
     items: np.ndarray
-    domain_size: int
-    ground_truth: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.items.size and (self.items.min() < 0 or self.items.max() >= self.domain_size):
             raise ValueError("stream contains an item outside the domain")
-        if self.ground_truth.size != self.domain_size:
-            raise ValueError("ground truth length must equal the domain size")
-        if int(self.ground_truth.sum()) != self.items.size:
-            raise ValueError("ground truth must sum to the stream length")
-        if len(self.labels) != self.domain_size:
-            raise ValueError("need one label per item")
 
     @property
     def n(self) -> int:
         return self.items.size
+
+    @property
+    def domain_size(self) -> int:
+        return len(self.labels)
+
+    @cached_property
+    def ground_truth(self) -> np.ndarray:
+        return exact_frequencies(self.items, self.domain_size)
 
 
 def exact_frequencies(items: np.ndarray, domain_size: int) -> np.ndarray:
@@ -113,12 +117,7 @@ def generate_zipf(spec: DatasetSpec) -> ItemStream:
     cdf = np.cumsum(probs)
     draws = np.searchsorted(cdf, rng.random(spec.n), side="right")
     items = np.minimum(draws, spec.domain_size - 1).astype(np.int64)
-    return ItemStream(
-        items=items,
-        domain_size=spec.domain_size,
-        ground_truth=exact_frequencies(items, spec.domain_size),
-        labels=tuple(str(i) for i in range(spec.domain_size)),
-    )
+    return ItemStream(items=items, labels=tuple(str(i) for i in range(spec.domain_size)))
 
 
 def ingest_csv(path: str | Path) -> ItemStream:
@@ -148,14 +147,7 @@ def ingest_csv(path: str | Path) -> ItemStream:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     if not items:
         raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(items, dtype=np.int64)
-    domain_size = len(encoding)
-    return ItemStream(
-        items=arr,
-        domain_size=domain_size,
-        ground_truth=exact_frequencies(arr, domain_size),
-        labels=tuple(encoding),
-    )
+    return ItemStream(items=np.asarray(items, dtype=np.int64), labels=tuple(encoding))
 
 
 def load_stream(spec: DatasetSpec) -> ItemStream:

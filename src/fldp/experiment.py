@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,20 +44,6 @@ DEFAULT_EPSILONS = (0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
 DEFAULT_TOPK = (20, 50, 100)
 DEFAULT_TRIALS = 10
 
-RESULT_COLUMNS = (
-    "mechanism",
-    "epsilon",
-    "k",
-    "trial",
-    "kld",
-    "re",
-    "se",
-    "ncr",
-    "wall_time_ms",
-    "report_bits",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A full sweep, validated up front so bad fields fail before any work."""
@@ -81,11 +67,15 @@ class ExperimentSpec:
             raise ValueError("need at least one epsilon")
         for eps in self.epsilons:
             mechanisms._check_epsilon(eps)
+        if len(set(self.epsilons)) != len(self.epsilons):
+            raise ValueError("epsilons must be unique")
         if not self.topk_list:
             raise ValueError("need at least one k")
         for k in self.topk_list:
             if k < 1:
                 raise ValueError(f"k must be positive, got {k}")
+        if len(set(self.topk_list)) != len(self.topk_list):
+            raise ValueError("k values must be unique")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
 
@@ -118,6 +108,9 @@ class ResultRow:
             f"{self.wall_time_ms:.3f}",
             self.report_bits,
         ]
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _cell_rng(seed: int, mech_idx: int, eps_idx: int, trial: int) -> np.random.Generator:
@@ -160,11 +153,10 @@ def estimate_once(
     raise ValueError(f"no estimator for mechanism {mechanism!r}")
 
 
-def _score(
-    truth: np.ndarray, estimates: np.ndarray, k: int, smoothing: float
-) -> tuple[float, float, float, float]:
+def _score(truth: np.ndarray, estimates: np.ndarray, k: int) -> tuple[float, float, float, float]:
     candidates = metrics.top_k(truth, k)
-    kld_value = metrics.kld(truth, estimates, candidates, smoothing=smoothing)
+    # kld smooths by 1/(10 * truth total), which is 1/(10 n) exactly
+    kld_value = metrics.kld(truth, estimates, candidates)
     re_value = metrics.related_error(truth, estimates, candidates)
     try:
         se_value = metrics.squared_error(truth, estimates, k)
@@ -186,9 +178,12 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             f"k={k} needs {needed} items that occur in the stream, "
             f"but only {present} of its {stream.domain_size} items do"
         )
+    # build every cell's params now, so that a budget some mechanism cannot
+    # invert fails before any work
+    for mechanism in spec.mechanisms:
+        for epsilon in spec.epsilons:
+            mechanisms.lookup(mechanism).params(epsilon, stream.domain_size)
     truth = stream.ground_truth.astype(np.float64)
-    n = stream.n
-    smoothing = 1.0 / (10.0 * n)
     rows: list[ResultRow] = []
 
     for mech_idx, mechanism in enumerate(spec.mechanisms):
@@ -207,7 +202,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                 wall_ms = (time.perf_counter() - started) * 1e3
                 wall_times.append(wall_ms)
                 for k in spec.topk_list:
-                    scored = _score(truth, estimates, k, smoothing)
+                    scored = _score(truth, estimates, k)
                     trial_scores[k].append(scored)
                     rows.append(
                         ResultRow(

@@ -97,6 +97,9 @@ class PrivacyParams:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
         if self.q is not None and not 0 < self.q < self.p:
             raise ValueError(f"need 0 < q < p, got q={self.q}, p={self.p}")
+        # (c - n q) / (p - q) cannot be taken once p and q agree to rounding
+        if self.q is not None and math.isclose(self.p, self.q):
+            raise ValueError("degenerate parameters: p == q cannot be inverted")
 
     @classmethod
     def for_fhr(cls, epsilon: float) -> "PrivacyParams":

@@ -229,8 +229,9 @@ def certify_ranges(ranges: Mapping[int, OutputRange]) -> FldpCertificate:
     )
 
 
-def _fhr_witnesses(domain_size: int, order: int, ratios: tuple[float, float]) -> tuple:
-    """The witnesses of :func:`certify_ranges`' walk over FHR's ranges.
+def _fhr_witnesses(masks: np.ndarray, ratios: tuple[float, float]) -> tuple:
+    """The witnesses of :func:`certify_ranges`' walk over FHR's ranges,
+    from the items' 0/1 masks of their rows' +1 columns.
 
     Pairs t < t' come in item order, and each pair's outputs in t's
     enumeration order: (x, y) and then (y, x), for x in P and then y in N,
@@ -241,12 +242,10 @@ def _fhr_witnesses(domain_size: int, order: int, ratios: tuple[float, float]) ->
     """
     top = max(ratios)
     witnesses = []
-    for t in range(domain_size - 1):
-        signs = row_vector(t + 1, order)
-        for u in range(t + 1, domain_size):
-            other = row_vector(u + 1, order)
-            for x in np.flatnonzero((signs > 0) & (other < 0)).tolist():
-                for y in np.flatnonzero((signs < 0) & (other > 0)).tolist():
+    for t in range(len(masks) - 1):
+        for u in range(t + 1, len(masks)):
+            for x in np.flatnonzero(masks[t] > masks[u]).tolist():
+                for y in np.flatnonzero(masks[t] < masks[u]).tolist():
                     for ratio, witness in zip(ratios, ((t, u, (x, y)), (u, t, (y, x)))):
                         if ratio == top:
                             witnesses.append(witness)
@@ -305,7 +304,7 @@ def _certify_fhr(params: PrivacyParams, domain_size: int) -> FldpCertificate:
         eta_observed=min(1.0, *fractions),
         max_ratio_observed=max_ratio,
         epsilon_effective=math.log(max_ratio),
-        pair_witnesses=_fhr_witnesses(domain_size, d, ratios) if crossed else (),
+        pair_witnesses=_fhr_witnesses(masks, ratios) if crossed else (),
         range_size_min=int(sizes.min()),
         range_size_max=int(sizes.max()),
         intersection_size_min=min(lows),

@@ -83,6 +83,31 @@ class TestUsageErrors:
         assert not any(tmp_path.iterdir())
 
 
+class TestRejectedBeforeWork:
+    _RUN = ["run", "--trials", "1", "--zipf-n", "2000", "--zipf-d", "16"]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (_RUN + ["--mechanisms", "fhr,grr", "--epsilons", "1e-10", "--topk", "5"],
+             "degenerate parameters"),
+            (["verify-fldp", "grr", "--order", "4", "--epsilon", "1e-10"],
+             "degenerate parameters"),
+            (_RUN + ["--mechanisms", "fhr", "--epsilons", "1,1", "--topk", "5"],
+             "epsilons must be unique"),
+            (_RUN + ["--mechanisms", "fhr", "--epsilons", "1", "--topk", "5,5"],
+             "k values must be unique"),
+        ],
+    )
+    def test_one_usage_line_and_nothing_written(self, argv, message, capsys, tmp_path):
+        assert _run(argv + ["--out", str(tmp_path)]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(f"fldp: {message}")
+        assert printed.err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+
 class TestGenData:
     def test_writes_dataset_and_ground_truth(self, tmp_path, capsys):
         code = _run([

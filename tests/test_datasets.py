@@ -146,34 +146,18 @@ class TestIngestCsv:
 
 class TestExactFrequencies:
     def test_single_item_stream(self):
-        stream = ItemStream(
-            items=np.full(7, 1, dtype=np.int64),
-            domain_size=3,
-            ground_truth=np.array([0, 7, 0], dtype=np.int64),
-            labels=("a", "b", "c"),
-        )
+        stream = ItemStream(items=np.full(7, 1, dtype=np.int64), labels=("a", "b", "c"))
         assert exact_frequencies(stream.items, stream.domain_size).tolist() == [0, 7, 0]
 
     def test_uniform_stream(self):
-        items = np.tile(np.arange(4), 25)
-        stream = ItemStream(
-            items=items,
-            domain_size=4,
-            ground_truth=np.full(4, 25, dtype=np.int64),
-            labels=tuple("abcd"),
-        )
+        stream = ItemStream(items=np.tile(np.arange(4), 25), labels=tuple("abcd"))
         assert exact_frequencies(stream.items, stream.domain_size).tolist() == [25] * 4
 
     @settings(max_examples=40)
     @given(st.lists(st.integers(min_value=0, max_value=19), min_size=1, max_size=200))
     def test_matches_hash_map_tally(self, raw):
-        items = np.asarray(raw, dtype=np.int64)
-        counts = np.bincount(items, minlength=20).astype(np.int64)
         stream = ItemStream(
-            items=items,
-            domain_size=20,
-            ground_truth=counts,
-            labels=tuple(str(i) for i in range(20)),
+            items=np.asarray(raw, dtype=np.int64), labels=tuple(str(i) for i in range(20))
         )
         tally = tally_oracle(raw)
         freq = exact_frequencies(stream.items, stream.domain_size)
@@ -181,17 +165,23 @@ class TestExactFrequencies:
             assert freq[item] == tally.get(item, 0)
 
     def test_stream_validation(self):
-        with pytest.raises(ValueError):
-            ItemStream(
-                items=np.array([0, 5]),
-                domain_size=3,
-                ground_truth=np.array([1, 0, 1]),
-                labels=("a", "b", "c"),
-            )
-        with pytest.raises(ValueError):
-            ItemStream(
-                items=np.array([0, 1]),
-                domain_size=2,
-                ground_truth=np.array([1, 2]),
-                labels=("a", "b"),
-            )
+        with pytest.raises(ValueError, match="outside the domain"):
+            ItemStream(items=np.array([0, 3]), labels=("a", "b", "c"))
+        with pytest.raises(ValueError, match="outside the domain"):
+            ItemStream(items=np.array([-1, 0]), labels=("a", "b"))
+
+
+class TestDerivedFields:
+    """The domain and the truth follow from the items and labels alone."""
+
+    def test_domain_is_the_label_count(self):
+        stream = ItemStream(items=np.array([0, 0, 1]), labels=("a", "b", "c", "d"))
+        assert stream.domain_size == len(stream.labels) == 4
+        assert stream.ground_truth.tolist() == [2, 1, 0, 0]
+
+    def test_truth_is_computed_once_from_the_items(self):
+        stream = _zipf(3000, 40, seed=8)
+        assert stream.ground_truth is stream.ground_truth
+        assert np.array_equal(stream.ground_truth, exact_frequencies(stream.items, 40))
+        assert stream.ground_truth.dtype == np.int64
+        assert stream.domain_size == 40

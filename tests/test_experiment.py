@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from fldp import aggregator, experiment
-from fldp.datasets import DatasetSpec
+from fldp import aggregator, experiment, metrics
+from fldp.datasets import DatasetSpec, load_stream
 from fldp.experiment import (
     RESULT_COLUMNS,
     ExperimentSpec,
@@ -174,6 +174,43 @@ class TestTooFewPresentItems:
         assert len(rows) == 3
 
 
+class TestDegenerateBudget:
+    def test_rejected_before_any_perturbation(self, tmp_path, monkeypatch):
+        # FHR inverts at 1e-10, GRR's p and q agree to within rounding there
+        def estimate_once_must_not_run(*args):
+            raise AssertionError("estimate_once ran")
+
+        monkeypatch.setattr(experiment, "estimate_once", estimate_once_must_not_run)
+        with pytest.raises(ValueError, match="degenerate parameters"):
+            run_experiment(_tiny_spec(tmp_path, mechanisms=("fhr", "grr"), epsilons=(1e-10,)))
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestScores:
+    def test_kld_smooths_by_a_tenth_of_a_count(self, tmp_path, monkeypatch):
+        # run_experiment leaves kld its default smoothing, 1/(10 * sum of
+        # truth), which is 1/(10 n) to the last bit
+        captured = []
+
+        def capture(*args):
+            estimates = estimate_once(*args)
+            captured.append(estimates)
+            return estimates
+
+        monkeypatch.setattr(experiment, "estimate_once", capture)
+        spec = _tiny_spec(tmp_path, mechanisms=("fhr", "oue"), topk_list=(5, 10))
+        rows = run_experiment(spec)
+        truth = load_stream(spec.dataset).ground_truth.astype(np.float64)
+        trial_rows = [row for row in rows if row.trial != "mean"]
+        assert len(trial_rows) == 2 * len(captured) == 8
+        for i, row in enumerate(trial_rows):
+            estimates = captured[i // 2]
+            expected = metrics.kld(
+                truth, estimates, metrics.top_k(truth, row.k), smoothing=1 / (10 * 3000)
+            )
+            assert row.kld == expected
+
+
 class TestSpecValidation:
     def test_unknown_mechanism(self, tmp_path):
         with pytest.raises(ValueError):
@@ -198,6 +235,17 @@ class TestSpecValidation:
     def test_bad_k(self, tmp_path):
         with pytest.raises(ValueError):
             _tiny_spec(tmp_path, topk_list=(5, 0))
+
+    def test_duplicate_epsilon(self, tmp_path):
+        # budgets compare as floats, so 1 and 1.0 are one budget
+        with pytest.raises(ValueError, match="epsilons must be unique"):
+            _tiny_spec(tmp_path, epsilons=(1.0, 2.0, 1.0))
+        with pytest.raises(ValueError, match="epsilons must be unique"):
+            _tiny_spec(tmp_path, epsilons=(1, 1.0))
+
+    def test_duplicate_k(self, tmp_path):
+        with pytest.raises(ValueError, match="k values must be unique"):
+            _tiny_spec(tmp_path, topk_list=(5, 10, 5))
 
     def test_estimate_once_unknown_mechanism(self):
         with pytest.raises(ValueError):
