@@ -211,18 +211,25 @@ def lookup(name: str) -> Mechanism:
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False)
 class FhrReport:
-    """One user's FHR message: index_x carries +1, index_y carries -1."""
+    """One user's FHR message: index_x carries +1, index_y carries -1.
+
+    A slotted record, validated once at construction by a plain
+    ``__init__``: a report costs one Python call and holds no ``__dict__``.
+    It is neither frozen nor hashable.
+    """
 
     index_x: int
     index_y: int
 
-    def __post_init__(self) -> None:
-        if self.index_x < 0 or self.index_y < 0:
+    def __init__(self, index_x: int, index_y: int) -> None:
+        if index_x < 0 or index_y < 0:
             raise ValueError("report indices must be nonnegative")
-        if self.index_x == self.index_y:
-            raise ValueError(f"report indices must differ, got {self.index_x} twice")
+        if index_x == index_y:
+            raise ValueError(f"report indices must differ, got {index_x} twice")
+        self.index_x = index_x
+        self.index_y = index_y
 
 
 def _item_rows(items: np.ndarray, order: HadamardOrder) -> np.ndarray:

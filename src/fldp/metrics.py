@@ -60,13 +60,25 @@ class TopKSelection:
 
 
 def top_k(table: np.ndarray, k: int) -> TopKSelection:
-    """Rank items by table value descending, ties by ascending index."""
+    """Rank items by table value descending, ties by ascending index.
+
+    A partial selection: the k-th largest value is found in O(size), and
+    only the items at or above it, boundary ties included, are sorted. The
+    ranking equals that of a full sort. Tables holding NaN or infinite
+    values are rejected.
+    """
     table = np.asarray(table, dtype=np.float64)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    if not np.isfinite(table).all():
+        raise ValueError("top_k needs a finite table, got NaN or infinite values")
+    pool = np.arange(table.size)
+    if k < table.size:
+        threshold = np.partition(table, table.size - k)[table.size - k]
+        pool = np.flatnonzero(table >= threshold)
     # lexsort's last key dominates: -value first, index as tie-break
-    ranked = np.lexsort((np.arange(table.size), -table))
-    return TopKSelection(k=k, items=ranked[: min(k, table.size)])
+    ranked = pool[np.lexsort((pool, -table[pool]))]
+    return TopKSelection(k=k, items=ranked[:k])
 
 
 def _restrict(table: np.ndarray, items: np.ndarray) -> np.ndarray:

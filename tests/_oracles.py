@@ -26,9 +26,15 @@ def sylvester_matrix(r: int) -> np.ndarray:
 
 
 def top_k_oracle(table, k: int) -> list[int]:
-    """Top-k items by value descending, ties by ascending index."""
-    indexed = sorted(range(len(table)), key=lambda i: (-table[i], i))
-    return indexed[: min(k, len(table))]
+    """Top-k items by value descending, ties by ascending index.
+
+    A full lexsort of the whole table, which ``top_k`` replaces with a
+    partial selection.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    # lexsort's last key dominates: -value first, index as tie-break
+    ranked = np.lexsort((np.arange(table.size), -table))
+    return ranked[: min(k, table.size)].tolist()
 
 
 def median_oracle(values) -> float:

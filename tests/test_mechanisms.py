@@ -109,12 +109,28 @@ class TestPrivacyParams:
 
 class TestFhrReport:
     def test_equal_indices_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="report indices must differ, got 2 twice"):
             FhrReport(index_x=2, index_y=2)
+        with pytest.raises(ValueError, match="report indices must differ, got 5 twice"):
+            FhrReport(5, 5)
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="report indices must be nonnegative"):
             FhrReport(index_x=-1, index_y=0)
+        with pytest.raises(ValueError, match="report indices must be nonnegative"):
+            FhrReport(0, -1)
+
+    def test_slotted_record_without_instance_dict(self):
+        report = FhrReport(3, 5)
+        assert not hasattr(report, "__dict__")
+        assert FhrReport.__slots__ == ("index_x", "index_y")
+        assert (report.index_x, report.index_y) == (3, 5)
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert FhrReport(1, 0) == FhrReport(index_x=1, index_y=0)
+        assert FhrReport(1, 0) != FhrReport(0, 1)
+        assert repr(FhrReport(1, 0)) == "FhrReport(index_x=1, index_y=0)"
+        assert repr(FhrReport(index_x=1, index_y=0)) == "FhrReport(index_x=1, index_y=0)"
 
     # a single report accumulates to its implied sparse vector
     def test_sparse_expansion(self):

@@ -35,6 +35,10 @@ class TestTopK:
         assert sel.items.tolist() == [1, 2]
         sel = top_k(np.array([3.0, 3.0, 3.0]), 2)
         assert sel.items.tolist() == [0, 1]
+        sel = top_k(np.array([1.0, 3.0, 3.0, 3.0, 2.0]), 2)  # ties across the k-th value
+        assert sel.items.tolist() == [1, 2]
+        sel = top_k(np.array([0.0, -0.0, -0.0, 0.0, -1.0]), 3)  # -0.0 == 0.0
+        assert sel.items.tolist() == [0, 1, 2]
 
     def test_k_larger_than_table(self):
         sel = top_k(np.array([2.0, 1.0]), 5)
@@ -50,6 +54,29 @@ class TestTopK:
     def test_matches_oracle(self, values, k):
         table = np.asarray(values, dtype=np.float64)
         assert top_k(table, k).items.tolist() == top_k_oracle(values, k)
+
+    def test_partial_selection_matches_full_sort(self):
+        rng = np.random.default_rng(20)
+        for trial in range(600):
+            size = int(rng.integers(2, 120))
+            kind = trial % 3
+            if kind == 0:  # integer counts over few values: many ties
+                table = rng.integers(0, 6, size=size).astype(np.float64)
+            elif kind == 1:  # both signed zeros among tied values
+                table = rng.choice([0.0, -0.0, 1.0, -2.0], size=size)
+                table[rng.choice(size, size=2, replace=False)] = [0.0, -0.0]
+            else:
+                table = rng.normal(size=size)
+            ks = {1, size - 1, size, size + 1, 3 * size, int(rng.integers(1, size + 1))}
+            for k in ks:
+                assert top_k(table, k).items.tolist() == top_k_oracle(table, k), (table, k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [1, 2, 4, 10])
+    def test_non_finite_table_rejected(self, bad, k):
+        table = np.array([3.0, 1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="finite table, got NaN or infinite"):
+            top_k(table, k)
 
     def test_selection_validation(self):
         with pytest.raises(ValueError):

@@ -91,7 +91,8 @@ class TestPackedLayout:
         report = FhrReport(index_x=x, index_y=y)
         packed = pack_fhr(report, order)
         assert len(packed) == packed_size(order)
-        assert unpack_fhr(packed, order) == report
+        decoded = unpack_fhr(packed, order)
+        assert type(decoded) is FhrReport and decoded == report
 
 
 def _rows(reports):
@@ -210,6 +211,20 @@ class TestReportFileCodec:
         assert path.read_bytes() == expected
         read_order, pairs = read_report_file(path)
         assert read_order == order and pairs.tolist() == _rows(reports)
+
+    def test_positional_reports_write_the_keyword_file(self, tmp_path):
+        # the benchmark builds its reports positionally, FhrReport(x, y)
+        order = HadamardOrder(16)
+        rng = np.random.default_rng(5)
+        index_x = rng.integers(0, order.order, size=2000)
+        index_y = (index_x + rng.integers(1, order.order, size=2000)) % order.order
+        pairs = list(zip(index_x.tolist(), index_y.tolist()))
+        positional, keyword = tmp_path / "positional.bin", tmp_path / "keyword.bin"
+        write_report_file(positional, [FhrReport(x, y) for x, y in pairs], order)
+        write_report_file(keyword, [FhrReport(index_x=x, index_y=y) for x, y in pairs], order)
+        assert positional.read_bytes() == keyword.read_bytes()
+        _, read_back = read_report_file(positional)
+        assert read_back.tolist() == [list(pair) for pair in pairs]
 
     def test_empty_file_round_trip(self, tmp_path):
         path = tmp_path / "empty.bin"
