@@ -207,7 +207,9 @@ def olh_support_counts(
     with that offset key held per report and advanced in place by ``a_i``,
     so an item costs one add, one compare and one count over the n
     reports, and no hash is recomputed. The items must be OLH keys, so
-    domain_size lies in [1, 2^32].
+    domain_size lies in [1, 2^32]. The set-up holds the keys (a, b), the
+    offset key of item 0 built in b's buffer, and one buffer for the
+    bucket gathers; no input is written.
 
     The reports are cut into min(usable CPUs, n // 2^14) contiguous
     shards, at least one. Each shard walks the items on its own thread
@@ -222,10 +224,12 @@ def olh_support_counts(
         raise ValueError("seeds and values must have matching shapes")
     if values.size and (values.min() < 0 or values.max() >= g):
         raise ValueError(f"reported buckets must lie in [0, {g})")
-    a, b = _olh_keys(seeds)
+    a, offset = _olh_keys(seeds)  # (a, b), b's buffer to become the offset key
     lo, width = _olh_buckets(g)
-    offset = b - lo[values]  # the offset key of item 0
-    width = width[values]
+    span = lo[values]
+    offset -= span  # b - lo, the offset key of item 0
+    # the same buffer gathers the widths; "clip" spares take a copy of it
+    width = np.take(width, values, out=span, mode="clip")
     n = offset.size
     shards = max(1, min(_usable_cpus(), n // _MIN_SHARD))
     if shards == 1:

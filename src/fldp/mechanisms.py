@@ -233,7 +233,7 @@ class FhrReport:
 
 
 def _item_rows(items: np.ndarray, order: HadamardOrder) -> np.ndarray:
-    items = np.asarray(items)
+    items = np.atleast_1d(items)  # a scalar item is a batch of one
     if items.size:
         lo, hi = int(items.min()), int(items.max())
         if lo < 0 or hi + 1 >= order.order:
@@ -241,13 +241,15 @@ def _item_rows(items: np.ndarray, order: HadamardOrder) -> np.ndarray:
                 f"item {lo if lo < 0 else hi} does not fit order {order.order} "
                 f"(usable domain is [0, {order.order - 1}))"
             )
-    return items.astype(_U64) + _U64(1)
+    rows = items.astype(_U64)
+    rows += _U64(1)
+    return rows
 
 
 def fhr_perturb_batch(
     items: np.ndarray, params: PrivacyParams, order: HadamardOrder, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Perturb many items at once; returns (index_x, index_y) arrays.
+    """Perturb many items at once; returns (index_x, index_y) int64 arrays.
 
     Sampling one column uniformly from a row's +1 positions is done without
     enumerating them: the +1 positions of row ``rho`` form the kernel of the
@@ -255,24 +257,27 @@ def fhr_perturb_batch(
     that lands on the wrong side with a fixed column ``m`` of sign -1
     (the lowest set bit of ``rho``) folds the columns two-to-one onto the
     wanted half, preserving uniformity.
+
+    Both columns are drawn, then the keep coins, and folded and swapped in
+    place (about four n-sized arrays at the peak); ``items`` is not written.
     """
     _require(params, "correction", "FHR")
     rows = _item_rows(items, order)
     n = rows.size
     d = order.order
-    m = rows & (~rows + _U64(1))  # lowest set bit, a -1 column of each row
-
-    u1 = rng.integers(0, d, size=n, dtype=np.uint64)
-    u2 = rng.integers(0, d, size=n, dtype=np.uint64)
-    neg1 = (np.bitwise_count(rows & u1) & np.uint8(1)).astype(bool)
-    neg2 = (np.bitwise_count(rows & u2) & np.uint8(1)).astype(bool)
-    x = np.where(neg1, u1 ^ m, u1)  # uniform over the +1 half
-    y = np.where(neg2, u2, u2 ^ m)  # uniform over the -1 half
-
-    keep = rng.random(n) < params.p
-    index_x = np.where(keep, x, y).astype(np.int64)
-    index_y = np.where(keep, y, x).astype(np.int64)
-    return index_x, index_y
+    x = rng.integers(0, d, size=n, dtype=np.uint64)
+    y = rng.integers(0, d, size=n, dtype=np.uint64)
+    flip = rng.random(n) >= params.p
+    t = np.bitwise_and(rows, x)
+    odd_x = np.bitwise_count(t) & 1
+    even_y = 1 - (np.bitwise_count(np.bitwise_and(rows, y, out=t)) & 1)
+    rows &= np.negative(rows, out=t)  # the lowest set bit, a -1 column of each row
+    x ^= np.multiply(rows, odd_x, out=t)  # uniform over the +1 half
+    y ^= np.multiply(rows, even_y, out=t)  # uniform over the -1 half
+    np.multiply(np.bitwise_xor(x, y, out=t), flip, out=t)  # x ^ y where the pair flips
+    x ^= t
+    y ^= t
+    return x.view(np.int64), y.view(np.int64)
 
 
 def _check_domain(items: np.ndarray, domain_size: int) -> np.ndarray:
@@ -288,8 +293,11 @@ def _randomized_response(
     """GRR's draw over [0, size): keep each value with probability p, else
     report one of the size - 1 others uniformly, as a nonzero cyclic shift."""
     keep = rng.random(values.size) < p
-    offset = rng.integers(1, size, size=values.size)
-    return np.where(keep, values, (values + offset) % size)
+    out = rng.integers(1, size, size=values.size)
+    out += values
+    out %= size
+    np.copyto(out, values, where=keep)
+    return out
 
 
 def grr_perturb_batch(
@@ -321,11 +329,16 @@ def unary_sample_counts(
     return rng.binomial(holders, params.p) + rng.binomial(items.size - holders, params.q)
 
 
-def _splitmix64(z: np.ndarray) -> np.ndarray:
-    z = z + _U64(_SM_GAMMA)
-    z = (z ^ (z >> _U64(30))) * _U64(_SM_M1)
-    z = (z ^ (z >> _U64(27))) * _U64(_SM_M2)
-    return z ^ (z >> _U64(31))
+def _splitmix64(seeds: np.ndarray, step: int) -> np.ndarray:
+    """Output ``step`` (from 1) of splitmix64 started at each seed, in a new array."""
+    z = np.array(seeds, dtype=_U64)
+    z += _U64(step * _SM_GAMMA % (1 << 64))
+    z ^= z >> _U64(30)
+    z *= _U64(_SM_M1)
+    z ^= z >> _U64(27)
+    z *= _U64(_SM_M2)
+    z ^= z >> _U64(31)
+    return z
 
 
 def _olh_keys(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -333,8 +346,7 @@ def _olh_keys(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The first two outputs of a splitmix64 generator started at the seed.
     """
-    seeds = np.asarray(seeds, dtype=_U64)
-    return _splitmix64(seeds), _splitmix64(seeds + _U64(_SM_GAMMA))
+    return _splitmix64(seeds, 1), _splitmix64(seeds, 2)
 
 
 def olh_hash(seed: int | np.ndarray, item: int | np.ndarray, g: int) -> int | np.ndarray:
@@ -355,7 +367,12 @@ def olh_hash(seed: int | np.ndarray, item: int | np.ndarray, g: int) -> int | np
     # the arithmetic is modulo 2^64; numpy warns of wraparound on scalars
     with np.errstate(over="ignore"):
         a, b = _olh_keys(seed)
-        return (((a * items.astype(_U64) + b) >> _HALF) * _U64(g) >> _HALF).astype(np.int64)
+        key = np.multiply(a, items, dtype=_U64, casting="unsafe")  # exact on checked keys
+        key += b
+        key >>= _HALF
+        key *= _U64(g)
+        key >>= _HALF
+        return key.view(np.int64)[()]
 
 
 def _olh_buckets(g: int) -> tuple[np.ndarray, np.ndarray]:

@@ -154,9 +154,11 @@ def enumerate_range(
         return OutputRange(codes=np.arange(domain_size), probs=probs)
     masks = np.arange(1 << domain_size)
     probs = np.ones(masks.size)
+    # RAPPOR's flip probabilities are q and p; 1 - p loses p's last bits near 1
+    miss, clear = (q, p) if mechanism == "rappor" else (1 - p, 1 - q)
     # one factor per bit position, in position order (which fixes the rounding)
     for j in range(domain_size):
-        on, off = (p, 1 - p) if j == item else (q, 1 - q)
+        on, off = (p, miss) if j == item else (q, clear)
         probs *= np.where((masks >> j) & 1, on, off)
     return OutputRange(codes=masks, probs=probs)
 

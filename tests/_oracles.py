@@ -131,6 +131,33 @@ def olh_hash_oracle(seed: int, item: int, g: int) -> int:
     return upper * g >> 32
 
 
+def fhr_perturb_batch_oracle(items, params, order, rng) -> tuple[np.ndarray, np.ndarray]:
+    """FHR's client in its ``np.where`` form, the draws the library keeps.
+
+    Columns u1 and u2 uniform over [0, order), then the keep coins: u1 is
+    folded onto the row's +1 half, u2 onto its -1 half, and the pair is
+    swapped unless its coin lands below p. Item t reads row t + 1, written
+    out here in place of the library's checked row map.
+    """
+    _require(params, "correction", "FHR")
+    rows = np.asarray(items).astype(np.uint64) + np.uint64(1)
+    n = rows.size
+    d = order.order
+    m = rows & (~rows + np.uint64(1))  # lowest set bit, a -1 column of each row
+
+    u1 = rng.integers(0, d, size=n, dtype=np.uint64)
+    u2 = rng.integers(0, d, size=n, dtype=np.uint64)
+    neg1 = (np.bitwise_count(rows & u1) & np.uint8(1)).astype(bool)
+    neg2 = (np.bitwise_count(rows & u2) & np.uint8(1)).astype(bool)
+    x = np.where(neg1, u1 ^ m, u1)  # uniform over the +1 half
+    y = np.where(neg2, u2, u2 ^ m)  # uniform over the -1 half
+
+    keep = rng.random(n) < params.p
+    index_x = np.where(keep, x, y).astype(np.int64)
+    index_y = np.where(keep, y, x).astype(np.int64)
+    return index_x, index_y
+
+
 def sign_block_oracle(rows, order: int) -> np.ndarray:
     """Matrix block for the given rows, shape (len(rows), order), int8,
     from the popcount closed form over the whole block at once."""

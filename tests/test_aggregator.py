@@ -347,6 +347,22 @@ class TestOlhEstimate:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_support_tally_scratch_memory(self, g):
+        # the keys (a, b), the offset key built in b's buffer and one buffer
+        # for the bucket gathers: at most four n-sized uint64 arrays
+        n = 1 << 17
+        rng = np.random.default_rng(5)
+        seeds = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+        values = rng.integers(0, g, size=n)
+        tracemalloc.start()
+        try:
+            olh_support_counts(seeds, values, 16, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n
+
     def test_monte_carlo_unbiased(self):
         eps, d, n, trials = 1.0, 32, 20_000, 30
         params = PrivacyParams.for_olh(eps)

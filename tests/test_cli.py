@@ -244,6 +244,20 @@ class TestVerifyFldp:
         assert document["eta_observed"] == 0.5
         assert abs(document["epsilon_effective"] - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("eps", ["40", "80"])
+    def test_rappor_passes_at_large_budgets(self, tmp_path, capsys, eps):
+        # as CI runs it; before RAPPOR's flip probabilities were taken as q
+        # and p, 40 failed and 80 exited 1 on a zero-probability output
+        code = _run([
+            "verify-fldp", "rappor", "--epsilon", eps, "--order", "5",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("PASS rappor")
+        document = json.loads((tmp_path / "certificate.json").read_text(encoding="utf-8"))
+        assert document["passed"] is True
+        assert document["epsilon_effective"] == float(eps)
+
     def test_document_is_the_certificate_plus_the_request(self, tmp_path, capsys):
         document, _ = cli.verify_fldp("grr", 1.0, 4, tmp_path)
         request = {"mechanism", "epsilon", "size", "domain_size", "eta_expected", "passed"}

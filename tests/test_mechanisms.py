@@ -1,6 +1,7 @@
 """Client-side perturbation: parameters, report validity, and rates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fldp.aggregator import (
     fhr_accumulate,
     fhr_estimate_all,
     olh_estimate_all,
+    olh_support_counts,
     unary_estimate,
 )
 from fldp.hadamard import HadamardOrder, min_order_for_domain, row_vector
@@ -30,7 +32,12 @@ from fldp.mechanisms import (
 from fldp.verifier import enumerate_range
 from fldp.wire import report_size_table
 
-from _oracles import fhr_range_oracle, olh_hash_oracle, unary_perturb_bits_oracle
+from _oracles import (
+    fhr_perturb_batch_oracle,
+    fhr_range_oracle,
+    olh_hash_oracle,
+    unary_perturb_bits_oracle,
+)
 
 
 class TestPrivacyParams:
@@ -212,6 +219,29 @@ class TestFhrPerturb:
         a = fhr_perturb_batch(items, params, order, np.random.default_rng(5))
         b = fhr_perturb_batch(items, params, order, np.random.default_rng(5))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("domain", [1, 3, 1023, 65535])
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 2.0, 30.0, 709.0])
+    def test_reports_match_the_where_form_bit_for_bit(self, domain, eps):
+        # fixed-seed reports, and with them results.csv, depend on the draws:
+        # both columns, then the keep coins, folded and swapped as the
+        # np.where form does
+        params = PrivacyParams.for_fhr(eps)
+        order = min_order_for_domain(domain)
+        items = np.random.default_rng(domain).integers(0, domain, size=3000)
+        got = fhr_perturb_batch(items, params, order, np.random.default_rng(21))
+        want = fhr_perturb_batch_oracle(items, params, order, np.random.default_rng(21))
+        for column, expected in zip(got, want):
+            assert column.dtype == np.int64
+            assert np.array_equal(column, expected)
+
+    def test_scalar_item_is_a_batch_of_one(self):
+        params, order = PrivacyParams.for_fhr(1.0), HadamardOrder(3)
+        got = fhr_perturb_batch(5, params, order, np.random.default_rng(3))
+        want = fhr_perturb_batch_oracle(np.array([5]), params, order, np.random.default_rng(3))
+        for column, expected in zip(got, want):
+            assert column.shape == (1,) and column.dtype == np.int64
+            assert np.array_equal(column, expected)
 
     def test_wrong_params_type_rejected(self):
         grr_params = PrivacyParams.for_grr(1.0, 4)
@@ -468,6 +498,74 @@ class TestOlh:
     @given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=0, max_value=10**9))
     def test_hash_range_property(self, seed, item):
         assert 0 <= olh_hash(seed, item, 4) < 4
+
+
+class TestInputsAreNotWritten:
+    """The clients and the OLH decoder update their own buffers in place;
+    the caller's items, seeds and values stay bit-identical."""
+
+    @staticmethod
+    def _run_all(items, domain):
+        # every caller array is passed read-only, so a write through raises
+        def frozen(array):
+            array = np.array(array)
+            array.flags.writeable = False
+            return array
+
+        items = frozen(items)
+        before = items.copy()
+        rng = np.random.default_rng(4)
+        fhr_perturb_batch(items, PrivacyParams.for_fhr(1.0), min_order_for_domain(domain), rng)
+        grr_perturb_batch(items, PrivacyParams.for_grr(1.0, domain), domain, rng)
+        for eps in (0.5, 2.0):  # g = 2 and 3
+            params = PrivacyParams.for_olh(eps)
+            seeds, values = (frozen(a) for a in olh_perturb_batch(items, params, domain, rng))
+            reports = seeds.copy(), values.copy()
+            olh_hash(seeds, items, params.g)
+            olh_support_counts(seeds, values, domain, params.g)
+            olh_estimate_all(seeds, values, domain, params)
+            for array, copy in zip((seeds, values), reports):
+                assert array.dtype == copy.dtype and array.tobytes() == copy.tobytes()
+        assert items.dtype == before.dtype and items.tobytes() == before.tobytes()
+
+    # int64 items pass the domain check without a copy
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+    def test_arrays(self, dtype):
+        items = np.random.default_rng(3).integers(0, 64, size=40_000).astype(dtype)
+        self._run_all(items, 64)
+
+    def test_single_report(self):
+        self._run_all(np.array([5]), 8)
+
+
+class TestScratchMemory:
+    """The clients keep their draws in place: peak traced memory at
+    n = 2^17, in units of one n-sized uint64 array."""
+
+    N = 1 << 17
+
+    def _peak_units(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * self.N)
+
+    def test_fhr_client(self):
+        items = np.random.default_rng(1).integers(0, 1023, size=self.N)
+        params, order = PrivacyParams.for_fhr(1.0), min_order_for_domain(1023)
+        rng = np.random.default_rng(2)
+        # two draws, the rows, one scratch array and the keep coins
+        assert self._peak_units(lambda: fhr_perturb_batch(items, params, order, rng)) <= 5
+
+    def test_grr_client(self):
+        items = np.random.default_rng(1).integers(0, 1023, size=self.N)
+        params = PrivacyParams.for_grr(1.0, 1023)
+        rng = np.random.default_rng(2)
+        # the keep coins, then the offset draw that becomes the output
+        assert self._peak_units(lambda: grr_perturb_batch(items, params, 1023, rng)) <= 2
 
 
 class TestRegistry:

@@ -153,6 +153,16 @@ class TestCertify:
         assert cert.eta_observed == 1.0
         assert cert.epsilon_effective <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("eps", [40.0, 80.0])
+    def test_rappor_large_budgets_pass(self, eps):
+        # RAPPOR's flip probabilities are q and p themselves; formed as
+        # 1 - p they failed at 40 (epsilon_effective 40.000000018) and
+        # rounded to 0 at 80
+        cert = certify_mechanism("rappor", eps, 5)
+        assert certificate_passes("rappor", eps, cert)
+        assert cert.epsilon_effective == eps
+        assert cert.eta_observed == 1.0
+
     def test_disjoint_ranges_give_eta_zero(self):
         ranges = {
             0: OutputRange(codes=[0, 1], probs=[0.5, 0.5]),
