@@ -56,6 +56,7 @@ _U64 = np.uint64
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_M1 = 0xBF58476D1CE4E5B9
 _SM_M2 = 0x94D049BB133111EB
+_SM_BLOCK = 1 << 14
 # OLH hashes keys below 2^32 through the upper half of a 64-bit word
 _OLH_KEY_LIMIT = 1 << 32
 _HALF = _U64(32)
@@ -330,14 +331,21 @@ def unary_sample_counts(
 
 
 def _splitmix64(seeds: np.ndarray, step: int) -> np.ndarray:
-    """Output ``step`` (from 1) of splitmix64 started at each seed, in a new array."""
+    """Output ``step`` (from 1) of splitmix64 started at each seed, in a new array.
+
+    Mixed in blocks of _SM_BLOCK words, so that the shifted copies are
+    block-sized and the new array is the only n-sized allocation.
+    """
     z = np.array(seeds, dtype=_U64)
-    z += _U64(step * _SM_GAMMA % (1 << 64))
-    z ^= z >> _U64(30)
-    z *= _U64(_SM_M1)
-    z ^= z >> _U64(27)
-    z *= _U64(_SM_M2)
-    z ^= z >> _U64(31)
+    flat = z.reshape(-1)
+    for start in range(0, flat.size, _SM_BLOCK):
+        block = flat[start : start + _SM_BLOCK]
+        block += _U64(step * _SM_GAMMA % (1 << 64))
+        block ^= block >> _U64(30)
+        block *= _U64(_SM_M1)
+        block ^= block >> _U64(27)
+        block *= _U64(_SM_M2)
+        block ^= block >> _U64(31)
     return z
 
 
@@ -366,9 +374,12 @@ def olh_hash(seed: int | np.ndarray, item: int | np.ndarray, g: int) -> int | np
             raise ValueError(f"item {lo if lo < 0 else hi} is not an OLH key in [0, 2^32)")
     # the arithmetic is modulo 2^64; numpy warns of wraparound on scalars
     with np.errstate(over="ignore"):
-        a, b = _olh_keys(seed)
-        key = np.multiply(a, items, dtype=_U64, casting="unsafe")  # exact on checked keys
-        key += b
+        a = _splitmix64(seed, 1)
+        # the key takes a's buffer when a has the broadcast shape, and b is
+        # derived only then, so a, b and a fresh key are never all alive
+        out = a if a.shape == np.broadcast_shapes(a.shape, items.shape) else None
+        key = np.multiply(a, items, out=out, dtype=_U64, casting="unsafe")  # exact on checked keys
+        key += _splitmix64(seed, 2)
         key >>= _HALF
         key *= _U64(g)
         key >>= _HALF

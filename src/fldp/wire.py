@@ -11,13 +11,17 @@ the advertised 2r+1 bits.
 Report files carry a fixed 16-byte header (magic, order exponent, record
 count) followed by the packed records. A report file's order exponent is
 capped at r <= 31: a record (2r+1 <= 63 bits) then fits one uint64 word,
-which is how files are packed and unpacked, all records at once with numpy
-shifts and masks, and the server's dense sum vector stays at or below 2^31
-entries. A file is read back as one (n, 2) int64 array of (index_x,
-index_y) rows, the form :func:`fldp.aggregator.fhr_accumulate` folds; no
-per-record object is built on the server side. The single-report
-:func:`pack_fhr` and :func:`unpack_fhr` take any order the matrix allows
-(r <= 63). Files are written whole or not at all (see :mod:`fldp._atomic`).
+and the server's dense sum vector stays at or below 2^31 entries. Files are
+packed and unpacked all records at once, with numpy shifts and masks in one
+(n, 2) int64 array of (index_x, index_y) rows: a record is built in, or
+split from, its row's first word. With s = ceil((2r+1)/8) bytes a record,
+writing holds 16 + s bytes per record beyond the reports (that array and
+the packed body), and reading 17 + s (the body read, the array, which is
+the result, and one byte of checks): 21 and 22 at r = 16. The result is the
+form :func:`fldp.aggregator.fhr_accumulate` folds; no per-record object is
+built on the server side. The single-report :func:`pack_fhr` and
+:func:`unpack_fhr` take any order the matrix allows (r <= 63). Files are
+written whole or not at all (see :mod:`fldp._atomic`).
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from __future__ import annotations
 import itertools
 import os
 import struct
+import sys
+from collections.abc import Iterable, Sized
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -60,11 +65,19 @@ def packed_size(order: HadamardOrder) -> int:
 
 
 def pack_fhr(report: FhrReport, order: HadamardOrder) -> bytes:
-    """Serialize one report into exactly packed_size(order) bytes."""
+    """Serialize one report into exactly packed_size(order) bytes.
+
+    Rejects what :func:`unpack_fhr` would not return: an index outside
+    [0, order) and equal indices.
+    """
     r = order.r
     d = order.order
     if report.index_x >= d or report.index_y >= d:
         raise WireFormatError(f"report {report} overflows {r}-bit indices")
+    if report.index_x < 0 or report.index_y < 0:
+        raise WireFormatError(f"report {report} has a negative index")
+    if report.index_x == report.index_y:
+        raise WireFormatError(f"equal indices {report.index_x} are not a valid report")
     width = 2 * r + 1
     nbytes = packed_size(order)
     word = (report.index_x << (r + 1)) | (1 << r) | report.index_y
@@ -107,50 +120,83 @@ def _file_order(r: int) -> HadamardOrder:
         raise WireFormatError(str(exc)) from exc
 
 
+def _check_pairs(pairs: np.ndarray, order: HadamardOrder) -> None:
+    """Raise :class:`WireFormatError` unless every (index_x, index_y) row is
+    a report :func:`unpack_fhr` could return, with one byte per row of scratch."""
+    if not pairs.size:
+        return
+    if int(pairs.max()) >= order.order:
+        raise WireFormatError(f"a report overflows {order.r}-bit indices")
+    if int(pairs.min()) < 0:
+        row = int(np.argmax((pairs < 0).any(axis=1)))
+        raise WireFormatError(f"record {row}: negative index in {pairs[row].tolist()}")
+    equal = pairs[:, 0] == pairs[:, 1]
+    if equal.any():
+        row = int(equal.argmax())
+        raise WireFormatError(
+            f"record {row}: equal indices {pairs[row, 0]} are not a valid report"
+        )
+
+
+def _swap_words(words: np.ndarray) -> None:
+    """Turn native uint64 words into big-endian ones in place, or back."""
+    if sys.byteorder == "little":
+        words.byteswap(inplace=True)
+
+
 def _pack_records(pairs: np.ndarray, order: HadamardOrder) -> bytes:
-    """Concatenated :func:`pack_fhr` records of (index_x, index_y) rows at once."""
+    """Concatenated :func:`pack_fhr` records of (index_x, index_y) rows at once,
+    built in ``pairs``' own buffer, which they overwrite."""
+    _check_pairs(pairs, order)
     r = order.r
     size = packed_size(order)
-    if pairs.size and int(pairs.max()) >= order.order:
-        raise WireFormatError(f"a report overflows {r}-bit indices")
-    x, y = pairs[:, 0].astype(np.uint64), pairs[:, 1].astype(np.uint64)
-    words = (x << np.uint64(r + 1)) | np.uint64(1 << r) | y
-    words <<= np.uint64(size * 8 - (2 * r + 1))
-    # big-endian words; the record is their low ``size`` bytes
-    return words.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - size :].tobytes()
+    words = pairs.view(np.uint64)
+    record = words[:, 0]
+    record <<= np.uint64(r + 1)
+    record |= words[:, 1]
+    record |= np.uint64(1 << r)
+    record <<= np.uint64(size * 8 - (2 * r + 1))
+    _swap_words(record)
+    # the record is the low ``size`` bytes of its big-endian word
+    return pairs.view(np.uint8)[:, 8 - size : 8].tobytes()
 
 
 def _unpack_records(body: bytes, order: HadamardOrder) -> np.ndarray:
     """:func:`unpack_fhr` over every record of a file body at once, as an
-    (n, 2) int64 array of (index_x, index_y) rows."""
+    (n, 2) int64 array of (index_x, index_y) rows, split in that array's
+    own buffer."""
     r = order.r
     size = packed_size(order)
     count = len(body) // size
-    padded = np.zeros((count, 8), dtype=np.uint8)
-    padded[:, 8 - size :] = np.frombuffer(body, dtype=np.uint8).reshape(count, size)
-    words = padded.view(">u8").ravel().astype(np.uint64)
+    pairs = np.zeros((count, 2), dtype=np.int64)
+    records = np.frombuffer(body, dtype=np.uint8).reshape(count, size)
+    pairs.view(np.uint8)[:, 8 - size : 8] = records
+    # unsigned: at r = 31 a record fills all 64 bits, and a signed shift
+    # would carry its top bit down
+    words = pairs.view(np.uint64)
+    record, index_y = words[:, 0], words[:, 1]
+    _swap_words(record)
     pad = size * 8 - (2 * r + 1)
-    bad = np.flatnonzero(words & np.uint64((1 << pad) - 1))
-    if bad.size:
-        raise WireFormatError(f"record {bad[0]}: padding bits must be zero")
-    words >>= np.uint64(pad)
-    words = words.view(np.int64)  # 2r+1 <= 63 bits, so every word is nonnegative
-    pairs = np.stack((words >> (r + 1), words & ((1 << r) - 1)), axis=1)
-    equal = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
-    if equal.size:
+    if np.bitwise_and(record, np.uint64((1 << pad) - 1), out=index_y).any():
         raise WireFormatError(
-            f"record {equal[0]}: equal indices {pairs[equal[0], 0]} are not a valid report"
+            f"record {int(np.argmax(index_y != 0))}: padding bits must be zero"
         )
+    record >>= np.uint64(pad)
+    np.bitwise_and(record, np.uint64((1 << r) - 1), out=index_y)
+    record >>= np.uint64(r + 1)
+    _check_pairs(pairs, order)
     return pairs
 
 
 def _report_pairs(reports: Iterable[FhrReport]) -> np.ndarray:
-    """The reports' (index_x, index_y) as an (n, 2) int64 array.
+    """The reports' (index_x, index_y) as an (n, 2) int64 array, filled in
+    one pass (sized up front when ``reports`` has a length).
 
     Raises OverflowError for an index beyond int64.
     """
+    count = 2 * len(reports) if isinstance(reports, Sized) else -1
     flat = itertools.chain.from_iterable((rep.index_x, rep.index_y) for rep in reports)
-    return np.fromiter(flat, dtype=np.int64).reshape(-1, 2)
+    return np.fromiter(flat, dtype=np.int64, count=count).reshape(-1, 2)
 
 
 def write_report_file(

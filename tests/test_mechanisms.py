@@ -567,6 +567,14 @@ class TestScratchMemory:
         # the keep coins, then the offset draw that becomes the output
         assert self._peak_units(lambda: grr_perturb_batch(items, params, 1023, rng)) <= 2
 
+    def test_olh_client(self):
+        items = np.random.default_rng(1).integers(0, 1023, size=self.N)
+        params = PrivacyParams.for_olh(1.0)
+        rng = np.random.default_rng(2)
+        # the seeds, the key built in a's buffer, b, then the keep coins
+        # and the randomized response beside the seeds and buckets
+        assert self._peak_units(lambda: olh_perturb_batch(items, params, 1023, rng)) <= 3.25
+
 
 class TestRegistry:
     def test_names_in_sweep_order(self):

@@ -56,6 +56,22 @@ class TestPackedLayout:
         with pytest.raises(WireFormatError):
             pack_fhr(FhrReport(index_x=4, index_y=1), HadamardOrder(2))
 
+    # FhrReport is mutable: its constructor's checks do not bind a later assignment
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("index_x", -1, "negative"),
+            ("index_y", -5, "negative"),
+            ("index_y", 2, "equal indices 2"),
+        ],
+        ids=["negative-x", "negative-y", "equal"],
+    )
+    def test_reassigned_index_rejected(self, field, value, match):
+        report = FhrReport(index_x=2, index_y=1)
+        setattr(report, field, value)
+        with pytest.raises(WireFormatError, match=match):
+            pack_fhr(report, HadamardOrder(2))
+
     def test_wrong_length_rejected(self):
         with pytest.raises(WireFormatError):
             unpack_fhr(bytes([0x28, 0x00]), HadamardOrder(2))
@@ -212,6 +228,19 @@ class TestReportFileCodec:
         read_order, pairs = read_report_file(path)
         assert read_order == order and pairs.tolist() == _rows(reports)
 
+    @pytest.mark.parametrize("r", [1, 16, 31])
+    def test_list_and_generator_write_pack_fhr_records(self, tmp_path, r):
+        # a list is staged at its known length, a generator as it grows
+        order = HadamardOrder(r)
+        reports = _random_reports(r, 500, seed=r + 40)
+        expected = struct.pack(">4sIQ", FILE_MAGIC, r, len(reports)) + b"".join(
+            pack_fhr(report, order) for report in reports
+        )
+        for name, source in (("list", reports), ("generator", (rep for rep in reports))):
+            path = tmp_path / f"{name}.bin"
+            assert write_report_file(path, source, order) == len(reports)
+            assert path.read_bytes() == expected
+
     def test_positional_reports_write_the_keyword_file(self, tmp_path):
         # the benchmark builds its reports positionally, FhrReport(x, y)
         order = HadamardOrder(16)
@@ -267,6 +296,29 @@ class TestReportFileCodec:
                 tmp_path / "o.bin", [FhrReport(index_x=index, index_y=0)], HadamardOrder(3)
             )
 
+    # a report reassigned after construction is checked where the writer
+    # stages it, and no file is written; the reader would reject it or, for
+    # a negative index, return other indices than the report's
+    @pytest.mark.parametrize("r", [4, 31])
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("index_x", -1, r"record 4: negative index in \[-1, "),
+            ("index_y", -(2**40), "record 4: negative index"),
+            ("index_y", "index_x", "record 4: equal indices"),
+        ],
+        ids=["negative-x", "negative-y", "equal"],
+    )
+    def test_reassigned_index_rejected_by_writer(self, tmp_path, r, field, value, match):
+        reports = _random_reports(r, 9, seed=3)
+        if value == "index_x":
+            value = reports[4].index_x
+        setattr(reports[4], field, value)
+        path = tmp_path / "bad.bin"
+        with pytest.raises(WireFormatError, match=match):
+            write_report_file(path, reports, HadamardOrder(r))
+        assert not path.exists()
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from([1, 2, 3, 5, 10, 16, 31]),
@@ -287,6 +339,35 @@ class TestReportFileCodec:
             return
         read_order, pairs = read_report_file(path)
         assert read_order == order and pairs.tolist() == _rows(expected)
+
+
+class TestReportFileMemory:
+    """The codec packs and unpacks in one (n, 2) int64 buffer: traced peak
+    bytes per record at n = 2^16 and r = 16, whose records take 5 bytes."""
+
+    N = 1 << 16
+    ORDER = HadamardOrder(16)
+
+    def _peak_per_record(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / self.N
+
+    def test_write(self, tmp_path):
+        reports = _random_reports(16, self.N, seed=8)
+        path = tmp_path / "reports.bin"
+        # the staged pairs (16) and the packed body (5), above the reports
+        assert self._peak_per_record(lambda: write_report_file(path, reports, self.ORDER)) < 24
+
+    def test_read(self, tmp_path):
+        path = tmp_path / "reports.bin"
+        write_report_file(path, _random_reports(16, self.N, seed=8), self.ORDER)
+        # the body read (5), the result (16) and the equality check (1)
+        assert self._peak_per_record(lambda: read_report_file(path)) < 32
 
 
 class TestAtomicReportFile:
