@@ -124,16 +124,18 @@ def ingest_csv(path: str | Path) -> ItemStream:
     """Load one item per row from the first column, dictionary-encoding
     values by first appearance.
 
-    Blank lines are skipped. A blank value, or a row the csv module cannot
-    parse (an oversized field, a NUL byte), raises ValueError naming the
-    file line the row ends on, which a quoted field spanning lines moves
-    past the row count. An input with no data rows is an error, not an
-    empty stream.
+    The file is UTF-8, with or without a byte-order mark. Blank lines are
+    skipped. A blank value, or a row the csv module cannot parse (an
+    oversized field, a NUL byte), raises ValueError naming the file line
+    the row ends on, which a quoted field spanning lines moves past the row
+    count. Bytes that are not UTF-8 raise ValueError naming the file only:
+    the decoder reads ahead, so no line is known. An input with no data
+    rows is an error, not an empty stream.
     """
     path = Path(path)
     encoding: dict[str, int] = {}
     items: list[int] = []
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             for row in reader:
@@ -145,6 +147,8 @@ def ingest_csv(path: str | Path) -> ItemStream:
                 items.append(encoding.setdefault(value, len(encoding)))
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not items:
         raise ValueError(f"{path}: no data rows")
     return ItemStream(items=np.asarray(items, dtype=np.int64), labels=tuple(encoding))

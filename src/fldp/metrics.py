@@ -156,12 +156,15 @@ def ncr(real_topk: TopKSelection, est_topk: TopKSelection) -> float:
 
     A true item at rank r (1-based) is worth k - r + 1 points; each
     estimated item collects the points of its true rank if it appears in
-    the true selection at all. The total is divided by the perfect score
-    k(k+1)/2, so matching sets score 1 and disjoint sets 0.
+    the true selection at all. The total is divided by the true selection's
+    own score, k(k+1)/2 when it holds k items, so matching sets score 1 and
+    disjoint sets 0 even when k exceeds the table.
     """
     if real_topk.k != est_topk.k:
         raise ValueError(f"selections disagree on k: {real_topk.k} vs {est_topk.k}")
+    if not real_topk.items.size:
+        raise ValueError("the true selection is empty")
     k = real_topk.k
     scores = {int(item): k - rank for rank, item in enumerate(real_topk.items)}
     total = sum(scores.get(int(item), 0) for item in est_topk.items)
-    return total / (k * (k + 1) / 2)
+    return total / sum(scores.values())

@@ -20,8 +20,9 @@ the packed body), and reading 17 + s (the body read, the array, which is
 the result, and one byte of checks): 21 and 22 at r = 16. The result is the
 form :func:`fldp.aggregator.fhr_accumulate` folds; no per-record object is
 built on the server side. The single-report :func:`pack_fhr` and
-:func:`unpack_fhr` take any order the matrix allows (r <= 63). Files are
-written whole or not at all (see :mod:`fldp._atomic`).
+:func:`unpack_fhr` are the one-record case of the same codec, so they take
+the same orders (r <= 31). Files are written whole or not at all (see
+:mod:`fldp._atomic`).
 """
 
 from __future__ import annotations
@@ -65,54 +66,27 @@ def packed_size(order: HadamardOrder) -> int:
 
 
 def pack_fhr(report: FhrReport, order: HadamardOrder) -> bytes:
-    """Serialize one report into exactly packed_size(order) bytes.
-
-    Rejects what :func:`unpack_fhr` would not return: an index outside
-    [0, order) and equal indices.
-    """
-    r = order.r
-    d = order.order
-    if report.index_x >= d or report.index_y >= d:
-        raise WireFormatError(f"report {report} overflows {r}-bit indices")
-    if report.index_x < 0 or report.index_y < 0:
-        raise WireFormatError(f"report {report} has a negative index")
-    if report.index_x == report.index_y:
-        raise WireFormatError(f"equal indices {report.index_x} are not a valid report")
-    width = 2 * r + 1
-    nbytes = packed_size(order)
-    word = (report.index_x << (r + 1)) | (1 << r) | report.index_y
-    return (word << (nbytes * 8 - width)).to_bytes(nbytes, "big")
+    """Serialize one report into packed_size(order) bytes, the body of a
+    one-record report file; rejects out-of-range and equal indices."""
+    _file_order(order.r)
+    return _pack_records(_report_pairs([report], order), order)
 
 
 def unpack_fhr(data: bytes, order: HadamardOrder) -> FhrReport:
-    """Decode packed_size(order) bytes back into a report.
-
-    Rejects wrong lengths, nonzero padding, and equal indices. The sign
-    bit is ignored: the first index holds +1 by convention.
-    """
-    r = order.r
-    width = 2 * r + 1
+    """Decode packed_size(order) bytes, a one-record report file's body,
+    back into a report; rejects wrong lengths and every invalid record."""
+    _file_order(order.r)
     nbytes = packed_size(order)
     if len(data) != nbytes:
         raise WireFormatError(f"expected {nbytes} bytes, got {len(data)}")
-    value = int.from_bytes(data, "big")
-    pad = nbytes * 8 - width
-    if value & ((1 << pad) - 1):
-        raise WireFormatError("padding bits must be zero")
-    word = value >> pad
-    mask = (1 << r) - 1
-    index_y = word & mask
-    index_x = word >> (r + 1)
-    if index_x == index_y:
-        raise WireFormatError(f"equal indices {index_x} are not a valid report")
-    return FhrReport(index_x=index_x, index_y=index_y)
+    return FhrReport(*_unpack_records(data, order)[0].tolist())
 
 
 def _file_order(r: int) -> HadamardOrder:
-    """The order a report file may declare: 1 <= r <= _MAX_FILE_EXPONENT."""
+    """The order the wire format may declare: 1 <= r <= _MAX_FILE_EXPONENT."""
     if r > _MAX_FILE_EXPONENT:
         raise WireFormatError(
-            f"report files hold order exponents up to {_MAX_FILE_EXPONENT}, got r={r}"
+            f"the wire format holds order exponents up to {_MAX_FILE_EXPONENT}, got r={r}"
         )
     try:
         return HadamardOrder(r=r)
@@ -122,7 +96,8 @@ def _file_order(r: int) -> HadamardOrder:
 
 def _check_pairs(pairs: np.ndarray, order: HadamardOrder) -> None:
     """Raise :class:`WireFormatError` unless every (index_x, index_y) row is
-    a report :func:`unpack_fhr` could return, with one byte per row of scratch."""
+    a valid report, indices distinct and in [0, order), with one byte per
+    row of scratch."""
     if not pairs.size:
         return
     if int(pairs.max()) >= order.order:
@@ -145,8 +120,8 @@ def _swap_words(words: np.ndarray) -> None:
 
 
 def _pack_records(pairs: np.ndarray, order: HadamardOrder) -> bytes:
-    """Concatenated :func:`pack_fhr` records of (index_x, index_y) rows at once,
-    built in ``pairs``' own buffer, which they overwrite."""
+    """The (index_x, index_y) rows as concatenated records, sign bit 1, built
+    in ``pairs``' own buffer, which they overwrite."""
     _check_pairs(pairs, order)
     r = order.r
     size = packed_size(order)
@@ -162,9 +137,9 @@ def _pack_records(pairs: np.ndarray, order: HadamardOrder) -> bytes:
 
 
 def _unpack_records(body: bytes, order: HadamardOrder) -> np.ndarray:
-    """:func:`unpack_fhr` over every record of a file body at once, as an
-    (n, 2) int64 array of (index_x, index_y) rows, split in that array's
-    own buffer."""
+    """A body's records as an (n, 2) int64 array of (index_x, index_y) rows,
+    split in that array's own buffer; the sign bit is ignored, and the
+    first record with nonzero padding or equal indices is an error."""
     r = order.r
     size = packed_size(order)
     count = len(body) // size
@@ -188,15 +163,15 @@ def _unpack_records(body: bytes, order: HadamardOrder) -> np.ndarray:
     return pairs
 
 
-def _report_pairs(reports: Iterable[FhrReport]) -> np.ndarray:
+def _report_pairs(reports: Iterable[FhrReport], order: HadamardOrder) -> np.ndarray:
     """The reports' (index_x, index_y) as an (n, 2) int64 array, filled in
-    one pass (sized up front when ``reports`` has a length).
-
-    Raises OverflowError for an index beyond int64.
-    """
+    one pass (sized up front when ``reports`` has a length)."""
     count = 2 * len(reports) if isinstance(reports, Sized) else -1
     flat = itertools.chain.from_iterable((rep.index_x, rep.index_y) for rep in reports)
-    return np.fromiter(flat, dtype=np.int64, count=count).reshape(-1, 2)
+    try:
+        return np.fromiter(flat, dtype=np.int64, count=count).reshape(-1, 2)
+    except OverflowError as exc:
+        raise WireFormatError(f"a report overflows {order.r}-bit indices") from exc
 
 
 def write_report_file(
@@ -204,14 +179,11 @@ def write_report_file(
 ) -> int:
     """Write a header plus packed records; returns the record count.
 
-    The bytes are the header followed by each report's :func:`pack_fhr`
-    record, and they replace ``path`` only once all of them are written.
+    The bytes are the header followed by each report's packed record, and
+    they replace ``path`` only once all of them are written.
     """
     _file_order(order.r)
-    try:
-        pairs = _report_pairs(reports)
-    except OverflowError as exc:
-        raise WireFormatError(f"a report overflows {order.r}-bit indices") from exc
+    pairs = _report_pairs(reports, order)
     body = _pack_records(pairs, order)
     with replace_atomically(path, "wb") as handle:
         handle.write(_HEADER.pack(FILE_MAGIC, order.r, len(pairs)))
@@ -223,9 +195,8 @@ def read_report_file(path: str | Path) -> tuple[HadamardOrder, np.ndarray]:
     """Read a report file back as its order and an (n, 2) int64 array of
     (index_x, index_y) rows; validates magic, order, length, and every record.
 
-    Row i is what :func:`unpack_fhr` gives for record i, and the file is
-    rejected with :class:`WireFormatError` exactly when some record's
-    :func:`unpack_fhr` would raise. The header is checked against the
+    A record with nonzero padding or equal indices rejects the file with
+    :class:`WireFormatError`. The header is checked against the
     file's size before the body is read, so a header promising more
     records than the file holds, or an order beyond the cap, costs no
     allocation.

@@ -12,9 +12,10 @@ import math
 
 import numpy as np
 
-from fldp.hadamard import min_order_for_domain, row_vector
-from fldp.mechanisms import _require
+from fldp.hadamard import HadamardOrder, min_order_for_domain, row_vector
+from fldp.mechanisms import FhrReport, _require
 from fldp.verifier import FldpCertificate, OutputRange, certify_ranges, enumerate_range
+from fldp.wire import WireFormatError, packed_size
 
 
 def sylvester_matrix(r: int) -> np.ndarray:
@@ -81,7 +82,7 @@ def ncr_oracle(real, est, k: int) -> float:
     true_ranked = top_k_oracle(real, k)
     scores = {item: k - rank for rank, item in enumerate(true_ranked)}
     total = sum(scores.get(item, 0) for item in top_k_oracle(est, k))
-    return total / (k * (k + 1) / 2)
+    return total / sum(scores.values())
 
 
 def tally_oracle(items) -> dict[int, int]:
@@ -321,3 +322,47 @@ def certify_ranges_oracle(ranges):
         intersection_size_min=inter_min or 0,
         intersection_size_max=inter_max or 0,
     )
+
+
+def pack_fhr_oracle(report: FhrReport, order: HadamardOrder) -> bytes:
+    """One packed report built as a Python int, shifted field by field:
+    index_x, the sign bit (always 1), index_y, then zero padding.
+
+    Rejects an index outside [0, order) and equal indices.
+    """
+    r = order.r
+    d = order.order
+    if report.index_x >= d or report.index_y >= d:
+        raise WireFormatError(f"report {report} overflows {r}-bit indices")
+    if report.index_x < 0 or report.index_y < 0:
+        raise WireFormatError(f"report {report} has a negative index")
+    if report.index_x == report.index_y:
+        raise WireFormatError(f"equal indices {report.index_x} are not a valid report")
+    width = 2 * r + 1
+    nbytes = packed_size(order)
+    word = (report.index_x << (r + 1)) | (1 << r) | report.index_y
+    return (word << (nbytes * 8 - width)).to_bytes(nbytes, "big")
+
+
+def unpack_fhr_oracle(data: bytes, order: HadamardOrder) -> FhrReport:
+    """One packed report split as a Python int.
+
+    Rejects wrong lengths, nonzero padding, and equal indices. The sign
+    bit is ignored: the first index holds +1 by convention.
+    """
+    r = order.r
+    width = 2 * r + 1
+    nbytes = packed_size(order)
+    if len(data) != nbytes:
+        raise WireFormatError(f"expected {nbytes} bytes, got {len(data)}")
+    value = int.from_bytes(data, "big")
+    pad = nbytes * 8 - width
+    if value & ((1 << pad) - 1):
+        raise WireFormatError("padding bits must be zero")
+    word = value >> pad
+    mask = (1 << r) - 1
+    index_y = word & mask
+    index_x = word >> (r + 1)
+    if index_x == index_y:
+        raise WireFormatError(f"equal indices {index_x} are not a valid report")
+    return FhrReport(index_x=index_x, index_y=index_y)

@@ -107,6 +107,20 @@ class TestRejectedBeforeWork:
         assert printed.err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
+    def test_non_utf8_csv_names_the_file(self, capsys, tmp_path):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"a\n\xff\nb\n")
+        out = tmp_path / "out"
+        argv = ["run", "--dataset", "csv", "--csv", str(data), "--mechanisms", "fhr",
+                "--epsilons", "1", "--topk", "1", "--trials", "1", "--out", str(out)]
+        assert _run(argv) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(f"fldp: {data}: not UTF-8 text")
+        assert printed.err.count("\n") == 1
+        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
+
 
 class TestGenData:
     def test_writes_dataset_and_ground_truth(self, tmp_path, capsys):

@@ -78,6 +78,21 @@ class TestIngestCsv:
         assert stream.ground_truth.tolist() == [2, 1]
         assert stream.items.tolist() == [0, 1, 0]
 
+    def test_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"a\na\nb\n")
+        marked.write_bytes(b"\xef\xbb\xbfa\na\nb\n")
+        stream, expected = ingest_csv(marked), ingest_csv(plain)
+        assert stream.labels == expected.labels == ("a", "b")
+        assert stream.items.tolist() == expected.items.tolist() == [0, 0, 1]
+        assert stream.ground_truth.tolist() == [2, 1]
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a\n\xff\nb\n")
+        with pytest.raises(ValueError, match=r"^\S*latin1\.csv: not UTF-8 text"):
+            ingest_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")

@@ -210,6 +210,20 @@ class TestNcr:
         est_sel = TopKSelection(k=3, items=np.array([7, 9, 1]))
         assert ncr(real_sel, est_sel) == pytest.approx(4 / 6)
 
+    @pytest.mark.parametrize("k", [10, 11, 20])
+    def test_k_beyond_the_table(self, k):
+        # both selections hold all 10 items, whose perfect score is
+        # k + (k - 1) + ... + (k - 9), not k(k + 1)/2; any estimate scores 1
+        table = np.arange(10.0, 0.0, -1.0)
+        for est in (table.copy(), table[::-1].copy(), -table):
+            assert ncr_oracle(table.tolist(), est.tolist(), k) == 1.0
+            assert ncr(top_k(table, k), top_k(est, k)) == 1.0
+
+    def test_empty_true_selection_rejected(self):
+        empty = TopKSelection(k=2, items=np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="empty"):
+            ncr(empty, empty)
+
     def test_mismatched_k_rejected(self):
         with pytest.raises(ValueError):
             ncr(

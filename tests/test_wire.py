@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import pack_fhr_oracle, unpack_fhr_oracle
 from fldp import wire
 from fldp.hadamard import HadamardOrder
 from fldp.mechanisms import FhrReport
@@ -71,6 +72,42 @@ class TestPackedLayout:
         setattr(report, field, value)
         with pytest.raises(WireFormatError, match=match):
             pack_fhr(report, HadamardOrder(2))
+
+    @pytest.mark.parametrize("r", [32, 63])
+    def test_orders_beyond_the_wire_cap_rejected(self, r):
+        order = HadamardOrder(r)
+        with pytest.raises(WireFormatError, match="exponent"):
+            pack_fhr(FhrReport(index_x=1, index_y=0), order)
+        with pytest.raises(WireFormatError, match="exponent"):
+            unpack_fhr(bytes(packed_size(order)), order)
+
+    @pytest.mark.parametrize("r", [1, 16, 31])
+    def test_bytes_match_the_scalar_oracle(self, r):
+        order = HadamardOrder(r)
+        for report in _random_reports(r, 300, seed=r + 70):
+            packed = pack_fhr(report, order)
+            assert packed == pack_fhr_oracle(report, order)
+            assert unpack_fhr(packed, order) == report
+
+    @pytest.mark.parametrize("r", [1, 7, 16, 31])
+    def test_unpack_decides_like_the_scalar_oracle(self, r):
+        # random bytes, with the padding cleared in every other blob so that
+        # the index checks are reached too (equal indices are common at r = 1)
+        order = HadamardOrder(r)
+        size = packed_size(order)
+        pad_mask = (0xFF << (size * 8 - (2 * r + 1))) & 0xFF
+        rng = np.random.default_rng(r + 90)
+        for i, blob in enumerate(rng.integers(0, 256, size=(400, size), dtype=np.uint8)):
+            if i % 2:
+                blob[-1] &= pad_mask
+            data = blob.tobytes()
+            try:
+                expected = unpack_fhr_oracle(data, order)
+            except WireFormatError:
+                with pytest.raises(WireFormatError):
+                    unpack_fhr(data, order)
+                continue
+            assert unpack_fhr(data, order) == expected
 
     def test_wrong_length_rejected(self):
         with pytest.raises(WireFormatError):
@@ -213,7 +250,8 @@ def _random_reports(r, count, seed):
 
 
 class TestReportFileCodec:
-    """The array codec against the one-record pack_fhr / unpack_fhr."""
+    """The array codec against the scalar oracles, which build and split
+    one record at a time as a Python int."""
 
     @pytest.mark.parametrize("r", [1, 2, 7, 8, 16, 31])
     def test_bytes_are_header_plus_pack_fhr_records(self, tmp_path, r):
@@ -222,7 +260,7 @@ class TestReportFileCodec:
         path = tmp_path / "reports.bin"
         assert write_report_file(path, iter(reports), order) == len(reports)
         expected = struct.pack(">4sIQ", FILE_MAGIC, r, len(reports)) + b"".join(
-            pack_fhr(report, order) for report in reports
+            pack_fhr_oracle(report, order) for report in reports
         )
         assert path.read_bytes() == expected
         read_order, pairs = read_report_file(path)
@@ -234,7 +272,7 @@ class TestReportFileCodec:
         order = HadamardOrder(r)
         reports = _random_reports(r, 500, seed=r + 40)
         expected = struct.pack(">4sIQ", FILE_MAGIC, r, len(reports)) + b"".join(
-            pack_fhr(report, order) for report in reports
+            pack_fhr_oracle(report, order) for report in reports
         )
         for name, source in (("list", reports), ("generator", (rep for rep in reports))):
             path = tmp_path / f"{name}.bin"
@@ -266,7 +304,7 @@ class TestReportFileCodec:
     def _file_with_middle_record(self, tmp_path, r, middle):
         order = HadamardOrder(r)
         reports = _random_reports(r, 9, seed=3)
-        records = [pack_fhr(report, order) for report in reports]
+        records = [pack_fhr_oracle(report, order) for report in reports]
         records[4] = middle
         path = tmp_path / "bad.bin"
         path.write_bytes(struct.pack(">4sIQ", FILE_MAGIC, r, 9) + b"".join(records))
@@ -275,7 +313,7 @@ class TestReportFileCodec:
     @pytest.mark.parametrize("r", [2, 7, 16, 31])
     def test_nonzero_padding_in_middle_record_rejected(self, tmp_path, r):
         order = HadamardOrder(r)
-        good = pack_fhr(FhrReport(index_x=1, index_y=0), order)
+        good = pack_fhr_oracle(FhrReport(index_x=1, index_y=0), order)
         middle = good[:-1] + bytes([good[-1] | 1])  # the lowest bit is padding
         with pytest.raises(WireFormatError, match="record 4: padding"):
             read_report_file(self._file_with_middle_record(tmp_path, r, middle))
@@ -332,7 +370,9 @@ class TestReportFileCodec:
         path = tmp_path_factory.mktemp("fuzz") / "body.bin"
         path.write_bytes(struct.pack(">4sIQ", FILE_MAGIC, r, count) + body)
         try:
-            expected = [unpack_fhr(body[i * size : (i + 1) * size], order) for i in range(count)]
+            expected = [
+                unpack_fhr_oracle(body[i * size : (i + 1) * size], order) for i in range(count)
+            ]
         except WireFormatError:
             with pytest.raises(WireFormatError):
                 read_report_file(path)
