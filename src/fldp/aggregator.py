@@ -39,6 +39,7 @@ from .mechanisms import (
     _OLH_KEY_LIMIT,
     PrivacyParams,
     _check_epsilon,
+    _integers,
     _olh_buckets,
     _olh_keys,
     _require,
@@ -109,8 +110,8 @@ def fhr_accumulate_indices(
 ) -> SumVector:
     """Fold batches of report index pairs into a SumVector via bincount."""
     d = order.order
-    index_x = np.asarray(index_x, dtype=np.int64)
-    index_y = np.asarray(index_y, dtype=np.int64)
+    index_x = _integers(index_x, "report indices").astype(np.int64, copy=False)
+    index_y = _integers(index_y, "report indices").astype(np.int64, copy=False)
     if index_x.shape != index_y.shape:
         raise ValueError("index arrays must have matching shapes")
     for arr in (index_x, index_y):

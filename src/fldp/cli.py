@@ -7,8 +7,8 @@ Commands:
 - ``run``: execute the mechanism x epsilon x trial sweep, writing
   results.csv and manifest.json.
 - ``verify-fldp``: certify a mechanism's overlap fraction and worst-case
-  ratio exactly (FHR in closed form, the others by enumeration); writes
-  certificate.json.
+  ratio exactly (FHR and the unary encodings in closed form, GRR by
+  enumeration); writes certificate.json.
 - ``size-table``: print per-mechanism report sizes in bits.
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a privacy
@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         type=int,
         required=True,
-        help="Hadamard order for fhr (power of two), domain size otherwise",
+        help="Hadamard order for fhr (a power of two, up to 4096); domain size otherwise "
+        "(up to 256 for grr, 4095 for oue and rappor)",
     )
     verify.add_argument("--out", type=str, default="results", help="output directory")
 

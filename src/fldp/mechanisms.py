@@ -152,7 +152,7 @@ class Mechanism:
     ``params(epsilon, domain_size)`` builds its constants,
     ``report_bits(domain_size, epsilon)`` is what one client report costs,
     and ``eta`` is the overlap fraction its exact certificate must reach,
-    None when its output space cannot be enumerated.
+    None when it has no exact certificate.
     """
 
     name: str
@@ -233,8 +233,16 @@ class FhrReport:
         self.index_y = index_y
 
 
+def _integers(values: np.ndarray, name: str) -> np.ndarray:
+    """``values`` as an array; a non-empty one must hold integers, not floats."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    return values
+
+
 def _item_rows(items: np.ndarray, order: HadamardOrder) -> np.ndarray:
-    items = np.atleast_1d(items)  # a scalar item is a batch of one
+    items = np.atleast_1d(_integers(items, "items"))  # a scalar item is a batch of one
     if items.size:
         lo, hi = int(items.min()), int(items.max())
         if lo < 0 or hi + 1 >= order.order:
@@ -282,7 +290,7 @@ def fhr_perturb_batch(
 
 
 def _check_domain(items: np.ndarray, domain_size: int) -> np.ndarray:
-    items = np.asarray(items, dtype=np.int64)
+    items = _integers(items, "items").astype(np.int64, copy=False)
     if items.size and (items.min() < 0 or items.max() >= domain_size):
         raise ValueError("item outside domain")
     return items

@@ -82,7 +82,10 @@ def top_k(table: np.ndarray, k: int) -> TopKSelection:
 
 
 def _restrict(table: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """The candidates' entries of a table, which must be finite throughout."""
     table = np.asarray(table, dtype=np.float64)
+    if not np.isfinite(table).all():
+        raise ValueError("metrics need finite tables, got NaN or infinite values")
     if items.size and (items.min() < 0 or items.max() >= table.size):
         raise ValueError("candidate item outside table")
     return table[items]
@@ -100,13 +103,16 @@ def kld(
     zero, ``smoothing`` added to every entry, and the result renormalized
     to a distribution before averaging the two one-sided divergences
     (natural log). When ``smoothing`` is None it defaults to one tenth of
-    a count, 1 / (10 * sum(real)), so ``real`` should be count-scale in
-    that case.
+    a count, 1 / (10 * sum(real)), so ``real`` should be count-scale, with
+    a nonzero total, in that case.
     """
     real = np.asarray(real, dtype=np.float64)
     est = np.asarray(est, dtype=np.float64)
     if smoothing is None:
-        smoothing = 1.0 / (10.0 * float(real.sum()))
+        total = float(real.sum())
+        if total == 0:
+            raise ValueError("the default smoothing needs a true table with nonzero total")
+        smoothing = 1.0 / (10.0 * total)
     p = np.clip(_restrict(real, candidates.items), 0, None) + smoothing
     q = np.clip(_restrict(est, candidates.items), 0, None) + smoothing
     if np.any(p <= 0) or np.any(q <= 0):

@@ -1,38 +1,37 @@
-"""Exact empirical auditor for flexible local differential privacy.
+"""Exact certification of flexible local differential privacy.
 
 A mechanism satisfies the flexible notion when, for every pair of inputs,
 the overlap fraction of their output ranges is at least eta and on every
-shared output the probability ratio is at most e^eps. This module derives
-the full output distribution of a mechanism analytically over a small
-domain (never by sampling), then certifies the observed eta and the
-worst-case ratio with the witnessing input pairs and outputs.
+shared output the probability ratio is at most e^eps. A certificate gives
+the observed eta, the worst ratio and its witnesses, derived from the
+mechanism's output law, never sampled.
 
-GRR and the unary encodings are enumerated by :func:`enumerate_range`,
-which checks the domain against the mechanism's row of one limits table
-and then writes down its law. Each item's range is a pair of arrays, the
-output codes in enumeration order and their probabilities.
-:func:`certify_ranges` scatters them into one items x outputs probability
-matrix P. Its support S = P > 0 gives the range sizes (row sums) and every
-pair's overlap (S . S^T). The ratios are then taken one row t at a time:
-P[t, R(t)] against the rows below it, P[t+1:, R(t)], so no more than one
-row's pairs are held at once. Output codes:
+GRR is enumerated: :func:`enumerate_range` writes down an item's range, its
+outputs (the reported values) and their probabilities, and
+:func:`certify_ranges` scatters the ranges into one items x outputs matrix
+P. Its support S = P > 0 gives the range sizes and every pair's overlap
+(S . S^T); the ratios are taken one row t at a time, P[t, R(t)] against
+P[t+1:, R(t)].
 
-- grr: the reported value itself.
-- rappor / oue: the perturbed bit vector packed into an int (bit j is
-  position j).
+FHR and the unary encodings are certified in closed form, from what their
+constructions fix, with witnesses from the same walk:
 
-FHR is certified in closed form, from the Gram matrix of its rows, with
-no output written down. Its output is the ordered sign-assigned index
-pair ``(x, y)``, meaning +1 at column x and -1 at column y. Under this
-counting each item reaches order^2 / 2 outputs and any two items share
-order^2 / 4 of them, so eta is exactly one half regardless of order.
+- FHR outputs the sign-assigned index pair ``(x, y)``, +1 at column x and
+  -1 at column y. Distinct Sylvester rows are balanced and orthogonal, so
+  each item reaches order^2 / 2 outputs and any two share order^2 / 4:
+  eta is exactly one half.
+- OUE and RAPPOR output a bit vector, coded as an int whose bit j is
+  position j. Every range holds all 2^D, so eta is 1, and two items' laws
+  differ only at their own two bit positions.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -49,10 +48,9 @@ __all__ = [
 ]
 
 _MAX_FHR_ORDER = 4096
-_GRAM_BLOCK = 256  # rows of the FHR Gram matrix taken at once
-# each enumerable mechanism: the name its limit message gives it, and the
-# largest domain whose output ranges are written down
-_ENUMERABLE = {"grr": ("GRR", 256), "oue": ("unary", 12), "rappor": ("unary", 12)}
+_MAX_GRR_DOMAIN = 256  # the largest GRR domain whose ranges are written down
+# FHR's item limit; a range size 2^D then prints within Python's 4,300 digits
+_MAX_UNARY_DOMAIN = _MAX_FHR_ORDER - 1
 _MAX_WITNESSES = 8
 _PROB_SUM_TOL = 1e-9
 # slack of the pass rule: on the observed overlap, and on the effective
@@ -62,7 +60,7 @@ _RATIO_TOL = 1e-9
 
 
 class EnumerationLimitError(ValueError):
-    """The mechanism's output space is too large to enumerate exactly."""
+    """The mechanism's output space is too large to certify exactly."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +99,7 @@ class OutputRange:
 
 @dataclass(frozen=True)
 class FldpCertificate:
-    """Result of auditing every input pair of an enumerable mechanism.
+    """Result of auditing every input pair of a certifiable mechanism.
 
     ``eta_observed`` is the smallest overlap fraction
     ``|R(t) n R(t')| / max(|R(t)|, |R(t')|)`` over all pairs, and
@@ -131,36 +129,24 @@ class FldpCertificate:
 def enumerate_range(
     mechanism: str, item: int, params: PrivacyParams, domain_size: int
 ) -> OutputRange:
-    """Exact output distribution of ``mechanism`` run on ``item``.
+    """Exact output distribution of GRR run on ``item``.
 
     Analytic, never sampled; raises :class:`EnumerationLimitError` when the
-    output space is too large to write down. GRR and the unary encodings
-    only: FHR is certified in closed form by :func:`certify_mechanism`.
+    output space is too large to write down. GRR only: FHR and the unary
+    encodings are certified in closed form by :func:`certify_mechanism`.
     """
-    if mechanism not in _ENUMERABLE:
+    if mechanism != "grr":
         raise ValueError(f"cannot enumerate mechanism {mechanism!r}")
-    label, limit = _ENUMERABLE[mechanism]
-    if domain_size > limit:
+    if domain_size > _MAX_GRR_DOMAIN:
         raise EnumerationLimitError(
-            f"{label} domain {domain_size} exceeds the enumeration limit {limit}"
+            f"GRR domain {domain_size} exceeds the enumeration limit {_MAX_GRR_DOMAIN}"
         )
     if not 0 <= item < domain_size:
         raise ValueError(f"item {item} outside domain [0, {domain_size})")
     _require(params, "q", "GRR or unary encoding")
-    p, q = params.p, params.q
-    if mechanism == "grr":
-        probs = np.full(domain_size, q)
-        probs[item] = p
-        return OutputRange(codes=np.arange(domain_size), probs=probs)
-    masks = np.arange(1 << domain_size)
-    probs = np.ones(masks.size)
-    # RAPPOR's flip probabilities are q and p; 1 - p loses p's last bits near 1
-    miss, clear = (q, p) if mechanism == "rappor" else (1 - p, 1 - q)
-    # one factor per bit position, in position order (which fixes the rounding)
-    for j in range(domain_size):
-        on, off = (p, miss) if j == item else (q, clear)
-        probs *= np.where((masks >> j) & 1, on, off)
-    return OutputRange(codes=masks, probs=probs)
+    probs = np.full(domain_size, params.q)
+    probs[item] = params.p
+    return OutputRange(codes=np.arange(domain_size), probs=probs)
 
 
 def certify_ranges(ranges: Mapping[int, OutputRange]) -> FldpCertificate:
@@ -231,44 +217,34 @@ def certify_ranges(ranges: Mapping[int, OutputRange]) -> FldpCertificate:
     )
 
 
-def _fhr_witnesses(masks: np.ndarray, ratios: tuple[float, float]) -> tuple:
-    """The witnesses of :func:`certify_ranges`' walk over FHR's ranges,
-    from the items' 0/1 masks of their rows' +1 columns.
-
-    Pairs t < t' come in item order, and each pair's outputs in t's
-    enumeration order: (x, y) and then (y, x), for x in P and then y in N,
-    both ascending. Only outputs on which the two rows disagree carry a
-    ratio above 1: for x in P n N' and y in N n P', t keeps the (x, y) that
-    t' flips (``ratios[0]``), and flips the (y, x) that t' keeps
-    (``ratios[1]``, the witness oriented from t').
-    """
-    top = max(ratios)
-    witnesses = []
-    for t in range(len(masks) - 1):
-        for u in range(t + 1, len(masks)):
-            for x in np.flatnonzero(masks[t] > masks[u]).tolist():
-                for y in np.flatnonzero(masks[t] < masks[u]).tolist():
-                    for ratio, witness in zip(ratios, ((t, u, (x, y)), (u, t, (y, x)))):
-                        if ratio == top:
-                            witnesses.append(witness)
-                            if len(witnesses) == _MAX_WITNESSES:
-                                return tuple(witnesses)
-    return tuple(witnesses)
+def _closed_form(
+    eta: float, size: int, overlap: int, top: float, domain_size: int, outputs: Callable
+) -> FldpCertificate:
+    """The certificate of ranges of ``size`` outputs, any two sharing
+    ``overlap``, whose largest ratio is ``top``. Its witnesses are the first
+    eight at ``top`` on :func:`certify_ranges`' walk: pairs t < t' in item
+    order, and ``outputs(t, t')`` yields ``(ratio, witness)`` for the shared
+    outputs whose ratio may be ``top``, in t's enumeration order."""
+    pairs = itertools.combinations(range(domain_size), 2)
+    found = (w for t, u in pairs for ratio, w in outputs(t, u) if ratio == top)
+    return FldpCertificate(
+        eta_observed=eta, max_ratio_observed=top, epsilon_effective=math.log(top),
+        pair_witnesses=tuple(itertools.islice(found, _MAX_WITNESSES)),
+        range_size_min=size, range_size_max=size,
+        intersection_size_min=overlap, intersection_size_max=overlap,
+    )
 
 
 def _certify_fhr(params: PrivacyParams, domain_size: int) -> FldpCertificate:
-    """FHR's certificate in closed form; equal to :func:`certify_ranges` over
-    every item's enumerated range, without writing any output down.
+    """FHR's certificate in closed form.
 
     Item t, with +1 columns P and -1 columns N, outputs (x, y) with
     probability p_keep and (y, x) with probability p_flip for each x in P
-    and y in N, both times 4/d^2. With M the 0/1 masks of the rows' +1
-    columns and w their weights, a = |P n P'| is an entry of M . M^T,
-    taken ``_GRAM_BLOCK`` rows at a time; |P n N'| = w - a,
-    |N n P'| = w' - a and |N n N'| = d - w - w' + a. A range has
-    2 w (d - w) outputs, and a pair shares
-    2 |P n P'| |N n N'| (ratio 1) plus 2 |P n N'| |N n P'| (ratios
-    p_keep/p_flip and its inverse, both above 1 since p_keep > p_flip).
+    and y in N, both times 4/d^2: 2 (d/2)^2 outputs. Two distinct rows
+    agree on d/4 columns of each sign, so P n P', P n N', N n P' and N n N'
+    each hold d/4, and a pair shares 2 |P n P'| |N n N'| outputs at ratio 1
+    plus 2 |P n N'| |N n P'| at p_keep/p_flip or its inverse: d^2/4 in all.
+    Only the rows the witness walk reaches (at most three) are built.
     """
     d = min_order_for_domain(domain_size).order
     if d > _MAX_FHR_ORDER:
@@ -281,52 +257,60 @@ def _certify_fhr(params: PrivacyParams, domain_size: int) -> FldpCertificate:
     # matrix form's float operations: forward, and 1 / forward below 1.
     keep, flip = params.p, 1 / (math.exp(params.epsilon) + 1)
     ratios = (keep / flip, 1 / (flip / keep))
-    masks = np.empty((domain_size, d), dtype=np.float32)
-    for t in range(domain_size):
-        masks[t] = row_vector(t + 1, d) > 0
-    w = masks.sum(axis=1, dtype=np.int64)
-    sizes = 2 * w * (d - w)
-    blocks = []  # per block of pairs: worst overlap fraction, overlap range, any ratio above 1
-    for lo in range(0, domain_size - 1, _GRAM_BLOCK):
-        hi = min(lo + _GRAM_BLOCK, domain_size - 1)
-        a = (masks[lo:hi] @ masks[lo:].T).astype(np.int64)
-        upper = np.arange(lo, domain_size) > np.arange(lo, hi)[:, None]
-        wt, wu = w[lo:hi, None], w[None, lo:]
-        cross = ((wt - a) * (wu - a))[upper]
-        inter = 2 * (a * (d - wt - wu + a))[upper] + 2 * cross
-        larger = np.maximum(sizes[lo:hi, None], sizes[None, lo:])[upper]
-        blocks.append((
-            float((inter / larger).min()), int(inter.min()), int(inter.max()),
-            bool((cross > 0).any()),
-        ))
-    fractions, lows, highs, crossings = zip(*blocks)
-    crossed = any(crossings)
-    max_ratio = max(ratios) if crossed else 1.0
-    return FldpCertificate(
-        eta_observed=min(1.0, *fractions),
-        max_ratio_observed=max_ratio,
-        epsilon_effective=math.log(max_ratio),
-        pair_witnesses=_fhr_witnesses(masks, ratios) if crossed else (),
-        range_size_min=int(sizes.min()),
-        range_size_max=int(sizes.max()),
-        intersection_size_min=min(lows),
-        intersection_size_max=max(highs),
-    )
+    row = functools.cache(lambda t: row_vector(t + 1, d))
+
+    def outputs(t: int, u: int) -> Iterator:
+        # for x in P n N' and y in N n P', t keeps the (x, y) that u flips
+        # and flips the (y, x) that u keeps (the witness oriented from u)
+        ys = np.flatnonzero(row(t) < row(u)).tolist()
+        for x in np.flatnonzero(row(t) > row(u)).tolist():
+            for y in ys:
+                yield ratios[0], (t, u, (x, y))
+                yield ratios[1], (u, t, (y, x))
+
+    return _closed_form(0.5, d * d // 2, d * d // 4, max(ratios), domain_size, outputs)
+
+
+def _certify_unary(mechanism: str, params: PrivacyParams, domain_size: int) -> FldpCertificate:
+    """OUE's or RAPPOR's certificate in closed form.
+
+    Item t sets bit t with probability p and each other bit with
+    probability q, independently. On an output s, t's and t''s laws share
+    every factor but those at positions t and t', so the ratio is
+    p (1 - q) / (q (1 - p)) where s_t = 1 and s_t' = 0, its inverse where
+    s_t = 0 and s_t' = 1, and 1 where the two bits agree. It is the exact
+    rational over the float p = a/b and q = c/e, complements exact (RAPPOR
+    is symmetric: its 1 - p and 1 - q are q and p), rounded once.
+    """
+    if domain_size > _MAX_UNARY_DOMAIN:
+        raise EnumerationLimitError(
+            f"unary domain {domain_size} exceeds the enumeration limit {_MAX_UNARY_DOMAIN}"
+        )
+    (a, b), (c, e) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
+    top = (a * e) ** 2 / (b * c) ** 2 if mechanism == "rappor" else a * (e - c) / (c * (b - a))
+
+    def outputs(t: int, u: int) -> Iterator:
+        for s in range(1 << domain_size):
+            if (s >> t ^ s >> u) & 1:
+                yield top, ((t, u, s) if s >> t & 1 else (u, t, s))
+
+    size = 1 << domain_size
+    return _closed_form(1.0, size, size, top, domain_size, outputs)
 
 
 def certify_mechanism(mechanism: str, epsilon: float, domain_size: int) -> FldpCertificate:
-    """Audit all pairs of items under the registry's parameters: FHR in
-    closed form, the others over every item's enumerated range."""
+    """Audit all pairs of items under the registry's parameters: FHR and
+    the unary encodings in closed form, GRR over every item's enumerated
+    range."""
     params = lookup(mechanism).params(epsilon, domain_size)
     if domain_size < 2:
         raise ValueError(f"domain must contain at least 2 items, got {domain_size}")
     if mechanism == "fhr":
         return _certify_fhr(params, domain_size)
-    ranges = {
-        item: enumerate_range(mechanism, item, params, domain_size)
-        for item in range(domain_size)
-    }
-    return certify_ranges(ranges)
+    if mechanism in ("oue", "rappor"):
+        return _certify_unary(mechanism, params, domain_size)
+    items = range(domain_size)
+    return certify_ranges({t: enumerate_range(mechanism, t, params, domain_size) for t in items})
 
 
 def certificate_passes(mechanism: str, epsilon: float, certificate: FldpCertificate) -> bool:

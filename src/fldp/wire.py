@@ -94,17 +94,9 @@ def _file_order(r: int) -> HadamardOrder:
         raise WireFormatError(str(exc)) from exc
 
 
-def _check_pairs(pairs: np.ndarray, order: HadamardOrder) -> None:
-    """Raise :class:`WireFormatError` unless every (index_x, index_y) row is
-    a valid report, indices distinct and in [0, order), with one byte per
-    row of scratch."""
-    if not pairs.size:
-        return
-    if int(pairs.max()) >= order.order:
-        raise WireFormatError(f"a report overflows {order.r}-bit indices")
-    if int(pairs.min()) < 0:
-        row = int(np.argmax((pairs < 0).any(axis=1)))
-        raise WireFormatError(f"record {row}: negative index in {pairs[row].tolist()}")
+def _check_distinct(pairs: np.ndarray) -> None:
+    """Raise :class:`WireFormatError` at the first (index_x, index_y) row
+    whose indices are equal, with one byte per row of scratch."""
     equal = pairs[:, 0] == pairs[:, 1]
     if equal.any():
         row = int(equal.argmax())
@@ -121,8 +113,14 @@ def _swap_words(words: np.ndarray) -> None:
 
 def _pack_records(pairs: np.ndarray, order: HadamardOrder) -> bytes:
     """The (index_x, index_y) rows as concatenated records, sign bit 1, built
-    in ``pairs``' own buffer, which they overwrite."""
-    _check_pairs(pairs, order)
+    in ``pairs``' own buffer, which they overwrite; every index must lie in
+    [0, order) and differ from its row's other."""
+    if pairs.size and int(pairs.max()) >= order.order:
+        raise WireFormatError(f"a report overflows {order.r}-bit indices")
+    if pairs.size and int(pairs.min()) < 0:
+        row = int(np.argmax((pairs < 0).any(axis=1)))
+        raise WireFormatError(f"record {row}: negative index in {pairs[row].tolist()}")
+    _check_distinct(pairs)
     r = order.r
     size = packed_size(order)
     words = pairs.view(np.uint64)
@@ -159,7 +157,8 @@ def _unpack_records(body: bytes, order: HadamardOrder) -> np.ndarray:
     record >>= np.uint64(pad)
     np.bitwise_and(record, np.uint64((1 << r) - 1), out=index_y)
     record >>= np.uint64(r + 1)
-    _check_pairs(pairs, order)
+    # an r-bit field is never negative nor past the order
+    _check_distinct(pairs)
     return pairs
 
 

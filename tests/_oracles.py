@@ -8,7 +8,9 @@ library's vectorized or closed-form code is meaningful evidence.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -202,10 +204,88 @@ def fhr_range_oracle(item: int, params, domain_size: int) -> FhrRange:
     return FhrRange(codes=codes, probs=probs, order=d)
 
 
+def unary_range_oracle(mechanism: str, item: int, params, domain_size: int) -> OutputRange:
+    """Every output of OUE or RAPPOR run on ``item``: all 2^D bit patterns,
+    coded as ints whose bit j is position j, in ascending order.
+
+    Each probability is the product of the D per-bit factors in float, taken
+    in position order, so it carries rounding and underflows to 0 at large
+    budgets (then the range is rejected). Written out whole, so D <= 12.
+    """
+    if mechanism not in ("oue", "rappor"):
+        raise ValueError(f"cannot enumerate mechanism {mechanism!r}")
+    if domain_size > 12:
+        raise ValueError(f"unary domain {domain_size} is too large to write down")
+    if not 0 <= item < domain_size:
+        raise ValueError(f"item {item} outside domain [0, {domain_size})")
+    _require(params, "q", "GRR or unary encoding")
+    p, q = params.p, params.q
+    masks = np.arange(1 << domain_size)
+    probs = np.ones(masks.size)
+    # RAPPOR's flip probabilities are q and p; 1 - p loses p's last bits near 1
+    miss, clear = (q, p) if mechanism == "rappor" else (1 - p, 1 - q)
+    # one factor per bit position, in position order (which fixes the rounding)
+    for j in range(domain_size):
+        on, off = (p, miss) if j == item else (q, clear)
+        probs *= np.where((masks >> j) & 1, on, off)
+    return OutputRange(codes=masks, probs=probs)
+
+
+def unary_probability_oracle(mechanism: str, params, domain_size: int, item: int, code: int) -> Fraction:
+    """P(code | item) under OUE or RAPPOR, exactly: the product of the D
+    per-bit factors as rationals of the float p and q.
+
+    A set bit stays 1 with probability p, a clear bit becomes 1 with
+    probability q. OUE's complements are exact, 1 - p and 1 - q; RAPPOR's
+    are q and p themselves, as its law is symmetric.
+    """
+    p, q = Fraction(params.p), Fraction(params.q)
+    miss, clear = (q, p) if mechanism == "rappor" else (1 - p, 1 - q)
+    prob = Fraction(1)
+    for j in range(domain_size):
+        bit = code >> j & 1
+        if j == item:
+            prob *= p if bit else miss
+        else:
+            prob *= q if bit else clear
+    return prob
+
+
+def unary_ranges_exact(mechanism: str, params, domain_size: int) -> dict:
+    """Every item's ``{output: exact probability}``, outputs ascending, as
+    :func:`certify_ranges_oracle` takes them; 2^D outputs per item."""
+    return {
+        t: {
+            s: unary_probability_oracle(mechanism, params, domain_size, t, s)
+            for s in range(1 << domain_size)
+        }
+        for t in range(domain_size)
+    }
+
+
+def unary_max_ratio_oracle(mechanism: str, params, domain_size: int) -> Fraction:
+    """The largest P(s|t) / P(s|t') over all ordered pairs and outputs, exact.
+
+    Positions other than t and t' give both items the same factor, which
+    cancels exactly, so the four outputs that are 0 there stand for all.
+    """
+    prob = functools.partial(unary_probability_oracle, mechanism, params, domain_size)
+    return max(
+        prob(t, s) / prob(u, s)
+        for t in range(domain_size)
+        for u in range(domain_size)
+        if t != u
+        for s in (0, 1 << t, 1 << u, 1 << t | 1 << u)
+    )
+
+
 def exact_range(mechanism: str, item: int, params, domain_size: int) -> OutputRange:
-    """The enumerated range of any certifiable mechanism, FHR's from the oracle."""
+    """The enumerated range of any certifiable mechanism, FHR's and the unary
+    encodings' from the oracles."""
     if mechanism == "fhr":
         return fhr_range_oracle(item, params, domain_size)
+    if mechanism in ("oue", "rappor"):
+        return unary_range_oracle(mechanism, item, params, domain_size)
     return enumerate_range(mechanism, item, params, domain_size)
 
 

@@ -77,6 +77,14 @@ class TestAccumulate:
         with pytest.raises(ValueError):
             fhr_accumulate_indices(np.array([1]), np.array([1]), HadamardOrder(2))
 
+    def test_non_integer_indices_rejected(self):
+        # 0.5 would be folded into column 0
+        with pytest.raises(ValueError, match="report indices must be integers, got dtype float64"):
+            fhr_accumulate_indices([0.5], [1.0], HadamardOrder(2))
+        with pytest.raises(ValueError, match="report indices must be integers"):
+            fhr_accumulate(np.array([[2.0, 3.0]]), HadamardOrder(2))
+        assert fhr_accumulate_indices(np.array([]), np.array([]), HadamardOrder(2)).n == 0
+
     @settings(max_examples=50)
     @given(st.data())
     def test_merge_matches_sequential(self, data):

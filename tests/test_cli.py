@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import json
+import math
+import sys
 
 import pytest
 
@@ -271,6 +273,31 @@ class TestVerifyFldp:
         document = json.loads((tmp_path / "certificate.json").read_text(encoding="utf-8"))
         assert document["passed"] is True
         assert document["epsilon_effective"] == float(eps)
+
+    @pytest.mark.parametrize("eps", ["1.0", "36", "40", "80", "709", repr(math.log(sys.float_info.max))])
+    @pytest.mark.parametrize("mechanism", ["oue", "rappor"])
+    def test_unary_passes_at_the_sweep_domain(self, tmp_path, capsys, mechanism, eps):
+        # the closed form forms no product of D probabilities, so no budget
+        # underflows one to 0 (OUE errored from about 68 over 12 items)
+        code = _run([
+            "verify-fldp", mechanism, "--epsilon", eps, "--order", "1023",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(f"PASS {mechanism} eta=1.000000 ")
+        document = json.loads((tmp_path / "certificate.json").read_text(encoding="utf-8"))
+        assert document["passed"] is True
+        assert document["range_size_min"] == document["intersection_size_max"] == 2**1023
+        assert abs(document["epsilon_effective"] - float(eps)) <= 1e-9
+
+    @pytest.mark.parametrize("mechanism", ["oue", "rappor"])
+    def test_unary_domain_beyond_the_limit_is_usage_error(self, tmp_path, capsys, mechanism):
+        assert _run(["verify-fldp", mechanism, "--epsilon", "1.0", "--order", "4096",
+                     "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fldp: unary domain 4096 exceeds the enumeration limit 4095\n"
+        assert not (tmp_path / "certificate.json").exists()
 
     def test_document_is_the_certificate_plus_the_request(self, tmp_path, capsys):
         document, _ = cli.verify_fldp("grr", 1.0, 4, tmp_path)

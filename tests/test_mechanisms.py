@@ -37,6 +37,7 @@ from _oracles import (
     fhr_range_oracle,
     olh_hash_oracle,
     unary_perturb_bits_oracle,
+    unary_range_oracle,
 )
 
 
@@ -538,6 +539,36 @@ class TestInputsAreNotWritten:
         self._run_all(np.array([5]), 8)
 
 
+# each client with its params and domain: a float item is rejected rather
+# than truncated to a neighbouring item; an empty batch passes in any dtype
+_CLIENTS = {
+    "fhr_perturb_batch": lambda items, rng: fhr_perturb_batch(
+        items, PrivacyParams.for_fhr(1.0), HadamardOrder(2), rng
+    ),
+    "grr_perturb_batch": lambda items, rng: grr_perturb_batch(
+        items, PrivacyParams.for_grr(1.0, 4), 4, rng
+    ),
+    "unary_sample_counts": lambda items, rng: unary_sample_counts(
+        items, PrivacyParams.for_oue(1.0), 4, rng
+    ),
+    "olh_perturb_batch": lambda items, rng: olh_perturb_batch(
+        items, PrivacyParams.for_olh(1.0), 4, rng
+    ),
+}
+
+
+class TestNonIntegerItems:
+    @pytest.mark.parametrize("client", list(_CLIENTS))
+    @pytest.mark.parametrize("items", [[2.9], [0.7, 1.0], [True]])
+    def test_rejected(self, client, items):
+        with pytest.raises(ValueError, match="items must be integers, got dtype"):
+            _CLIENTS[client](np.array(items), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("client", list(_CLIENTS))
+    def test_empty_batch_of_any_dtype_accepted(self, client):
+        _CLIENTS[client](np.array([]), np.random.default_rng(0))
+
+
 class TestScratchMemory:
     """The clients keep their draws in place: peak traced memory at
     n = 2^17, in units of one n-sized uint64 array."""
@@ -632,12 +663,16 @@ _PARAMS_READERS = {
         ("oue", "rappor", "grr"),
         lambda params: unary_estimate(np.array([1.0, 0.0, 0.0, 0.0]), params, 1),
     ),
+    "enumerate_range[grr]": (
+        ("grr", "oue", "rappor"),
+        lambda params: enumerate_range("grr", 0, params, 4),
+    ),
     **{
-        f"enumerate_range[{name}]": (
+        f"unary_range_oracle[{name}]": (
             (name, *({"grr", "oue", "rappor"} - {name})),
-            lambda params, name=name: enumerate_range(name, 0, params, 4),
+            lambda params, name=name: unary_range_oracle(name, 0, params, 4),
         )
-        for name in ("grr", "oue", "rappor")
+        for name in ("oue", "rappor")
     },
     "olh_perturb_batch": (
         ("olh",),

@@ -118,6 +118,23 @@ class TestKld:
         with pytest.raises(ValueError):
             kld(real, real, sel, smoothing=0.0)
 
+    def test_zero_total_with_default_smoothing_rejected(self):
+        # the default smoothing is a tenth of a count, 1 / (10 * 0)
+        real = np.zeros(3)
+        sel = TopKSelection(k=2, items=np.array([0, 1]))
+        with pytest.raises(ValueError, match="nonzero total"):
+            kld(real, np.ones(3), sel)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("table", ["real", "est"])
+    def test_non_finite_table_rejected(self, table, bad):
+        tables = {"real": np.array([4.0, 3.0, 2.0, 1.0]), "est": np.array([4.0, 3.0, 2.0, 1.0])}
+        tables[table][3] = bad  # outside the candidates too
+        sel = TopKSelection(k=2, items=np.array([0, 1]))
+        for smoothing in (None, 0.1):
+            with pytest.raises(ValueError, match="finite tables, got NaN or infinite"):
+                kld(tables["real"], tables["est"], sel, smoothing)
+
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_matches_oracle(self, seed):
@@ -152,6 +169,15 @@ class TestRelatedError:
         sel = TopKSelection(k=2, items=np.array([0, 1]))
         with pytest.raises(ValueError):
             related_error(real, real, sel)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("table", ["real", "est"])
+    def test_non_finite_table_rejected(self, table, bad):
+        tables = {"real": np.array([4.0, 3.0, 2.0, 1.0]), "est": np.array([4.0, 3.0, 2.0, 1.0])}
+        tables[table][0] = bad
+        sel = TopKSelection(k=2, items=np.array([0, 1]))
+        with pytest.raises(ValueError, match="finite tables, got NaN or infinite"):
+            related_error(tables["real"], tables["est"], sel)
 
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=10_000))

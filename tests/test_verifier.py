@@ -1,5 +1,6 @@
-"""Exact enumeration audits: overlap fractions, ratio bounds, witnesses."""
+"""Exact certificates: overlap fractions, ratio bounds, witnesses."""
 
+import functools
 import math
 import sys
 
@@ -19,7 +20,6 @@ from fldp.verifier import (
     enumerate_range,
 )
 
-import _oracles
 from _oracles import (
     certify_fhr_oracle,
     certify_ranges_oracle,
@@ -27,6 +27,10 @@ from _oracles import (
     fhr_range_oracle,
     range_probabilities,
     ratio_profile_oracle,
+    unary_max_ratio_oracle,
+    unary_probability_oracle,
+    unary_range_oracle,
+    unary_ranges_exact,
 )
 
 
@@ -65,7 +69,7 @@ class TestEnumerateRange:
 
     def test_unary_range_is_all_bit_patterns(self):
         params = PrivacyParams.for_oue(1.0)
-        rng = enumerate_range("oue", 1, params, 3)
+        rng = unary_range_oracle("oue", 1, params, 3)
         assert rng.size == 8
         assert math.fsum(range_probabilities(rng).values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -73,12 +77,15 @@ class TestEnumerateRange:
         # FHR's limit is order 4096; 4096 items need order 8192
         with pytest.raises(EnumerationLimitError):
             certify_mechanism("fhr", 1.0, 4096)
-        for name, domain, label, limit in (
-            ("grr", 257, "GRR", 256), ("oue", 13, "unary", 12), ("rappor", 13, "unary", 12)
-        ):
-            message = f"^{label} domain {domain} exceeds the enumeration limit {limit}$"
+        message = "^GRR domain 257 exceeds the enumeration limit 256$"
+        with pytest.raises(EnumerationLimitError, match=message):
+            enumerate_range("grr", 0, PrivacyParams.for_grr(1.0, 257), 257)
+        # the unary encodings stop at FHR's item limit, 4095
+        for name in ("oue", "rappor"):
+            message = "^unary domain 4096 exceeds the enumeration limit 4095$"
             with pytest.raises(EnumerationLimitError, match=message):
-                enumerate_range(name, 0, MECHANISMS[name].params(1.0, domain), domain)
+                certify_mechanism(name, 1.0, 4096)
+            assert certify_mechanism(name, 1.0, 4095).range_size_max == 2**4095
 
     def test_limits_raise_before_allocating(self):
         # output spaces far beyond memory: each limit must trip before any
@@ -88,7 +95,7 @@ class TestEnumerateRange:
         with pytest.raises(EnumerationLimitError):
             enumerate_range("grr", 0, PrivacyParams.for_grr(1.0, 10**12), 10**12)
         with pytest.raises(EnumerationLimitError):
-            enumerate_range("rappor", 0, PrivacyParams.for_rappor(1.0), 60)
+            certify_mechanism("rappor", 1.0, 10**12)
 
     def test_output_codes(self):
         # fhr codes x * order + y decode to the pair; other codes are the output
@@ -96,7 +103,7 @@ class TestEnumerateRange:
         outputs = [rng.output(c) for c in rng.codes.tolist()]
         assert outputs == [divmod(int(c), 8) for c in rng.codes]
         assert all(type(x) is int for pair in outputs for x in pair)
-        rng = enumerate_range("rappor", 1, PrivacyParams.for_rappor(1.0), 3)
+        rng = unary_range_oracle("rappor", 1, PrivacyParams.for_rappor(1.0), 3)
         assert list(range_probabilities(rng)) == list(range(8))
 
     def test_unknown_mechanism_rejected(self):
@@ -107,6 +114,10 @@ class TestEnumerateRange:
             enumerate_range("fhr", 0, _fhr_params(1.0), 3)
         with pytest.raises(ValueError, match="cannot enumerate mechanism 'shr'"):
             enumerate_range("shr", 0, PrivacyParams.for_grr(1.0, 3), 3)
+        # nor are the unary encodings, which are certified in closed form
+        for name in ("oue", "rappor"):
+            with pytest.raises(ValueError, match=f"cannot enumerate mechanism '{name}'"):
+                enumerate_range(name, 0, MECHANISMS[name].params(1.0, 3), 3)
 
     def test_output_range_validation(self):
         with pytest.raises(ValueError):
@@ -221,21 +232,32 @@ class TestFhrClosedForm:
         cert = self._check(128, eps)
         assert {t < u for t, u, _ in cert.pair_witnesses} == orientations
 
-    def test_gram_blocks_over_uneven_overlaps(self, monkeypatch):
-        # balanced rows in random column orders give the pairs unequal
-        # overlaps; the last two items share one row, so the last pair,
-        # in the last block, alone shares its whole range
-        rng = np.random.default_rng(5)
-        order, domain = 16, 15
-        halves = np.repeat(np.array([1, -1], dtype=np.int8), order // 2)
-        rows = {row: rng.permutation(halves) for row in range(1, order)}
-        rows[order - 1] = rows[order - 2]
-        for module in (verifier, _oracles):
-            monkeypatch.setattr(module, "row_vector", lambda row, _: rows[row])
-        monkeypatch.setattr(verifier, "_GRAM_BLOCK", 4)
-        cert = certify_mechanism("fhr", 1.0, domain)
-        assert cert == certify_fhr_oracle(_fhr_params(1.0), domain)
-        assert cert.intersection_size_min < cert.intersection_size_max == cert.range_size_min
+    @pytest.mark.parametrize("r", range(2, 13))
+    def test_rows_are_balanced_and_share_a_quarter(self, r):
+        # the identities the closed form rests on, at every order it takes:
+        # each row 1..d-1 holds d/2 of each sign, and any two share d/4 +1
+        # columns (the Gram matrix of their +1 masks, a block of rows at once)
+        d = 1 << r
+        rows = np.array([row_vector(row, d) for row in range(1, d)])
+        assert ((rows == 1).sum(axis=1) == d // 2).all()
+        assert ((rows == -1).sum(axis=1) == d // 2).all()
+        masks = (rows > 0).astype(np.float32)  # exact: counts stay below 2^24
+        for lo in range(0, d - 1, 512):
+            gram = masks[lo : lo + 512] @ masks.T
+            gram[np.arange(gram.shape[0]), lo + np.arange(gram.shape[0])] = d // 4
+            assert (gram == d // 4).all(), (d, lo)
+
+    def test_witness_walk_builds_at_most_three_rows(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            verifier, "row_vector", lambda row, d: built.append(row) or row_vector(row, d)
+        )
+        for eps in (0.6, 1.0, 1.3):
+            built.clear()
+            cert = certify_mechanism("fhr", eps, 4095)
+            assert len(cert.pair_witnesses) == 8
+            assert sorted(set(built)) == sorted({u + 1 for w in cert.pair_witnesses for u in w[:2]})
+            assert len(set(built)) <= 3
 
     def test_order_1024(self):
         cert = certify_mechanism("fhr", 1.0, 1023)
@@ -277,7 +299,13 @@ class TestMatrixAgainstPairwiseOracle:
         cert, oracle = self._both(mechanism, eps, domain)
         assert cert == oracle
         assert repr(cert) == repr(oracle)  # python ints and floats, as JSON needs
-        assert certify_mechanism(mechanism, eps, domain) == oracle
+        closed = certify_mechanism(mechanism, eps, domain)
+        if mechanism in ("oue", "rappor"):
+            # the closed form's ratio is the exact one rounded once, not the
+            # largest rounded product (TestUnaryClosedForm)
+            assert _sizes(closed) == _sizes(oracle)
+        else:
+            assert closed == oracle
 
     def test_fhr_order_64(self):
         cert, oracle = self._both("fhr", 1.0, 63)
@@ -316,6 +344,72 @@ class TestMatrixAgainstPairwiseOracle:
         assert (cert.range_size_min, cert.range_size_max) == (3, 6)
         assert (cert.intersection_size_min, cert.intersection_size_max) == (2, 5)
         assert cert.eta_observed == 2 / 6
+
+
+def _sizes(cert):
+    return (
+        cert.eta_observed,
+        cert.range_size_min,
+        cert.range_size_max,
+        cert.intersection_size_min,
+        cert.intersection_size_max,
+    )
+
+
+class TestUnaryClosedForm:
+    """OUE's and RAPPOR's closed-form certificates against the enumerated
+    law (eta and sizes) and its exact rational form (ratio and witnesses)."""
+
+    BUDGETS = [k / 10 for k in range(1, 46)] + [36.0, 40.0, 80.0]
+
+    @pytest.mark.parametrize("domain", [2, 3, 4, 5, 7, 12])
+    @pytest.mark.parametrize("mechanism", ["oue", "rappor"])
+    def test_against_the_oracles(self, mechanism, domain):
+        for eps in self.BUDGETS:
+            params = MECHANISMS[mechanism].params(eps, domain)
+            cert = certify_mechanism(mechanism, eps, domain)
+            try:
+                ranges = {t: unary_range_oracle(mechanism, t, params, domain) for t in range(domain)}
+            except ValueError as exc:
+                # the float products underflow to 0 (OUE over 12 items from about eps = 68)
+                assert "zero-probability" in str(exc)
+                assert (mechanism, domain, eps) == ("oue", 12, 80.0)
+            else:
+                assert _sizes(cert) == _sizes(certify_ranges(ranges)), eps
+            top = unary_max_ratio_oracle(mechanism, params, domain)
+            assert cert.max_ratio_observed == float(top), eps
+            assert cert.epsilon_effective == math.log(cert.max_ratio_observed)
+            prob = functools.partial(unary_probability_oracle, mechanism, params, domain)
+            # two items share two outputs at the maximum; more share eight or more
+            assert len(cert.pair_witnesses) == (2 if domain == 2 else 8)
+            for t, u, s in cert.pair_witnesses:
+                assert prob(t, s) / prob(u, s) == top, (eps, t, u, s)
+
+    @pytest.mark.parametrize("domain", [2, 3, 4, 5])
+    @pytest.mark.parametrize("mechanism", ["oue", "rappor"])
+    def test_the_pairwise_walk_over_the_exact_law(self, mechanism, domain):
+        # the pairwise audit over every output's exact probability: the same
+        # maximum (which the oracle's four outputs per pair also reach) and
+        # the same witnesses, in the same order
+        for eps in (0.1, 0.6, 1.0, 2.9, 4.5, 40.0):
+            params = MECHANISMS[mechanism].params(eps, domain)
+            exact = certify_ranges_oracle(unary_ranges_exact(mechanism, params, domain))
+            assert exact.max_ratio_observed == unary_max_ratio_oracle(mechanism, params, domain)
+            cert = certify_mechanism(mechanism, eps, domain)
+            assert cert.max_ratio_observed == float(exact.max_ratio_observed)
+            assert cert.pair_witnesses == exact.pair_witnesses
+            assert _sizes(cert) == _sizes(exact)
+
+    @pytest.mark.parametrize("eps", [1.0, 36.0, 40.0, 80.0, 709.0, math.log(sys.float_info.max)])
+    @pytest.mark.parametrize("mechanism", ["oue", "rappor"])
+    def test_sweep_domain_passes_at_every_budget(self, mechanism, eps):
+        # no product of D probabilities is formed, so nothing underflows
+        cert = certify_mechanism(mechanism, eps, 1023)
+        assert certificate_passes(mechanism, eps, cert)
+        assert abs(cert.epsilon_effective - eps) <= 1e-9
+        assert cert.eta_observed == 1.0
+        assert cert.range_size_min == cert.intersection_size_max == 2**1023
+        assert cert.pair_witnesses[:4] == ((0, 1, 1), (1, 0, 2), (0, 1, 5), (1, 0, 6))
 
 
 class TestRatioProfile:

@@ -327,6 +327,23 @@ class TestReportFileCodec:
         with pytest.raises(WireFormatError, match="record 4: equal indices"):
             read_report_file(self._file_with_middle_record(tmp_path, r, middle))
 
+    @pytest.mark.parametrize("r", [2, 16, 31])
+    def test_equal_indices_message_is_the_writers(self, tmp_path, r):
+        # the reader checks decoded records for equal indices only, and
+        # fails with the message the writer gives for the same report
+        size = packed_size(HadamardOrder(r))
+        index = (1 << r) - 1
+        word = (index << (r + 1)) | (1 << r) | index
+        middle = (word << (size * 8 - (2 * r + 1))).to_bytes(size, "big")
+        with pytest.raises(WireFormatError) as read:
+            read_report_file(self._file_with_middle_record(tmp_path, r, middle))
+        reports = _random_reports(r, 9, seed=3)
+        reports[4].index_x = reports[4].index_y = index
+        with pytest.raises(WireFormatError) as written:
+            write_report_file(tmp_path / "written.bin", reports, HadamardOrder(r))
+        message = f"record 4: equal indices {index} are not a valid report"
+        assert str(read.value) == str(written.value) == message
+
     @pytest.mark.parametrize("index", [8, 2**63 - 1, 2**64 + 5])
     def test_index_overflow_rejected_by_writer(self, tmp_path, index):
         with pytest.raises(WireFormatError, match="overflows"):
