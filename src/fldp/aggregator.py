@@ -89,10 +89,6 @@ class SumVector:
             )
         return SumVector(sums=self.sums + other.sums, n=self.n + other.n)
 
-    @classmethod
-    def zero(cls, length: int) -> "SumVector":
-        return cls(sums=np.zeros(length, dtype=np.int64), n=0)
-
 
 @dataclass(frozen=True)
 class FrequencyEstimate:
@@ -219,8 +215,8 @@ def olh_support_counts(
     """
     if not 1 <= domain_size <= _OLH_KEY_LIMIT:
         raise ValueError(f"OLH domain size must lie in [1, 2^32], got {domain_size}")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    values = np.asarray(values, dtype=np.int64)
+    seeds = _integers(seeds, "seeds").astype(np.uint64, copy=False)
+    values = _integers(values, "reported buckets").astype(np.int64, copy=False)
     if seeds.shape != values.shape:
         raise ValueError("seeds and values must have matching shapes")
     if values.size and (values.min() < 0 or values.max() >= g):

@@ -11,14 +11,15 @@ the advertised 2r+1 bits.
 Report files carry a fixed 16-byte header (magic, order exponent, record
 count) followed by the packed records. A report file's order exponent is
 capped at r <= 31: a record (2r+1 <= 63 bits) then fits one uint64 word,
-and the server's dense sum vector stays at or below 2^31 entries. Files are
-packed and unpacked all records at once, with numpy shifts and masks in one
-(n, 2) int64 array of (index_x, index_y) rows: a record is built in, or
-split from, its row's first word. With s = ceil((2r+1)/8) bytes a record,
-writing holds 16 + s bytes per record beyond the reports (that array and
-the packed body), and reading 17 + s (the body read, the array, which is
-the result, and one byte of checks): 21 and 22 at r = 16. The result is the
-form :func:`fldp.aggregator.fhr_accumulate` folds; no per-record object is
+and the server's dense sum vector stays at or below 2^31 entries. Records
+are packed and unpacked with numpy shifts and masks in an (n, 2) int64
+array of (index_x, index_y) rows: a record is built in, or split from, its
+row's first word. With s = ceil((2r+1)/8) bytes a record, the writer packs
+2^16 reports at a time, holding 16 + s bytes per record of that chunk
+(about 1.3 MiB at r = 16, for any n), and the reader decodes the whole
+file, holding 17 + s bytes per record (the body read, the array, which is
+the result, and one byte of checks). The result is the form
+:func:`fldp.aggregator.fhr_accumulate` folds; no per-record object is
 built on the server side. The single-report :func:`pack_fhr` and
 :func:`unpack_fhr` are the one-record case of the same codec, so they take
 the same orders (r <= 31). Files are written whole or not at all (see
@@ -27,11 +28,12 @@ the same orders (r <= 31). Files are written whole or not at all (see
 
 from __future__ import annotations
 
-import itertools
+import operator
 import os
 import struct
 import sys
-from collections.abc import Iterable, Sized
+from collections.abc import Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,7 @@ __all__ = [
 FILE_MAGIC = b"FHR1"
 _HEADER = struct.Struct(">4sIQ")  # magic, order exponent r, record count
 _MAX_FILE_EXPONENT = 31  # see the module docstring
+_CHUNK = 1 << 16  # reports the writer stages, checks and packs at a time
 
 
 class WireFormatError(ValueError):
@@ -69,7 +72,7 @@ def pack_fhr(report: FhrReport, order: HadamardOrder) -> bytes:
     """Serialize one report into packed_size(order) bytes, the body of a
     one-record report file; rejects out-of-range and equal indices."""
     _file_order(order.r)
-    return _pack_records(_report_pairs([report], order), order)
+    return _pack_records(_report_pairs([report], order, 0), order)
 
 
 def unpack_fhr(data: bytes, order: HadamardOrder) -> FhrReport:
@@ -94,14 +97,14 @@ def _file_order(r: int) -> HadamardOrder:
         raise WireFormatError(str(exc)) from exc
 
 
-def _check_distinct(pairs: np.ndarray) -> None:
-    """Raise :class:`WireFormatError` at the first (index_x, index_y) row
-    whose indices are equal, with one byte per row of scratch."""
+def _check_distinct(pairs: np.ndarray, first: int = 0) -> None:
+    """Raise :class:`WireFormatError` at the first (index_x, index_y) row, of
+    rows numbered from ``first``, whose indices are equal; one byte a row."""
     equal = pairs[:, 0] == pairs[:, 1]
     if equal.any():
         row = int(equal.argmax())
         raise WireFormatError(
-            f"record {row}: equal indices {pairs[row, 0]} are not a valid report"
+            f"record {first + row}: equal indices {pairs[row, 0]} are not a valid report"
         )
 
 
@@ -111,16 +114,16 @@ def _swap_words(words: np.ndarray) -> None:
         words.byteswap(inplace=True)
 
 
-def _pack_records(pairs: np.ndarray, order: HadamardOrder) -> bytes:
-    """The (index_x, index_y) rows as concatenated records, sign bit 1, built
-    in ``pairs``' own buffer, which they overwrite; every index must lie in
-    [0, order) and differ from its row's other."""
+def _pack_records(pairs: np.ndarray, order: HadamardOrder, first: int = 0) -> bytes:
+    """The (index_x, index_y) rows, numbered from ``first``, as concatenated
+    records, sign bit 1, built in ``pairs``' own buffer, which they overwrite;
+    every index must lie in [0, order) and differ from its row's other."""
     if pairs.size and int(pairs.max()) >= order.order:
         raise WireFormatError(f"a report overflows {order.r}-bit indices")
     if pairs.size and int(pairs.min()) < 0:
         row = int(np.argmax((pairs < 0).any(axis=1)))
-        raise WireFormatError(f"record {row}: negative index in {pairs[row].tolist()}")
-    _check_distinct(pairs)
+        raise WireFormatError(f"record {first + row}: negative index in {pairs[row].tolist()}")
+    _check_distinct(pairs, first)
     r = order.r
     size = packed_size(order)
     words = pairs.view(np.uint64)
@@ -162,13 +165,22 @@ def _unpack_records(body: bytes, order: HadamardOrder) -> np.ndarray:
     return pairs
 
 
-def _report_pairs(reports: Iterable[FhrReport], order: HadamardOrder) -> np.ndarray:
-    """The reports' (index_x, index_y) as an (n, 2) int64 array, filled in
-    one pass (sized up front when ``reports`` has a length)."""
-    count = 2 * len(reports) if isinstance(reports, Sized) else -1
-    flat = itertools.chain.from_iterable((rep.index_x, rep.index_y) for rep in reports)
+def _indices(reports: Iterable[FhrReport], first: int) -> Iterator[int]:
+    """Each report's index_x, then index_y; an index that is not an integer
+    (a float, even a whole one, or a string) is an error naming its record."""
+    for record, report in enumerate(reports, first):
+        try:
+            yield operator.index(report.index_x)
+            yield operator.index(report.index_y)
+        except TypeError:
+            raise WireFormatError(f"record {record}: {report} has a non-integer index") from None
+
+
+def _report_pairs(reports: Iterable[FhrReport], order: HadamardOrder, first: int) -> np.ndarray:
+    """The reports, numbered from ``first``, as an (n, 2) int64 array of
+    (index_x, index_y) rows, filled in one pass."""
     try:
-        return np.fromiter(flat, dtype=np.int64, count=count).reshape(-1, 2)
+        return np.fromiter(_indices(reports, first), dtype=np.int64).reshape(-1, 2)
     except OverflowError as exc:
         raise WireFormatError(f"a report overflows {order.r}-bit indices") from exc
 
@@ -179,15 +191,24 @@ def write_report_file(
     """Write a header plus packed records; returns the record count.
 
     The bytes are the header followed by each report's packed record, and
-    they replace ``path`` only once all of them are written.
+    they replace ``path`` only once all of them are written. The reports
+    are taken 2^16 at a time, each chunk packed and written on its own, and
+    the header's record count is patched in at the end.
     """
     _file_order(order.r)
-    pairs = _report_pairs(reports, order)
-    body = _pack_records(pairs, order)
+    reports = iter(reports)
+    count = 0
     with replace_atomically(path, "wb") as handle:
-        handle.write(_HEADER.pack(FILE_MAGIC, order.r, len(pairs)))
-        handle.write(body)
-    return len(pairs)
+        handle.write(_HEADER.pack(FILE_MAGIC, order.r, 0))
+        # a chunk's pairs and body are temporaries, freed before the next
+        # chunk is staged; the empty chunk at the end writes nothing
+        while written := handle.write(
+            _pack_records(_report_pairs(islice(reports, _CHUNK), order, count), order, count)
+        ):
+            count += written // packed_size(order)
+        handle.seek(0)
+        handle.write(_HEADER.pack(FILE_MAGIC, order.r, count))
+    return count
 
 
 def read_report_file(path: str | Path) -> tuple[HadamardOrder, np.ndarray]:

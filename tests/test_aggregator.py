@@ -119,7 +119,9 @@ class TestAccumulate:
 
     def test_merge_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            SumVector.zero(4).merge(SumVector.zero(8))
+            SumVector(np.zeros(4, dtype=np.int64), 0).merge(
+                SumVector(np.zeros(8, dtype=np.int64), 0)
+            )
 
 
 class TestFhrEstimate:
@@ -193,9 +195,9 @@ class TestFhrEstimate:
         params = PrivacyParams.for_fhr(1.0)
         order = HadamardOrder(3)
         with pytest.raises(ValueError, match="do not match"):
-            fhr_estimate_all(SumVector.zero(16), 7, params, order)
+            fhr_estimate_all(SumVector(np.zeros(16, dtype=np.int64), 0), 7, params, order)
         with pytest.raises(ValueError, match="too small"):
-            fhr_estimate_all(SumVector.zero(8), 8, params, order)
+            fhr_estimate_all(SumVector(np.zeros(8, dtype=np.int64), 0), 8, params, order)
 
     def test_too_small_order_rejected(self):
         # item i reads row i + 1 and row 0 is reserved, so order 2^r holds
@@ -204,7 +206,8 @@ class TestFhrEstimate:
         for domain, r in ((4, 2), (8, 3), (0, 3)):
             order = HadamardOrder(r)
             with pytest.raises(ValueError, match="too small"):
-                fhr_estimate_all(SumVector.zero(order.order), domain, params, order)
+                sums = SumVector(np.zeros(order.order, dtype=np.int64), 0)
+                fhr_estimate_all(sums, domain, params, order)
 
 
 class TestGrrEstimate:
@@ -336,6 +339,26 @@ class TestOlhEstimate:
             olh_support_counts(seeds, np.array([0, -1, 0, 0]), 3, params.g)
         with pytest.raises(ValueError, match="matching shapes"):
             olh_support_counts(seeds, np.zeros(3, dtype=np.int64), 3, params.g)
+
+    def test_non_integer_buckets_rejected(self):
+        # [1.7, 0.2] would be decoded as the buckets [1, 0]
+        params = PrivacyParams.for_olh(1.0)
+        seeds = np.arange(2, dtype=np.uint64)
+        with pytest.raises(ValueError, match="reported buckets must be integers, got dtype float64"):
+            olh_support_counts(seeds, np.array([1.7, 0.2]), 4, params.g)
+        with pytest.raises(ValueError, match="reported buckets must be integers"):
+            olh_estimate_all(seeds, np.array([1.7, 0.2]), 4, params)
+
+    def test_non_integer_seeds_rejected(self):
+        # [1.5, 2.5] would be decoded as the seeds [1, 2]
+        params = PrivacyParams.for_olh(1.0)
+        values = np.zeros(2, dtype=np.int64)
+        with pytest.raises(ValueError, match="seeds must be integers, got dtype float64"):
+            olh_support_counts(np.array([1.5, 2.5]), values, 4, params.g)
+        with pytest.raises(ValueError, match="seeds must be integers"):
+            olh_estimate_all(np.array([1.5, 2.5]), values, 4, params)
+        empty = np.array([])
+        assert olh_support_counts(empty, empty, 4, params.g).tolist() == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("domain_size", [0, -1, 2**32 + 1, 2**40])
     def test_domain_beyond_the_keys_rejected_before_allocating(self, domain_size):

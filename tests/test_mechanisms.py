@@ -648,7 +648,9 @@ _PARAMS_READERS = {
     ),
     "fhr_estimate_all": (
         ("fhr",),
-        lambda params: fhr_estimate_all(SumVector.zero(4), 3, params, HadamardOrder(2)),
+        lambda params: fhr_estimate_all(
+            SumVector(np.zeros(4, dtype=np.int64), 0), 3, params, HadamardOrder(2)
+        ),
     ),
     "fhr_range_oracle": (("fhr",), lambda params: fhr_range_oracle(0, params, 3)),
     "grr_perturb_batch": (

@@ -73,6 +73,18 @@ class TestPackedLayout:
         with pytest.raises(WireFormatError, match=match):
             pack_fhr(report, HadamardOrder(2))
 
+    # np.fromiter would cast each of these to an int64: 1.5 to 1, 3.0 to 3
+    @pytest.mark.parametrize(
+        "field, value",
+        [("index_x", 1.5), ("index_y", np.float64(3.0)), ("index_x", "7")],
+        ids=["float", "whole-float64", "string"],
+    )
+    def test_non_integer_index_rejected(self, field, value):
+        report = FhrReport(index_x=5, index_y=2)
+        setattr(report, field, value)
+        with pytest.raises(WireFormatError, match="record 0: .* has a non-integer index"):
+            pack_fhr(report, HadamardOrder(3))
+
     @pytest.mark.parametrize("r", [32, 63])
     def test_orders_beyond_the_wire_cap_rejected(self, r):
         order = HadamardOrder(r)
@@ -268,7 +280,7 @@ class TestReportFileCodec:
 
     @pytest.mark.parametrize("r", [1, 16, 31])
     def test_list_and_generator_write_pack_fhr_records(self, tmp_path, r):
-        # a list is staged at its known length, a generator as it grows
+        # both are taken through one iterator, 2^16 reports at a time
         order = HadamardOrder(r)
         reports = _random_reports(r, 500, seed=r + 40)
         expected = struct.pack(">4sIQ", FILE_MAGIC, r, len(reports)) + b"".join(
@@ -398,9 +410,67 @@ class TestReportFileCodec:
         assert read_order == order and pairs.tolist() == _rows(expected)
 
 
+_CHUNK = 1 << 16  # the reports the writer packs at a time
+_STREAM_COUNTS = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+
+
+@pytest.fixture(scope="module")
+def long_stream():
+    """3 * 2^16 + 5 reports at r = 16 and their concatenated records, each
+    packed by the scalar oracle, which pack_fhr matches byte for byte."""
+    order = HadamardOrder(16)
+    reports = _random_reports(16, max(_STREAM_COUNTS), seed=17)
+    return reports, b"".join(pack_fhr_oracle(report, order) for report in reports)
+
+
+class TestStreamedWriter:
+    """The writer packs 2^16 reports at a time: the chunk boundaries leave
+    no trace in the bytes, and a bad record keeps its number in the file."""
+
+    @pytest.mark.parametrize("source", ["list", "generator"])
+    @pytest.mark.parametrize("count", _STREAM_COUNTS)
+    def test_bytes_are_header_plus_pack_fhr_records(self, tmp_path, long_stream, count, source):
+        reports, body = long_stream
+        reports = reports[:count]
+        if source == "generator":
+            reports = (report for report in reports)
+        path = tmp_path / "reports.bin"
+        assert write_report_file(path, reports, HadamardOrder(16)) == count
+        header = struct.pack(">4sIQ", FILE_MAGIC, 16, count)
+        assert path.read_bytes() == header + body[: count * packed_size(HadamardOrder(16))]
+
+    @pytest.mark.parametrize("source", ["list", "generator"])
+    @pytest.mark.parametrize("record", [3, _CHUNK + 3], ids=["first-chunk", "later-chunk"])
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("index_x", 1.5, ".* has a non-integer index"),
+            ("index_y", np.float64(3.0), ".* has a non-integer index"),
+            ("index_x", -1, r"negative index in \[-1, 9\]"),
+            ("index_y", 5, "equal indices 5 are not a valid report"),
+        ],
+        ids=["float", "whole-float64", "negative", "equal"],
+    )
+    def test_bad_record_keeps_the_previous_file(
+        self, tmp_path, long_stream, field, value, match, record, source
+    ):
+        path = tmp_path / "reports.bin"
+        path.write_bytes(b"previous")
+        reports = long_stream[0][: _CHUNK + 9]
+        reports[record] = FhrReport(index_x=5, index_y=9)
+        setattr(reports[record], field, value)
+        if source == "generator":
+            reports = (report for report in reports)
+        with pytest.raises(WireFormatError, match=f"^record {record}: {match}$"):
+            write_report_file(path, reports, HadamardOrder(16))
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["reports.bin"]
+
+
 class TestReportFileMemory:
-    """The codec packs and unpacks in one (n, 2) int64 buffer: traced peak
-    bytes per record at n = 2^16 and r = 16, whose records take 5 bytes."""
+    """The writer packs in one (2^16, 2) int64 buffer a chunk and the reader
+    unpacks in one (n, 2): traced peak bytes per record at n = 2^16 (the
+    bound's unit) and r = 16, whose records take 5 bytes."""
 
     N = 1 << 16
     ORDER = HadamardOrder(16)
@@ -418,6 +488,12 @@ class TestReportFileMemory:
         reports = _random_reports(16, self.N, seed=8)
         path = tmp_path / "reports.bin"
         # the staged pairs (16) and the packed body (5), above the reports
+        assert self._peak_per_record(lambda: write_report_file(path, reports, self.ORDER)) < 24
+
+    def test_write_peak_does_not_grow_with_n(self, tmp_path):
+        reports = _random_reports(16, 4 * self.N, seed=9)
+        path = tmp_path / "reports.bin"
+        # the writer holds one chunk of 2^16 records: test_write's bound, absolute
         assert self._peak_per_record(lambda: write_report_file(path, reports, self.ORDER)) < 24
 
     def test_read(self, tmp_path):
