@@ -11,8 +11,8 @@ Commands:
   enumeration); writes certificate.json.
 - ``size-table``: print per-mechanism report sizes in bits.
 
-Exit codes: 0 on success, 1 on usage or input errors, 2 when a privacy
-certification fails its bound.
+Exit codes: 0 on success, 1 on usage or input errors or when memory runs
+out, 2 when a privacy certification fails its bound.
 """
 
 from __future__ import annotations
@@ -251,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # EnumerationLimitError included
         print(f"fldp: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the allocation it could not make
+        print(f"fldp: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return 1
 
 

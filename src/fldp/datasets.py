@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ._atomic import replace_atomically
+from .mechanisms import _BLOCK
 
 __all__ = [
     "DatasetSpec",
@@ -109,14 +110,23 @@ def zipf_probabilities(domain_size: int, exponent: float) -> np.ndarray:
 
 
 def generate_zipf(spec: DatasetSpec) -> ItemStream:
-    """Draw spec.n i.i.d. items from the truncated Zipf law under spec.seed."""
+    """Draw spec.n i.i.d. items from the truncated Zipf law under spec.seed.
+
+    Each item inverts the law's CDF at one uniform. The items array is
+    filled 2^14 items at a time, each block from that block's uniforms;
+    consecutive ``rng.random`` calls continue one stream, so the items are
+    those of one whole draw, and the items array is the only n-sized one.
+    """
     if spec.source != "zipf":
         raise ValueError(f"spec source is {spec.source!r}, expected 'zipf'")
     probs = zipf_probabilities(spec.domain_size, spec.zipf_exponent)
     rng = np.random.default_rng(spec.seed)
     cdf = np.cumsum(probs)
-    draws = np.searchsorted(cdf, rng.random(spec.n), side="right")
-    items = np.minimum(draws, spec.domain_size - 1).astype(np.int64)
+    items = np.empty(spec.n, dtype=np.int64)
+    for start in range(0, spec.n, _BLOCK):
+        block = items[start : start + _BLOCK]
+        block[:] = np.searchsorted(cdf, rng.random(block.size), side="right")
+    np.minimum(items, spec.domain_size - 1, out=items)  # cdf[-1] may round below 1
     return ItemStream(items=items, labels=tuple(str(i) for i in range(spec.domain_size)))
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -56,7 +57,8 @@ _U64 = np.uint64
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_M1 = 0xBF58476D1CE4E5B9
 _SM_M2 = 0x94D049BB133111EB
-_SM_BLOCK = 1 << 14
+# items per block where a client or the Zipf generator walks an n-sized array
+_BLOCK = 1 << 14
 # OLH hashes keys below 2^32 through the upper half of a 64-bit word
 _OLH_KEY_LIMIT = 1 << 32
 _HALF = _U64(32)
@@ -218,13 +220,21 @@ class FhrReport:
 
     A slotted record, validated once at construction by a plain
     ``__init__``: a report costs one Python call and holds no ``__dict__``.
-    It is neither frozen nor hashable.
+    Each index is taken through ``operator.index``, so a numpy integer is
+    stored as a Python int and a float or a string raises ValueError. It
+    is neither frozen nor hashable.
     """
 
     index_x: int
     index_y: int
 
     def __init__(self, index_x: int, index_y: int) -> None:
+        try:
+            index_x, index_y = operator.index(index_x), operator.index(index_y)
+        except TypeError:
+            raise ValueError(
+                f"report indices must be integers, got {index_x!r} and {index_y!r}"
+            ) from None
         if index_x < 0 or index_y < 0:
             raise ValueError("report indices must be nonnegative")
         if index_x == index_y:
@@ -241,20 +251,6 @@ def _integers(values: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
-def _item_rows(items: np.ndarray, order: HadamardOrder) -> np.ndarray:
-    items = np.atleast_1d(_integers(items, "items"))  # a scalar item is a batch of one
-    if items.size:
-        lo, hi = int(items.min()), int(items.max())
-        if lo < 0 or hi + 1 >= order.order:
-            raise ValueError(
-                f"item {lo if lo < 0 else hi} does not fit order {order.order} "
-                f"(usable domain is [0, {order.order - 1}))"
-            )
-    rows = items.astype(_U64)
-    rows += _U64(1)
-    return rows
-
-
 def fhr_perturb_batch(
     items: np.ndarray, params: PrivacyParams, order: HadamardOrder, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -267,25 +263,40 @@ def fhr_perturb_batch(
     (the lowest set bit of ``rho``) folds the columns two-to-one onto the
     wanted half, preserving uniformity.
 
-    Both columns are drawn, then the keep coins, and folded and swapped in
-    place (about four n-sized arrays at the peak); ``items`` is not written.
+    Both columns are drawn whole, then the items are walked in blocks of
+    2^14: each block's rows are built and its keep coins drawn, and its
+    columns are folded and swapped in place. Consecutive ``rng.random``
+    calls continue one stream, so the draws are those of one whole call.
+    The two outputs are the only n-sized arrays; ``items`` is not written.
     """
     _require(params, "correction", "FHR")
-    rows = _item_rows(items, order)
-    n = rows.size
+    items = np.atleast_1d(_integers(items, "items"))  # a scalar item is a batch of one
+    if items.size:
+        lo, hi = int(items.min()), int(items.max())
+        if lo < 0 or hi + 1 >= order.order:
+            raise ValueError(
+                f"item {lo if lo < 0 else hi} does not fit order {order.order} "
+                f"(usable domain is [0, {order.order - 1}))"
+            )
+    n = items.size
     d = order.order
     x = rng.integers(0, d, size=n, dtype=np.uint64)
     y = rng.integers(0, d, size=n, dtype=np.uint64)
-    flip = rng.random(n) >= params.p
-    t = np.bitwise_and(rows, x)
-    odd_x = np.bitwise_count(t) & 1
-    even_y = 1 - (np.bitwise_count(np.bitwise_and(rows, y, out=t)) & 1)
-    rows &= np.negative(rows, out=t)  # the lowest set bit, a -1 column of each row
-    x ^= np.multiply(rows, odd_x, out=t)  # uniform over the +1 half
-    y ^= np.multiply(rows, even_y, out=t)  # uniform over the -1 half
-    np.multiply(np.bitwise_xor(x, y, out=t), flip, out=t)  # x ^ y where the pair flips
-    x ^= t
-    y ^= t
+    for start in range(0, n, _BLOCK):
+        stop = start + _BLOCK
+        bx, by = x[start:stop], y[start:stop]
+        rows = items[start:stop].astype(_U64)
+        rows += _U64(1)
+        flip = rng.random(rows.size) >= params.p
+        t = np.bitwise_and(rows, bx)
+        odd_x = np.bitwise_count(t) & 1
+        even_y = 1 - (np.bitwise_count(np.bitwise_and(rows, by, out=t)) & 1)
+        rows &= np.negative(rows, out=t)  # the lowest set bit, a -1 column of each row
+        bx ^= np.multiply(rows, odd_x, out=t)  # uniform over the +1 half
+        by ^= np.multiply(rows, even_y, out=t)  # uniform over the -1 half
+        np.multiply(np.bitwise_xor(bx, by, out=t), flip, out=t)  # x ^ y where the pair flips
+        bx ^= t
+        by ^= t
     return x.view(np.int64), y.view(np.int64)
 
 
@@ -341,13 +352,13 @@ def unary_sample_counts(
 def _splitmix64(seeds: np.ndarray, step: int) -> np.ndarray:
     """Output ``step`` (from 1) of splitmix64 started at each seed, in a new array.
 
-    Mixed in blocks of _SM_BLOCK words, so that the shifted copies are
+    Mixed in blocks of _BLOCK words, so that the shifted copies are
     block-sized and the new array is the only n-sized allocation.
     """
     z = np.array(seeds, dtype=_U64)
     flat = z.reshape(-1)
-    for start in range(0, flat.size, _SM_BLOCK):
-        block = flat[start : start + _SM_BLOCK]
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK]
         block += _U64(step * _SM_GAMMA % (1 << 64))
         block ^= block >> _U64(30)
         block *= _U64(_SM_M1)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from fldp.datasets import ItemStream, zipf_probabilities
 from fldp.hadamard import HadamardOrder, min_order_for_domain, row_vector
 from fldp.mechanisms import FhrReport, _require
 from fldp.verifier import FldpCertificate, OutputRange, certify_ranges, enumerate_range
@@ -159,6 +160,18 @@ def fhr_perturb_batch_oracle(items, params, order, rng) -> tuple[np.ndarray, np.
     index_x = np.where(keep, x, y).astype(np.int64)
     index_y = np.where(keep, y, x).astype(np.int64)
     return index_x, index_y
+
+
+def generate_zipf_oracle(spec) -> ItemStream:
+    """The Zipf stream from one whole draw: every uniform at once, each
+    inverted through the CDF by ``searchsorted``, then clamped to the
+    domain, as ``generate_zipf`` does block by block."""
+    probs = zipf_probabilities(spec.domain_size, spec.zipf_exponent)
+    rng = np.random.default_rng(spec.seed)
+    cdf = np.cumsum(probs)
+    draws = np.searchsorted(cdf, rng.random(spec.n), side="right")
+    items = np.minimum(draws, spec.domain_size - 1).astype(np.int64)
+    return ItemStream(items=items, labels=tuple(str(i) for i in range(spec.domain_size)))
 
 
 def sign_block_oracle(rows, order: int) -> np.ndarray:

@@ -124,6 +124,44 @@ class TestRejectedBeforeWork:
         assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
 
 
+class TestOutOfMemory:
+    # numpy's message for --zipf-n 1000000000000; the allocation itself is
+    # never attempted here, only its MemoryError is raised
+    _NUMPY = (
+        "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+        "and data type int64"
+    )
+
+    @pytest.mark.parametrize(
+        "module, argv",
+        [
+            ("fldp.cli", ["gen-data"]),
+            ("fldp.experiment", ["run", "--mechanisms", "fhr", "--epsilons", "1",
+                                 "--topk", "5", "--trials", "1"]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError(_NUMPY), f"fldp: out of memory: {_NUMPY}\n"),
+            (MemoryError(), "fldp: out of memory\n"),
+        ],
+    )
+    def test_one_line_and_exit_one(
+        self, module, argv, error, message, capsys, tmp_path, monkeypatch
+    ):
+        def exhausted(spec):
+            raise error
+
+        monkeypatch.setattr(f"{module}.load_stream", exhausted)
+        out = tmp_path / "out"
+        assert _run(argv + ["--zipf-n", "1000000000000", "--out", str(out)]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == message
+        assert not out.exists()
+
+
 class TestGenData:
     def test_writes_dataset_and_ground_truth(self, tmp_path, capsys):
         code = _run([

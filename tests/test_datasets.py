@@ -15,8 +15,9 @@ from fldp.datasets import (
     ingest_csv,
     zipf_probabilities,
 )
+from fldp.mechanisms import _BLOCK
 
-from _oracles import tally_oracle
+from _oracles import generate_zipf_oracle, tally_oracle
 
 
 def _zipf(n, d, seed=0, exponent=1.5):
@@ -43,6 +44,38 @@ class TestZipf:
     def test_different_seeds_differ(self):
         a, b = _zipf(5000, 64, seed=1), _zipf(5000, 64, seed=2)
         assert not np.array_equal(a.items, b.items)
+
+    # n = 0 is refused by DatasetSpec (test_spec_validation)
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_blocks_draw_what_one_whole_draw_draws(self, n, monkeypatch):
+        # the uniforms are drawn one block at a time; every item and the
+        # generator's next draw must be those of one whole-array draw
+        generators = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            generators.append(default_rng(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        spec = DatasetSpec(source="zipf", n=n, domain_size=1023, seed=n)
+        got, want = generate_zipf(spec), generate_zipf_oracle(spec)
+        assert got.items.dtype == np.int64
+        assert np.array_equal(got.items, want.items)
+        assert got.labels == want.labels
+        blocked, whole = generators
+        assert blocked.random() == whole.random()
+
+    def test_uniform_past_the_rounded_cdf_end_is_the_last_item(self, monkeypatch):
+        # the CDF's last entry rounds below 1 at D = 1023, exponent 1.5, so
+        # the largest uniform falls past it and the clamp keeps it in range
+        class TopUniforms:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        assert np.cumsum(zipf_probabilities(1023, 1.5))[-1] < 1
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: TopUniforms())
+        assert np.all(_zipf(_BLOCK + 1, 1023).items == 1022)
 
     def test_exponent_at_most_one_rejected(self):
         with pytest.raises(ValueError):

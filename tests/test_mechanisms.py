@@ -17,8 +17,10 @@ from fldp.aggregator import (
     olh_support_counts,
     unary_estimate,
 )
+from fldp.datasets import DatasetSpec, generate_zipf
 from fldp.hadamard import HadamardOrder, min_order_for_domain, row_vector
 from fldp.mechanisms import (
+    _BLOCK,
     MECHANISMS,
     FhrReport,
     PrivacyParams,
@@ -128,6 +130,18 @@ class TestFhrReport:
         with pytest.raises(ValueError, match="report indices must be nonnegative"):
             FhrReport(0, -1)
 
+    @pytest.mark.parametrize(
+        "index_x, index_y", [(1.5, 2), ("7", 2), (2, np.float64(3.0)), (2, None)]
+    )
+    def test_non_integer_index_rejected(self, index_x, index_y):
+        with pytest.raises(ValueError, match="report indices must be integers"):
+            FhrReport(index_x, index_y)
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        report = FhrReport(np.int64(3), np.uint16(5))
+        assert type(report.index_x) is int and type(report.index_y) is int
+        assert report == FhrReport(3, 5)
+
     def test_slotted_record_without_instance_dict(self):
         report = FhrReport(3, 5)
         assert not hasattr(report, "__dict__")
@@ -235,6 +249,24 @@ class TestFhrPerturb:
         for column, expected in zip(got, want):
             assert column.dtype == np.int64
             assert np.array_equal(column, expected)
+
+    @pytest.mark.parametrize("domain", [1, 3, 1023, 65535])
+    @pytest.mark.parametrize(
+        "n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+    )
+    def test_blocks_draw_what_one_whole_batch_draws(self, n, domain):
+        # the keep coins are drawn one block at a time; every report and the
+        # generator's next draw must be those of one whole-array draw
+        params = PrivacyParams.for_fhr(1.0)
+        order = min_order_for_domain(domain)
+        items = np.random.default_rng(n).integers(0, domain, size=n)
+        blocked, whole = np.random.default_rng(8), np.random.default_rng(8)
+        got = fhr_perturb_batch(items, params, order, blocked)
+        want = fhr_perturb_batch_oracle(items, params, order, whole)
+        for column, expected in zip(got, want):
+            assert column.dtype == np.int64
+            assert np.array_equal(column, expected)
+        assert blocked.random() == whole.random()
 
     def test_scalar_item_is_a_batch_of_one(self):
         params, order = PrivacyParams.for_fhr(1.0), HadamardOrder(3)
@@ -570,26 +602,47 @@ class TestNonIntegerItems:
 
 
 class TestScratchMemory:
-    """The clients keep their draws in place: peak traced memory at
-    n = 2^17, in units of one n-sized uint64 array."""
+    """The clients and the Zipf generator keep their draws in place: peak
+    traced memory at n = 2^17, in units of one n-sized uint64 array."""
 
     N = 1 << 17
 
-    def _peak_units(self, call):
+    @staticmethod
+    def _peak_bytes(call):
         tracemalloc.start()
         try:
             call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak / (8 * self.N)
+        return peak
 
-    def test_fhr_client(self):
-        items = np.random.default_rng(1).integers(0, 1023, size=self.N)
+    def _peak_units(self, call):
+        return self._peak_bytes(call) / (8 * self.N)
+
+    @staticmethod
+    def _fhr_call(n):
+        items = np.random.default_rng(1).integers(0, 1023, size=n)
         params, order = PrivacyParams.for_fhr(1.0), min_order_for_domain(1023)
         rng = np.random.default_rng(2)
-        # two draws, the rows, one scratch array and the keep coins
-        assert self._peak_units(lambda: fhr_perturb_batch(items, params, order, rng)) <= 5
+        return lambda: fhr_perturb_batch(items, params, order, rng)
+
+    def test_fhr_client(self):
+        # the two outputs, then one block's rows, scratch, parities and coins
+        assert self._peak_units(self._fhr_call(self.N)) <= 2.5
+
+    def test_fhr_client_scratch_does_not_grow_with_n(self):
+        # above its two n-sized outputs the client holds one block's
+        # arrays, the same at every n to within one block of uint64
+        def scratch(n):
+            return self._peak_bytes(self._fhr_call(n)) - 2 * 8 * n
+
+        assert abs(scratch(1 << 18) - scratch(1 << 16)) <= 8 * _BLOCK
+
+    def test_zipf_generator(self):
+        spec = DatasetSpec(source="zipf", n=self.N, domain_size=1023, seed=3)
+        # the items, one block's uniforms and indices, and the labels
+        assert self._peak_units(lambda: generate_zipf(spec)) <= 1.3
 
     def test_grr_client(self):
         items = np.random.default_rng(1).integers(0, 1023, size=self.N)
