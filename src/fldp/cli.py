@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         type=int,
         required=True,
-        help="Hadamard order for fhr (a power of two, up to 4096); domain size otherwise "
+        help="Hadamard order for fhr (a power of two, up to 65536); domain size otherwise "
         "(up to 256 for grr, 4095 for oue and rappor)",
     )
     verify.add_argument("--out", type=str, default="results", help="output directory")

@@ -10,8 +10,10 @@ GRR is enumerated: :func:`enumerate_range` writes down an item's range, its
 outputs (the reported values) and their probabilities, and
 :func:`certify_ranges` scatters the ranges into one items x outputs matrix
 P. Its support S = P > 0 gives the range sizes and every pair's overlap
-(S . S^T); the ratios are taken one row t at a time, P[t, R(t)] against
-P[t+1:, R(t)].
+(S . S^T). The worst ratio comes from one pass down P's columns, each
+row against the largest and smallest probabilities below it, so only the
+rows that hold a witness are walked pair by pair: O(items x outputs) work
+and at most eight row walks, not O(items^2 x outputs).
 
 FHR and the unary encodings are certified in closed form, from what their
 constructions fix, with witnesses from the same walk:
@@ -47,10 +49,15 @@ __all__ = [
     "certificate_passes",
 ]
 
-_MAX_FHR_ORDER = 4096
+# FHR's closed form writes down only the order-sized Hadamard rows its
+# witness walk reaches, at most three; this bounds their length, here the
+# order of the full-scale domain of 65,535 items
+_MAX_FHR_ORDER = 65536
 _MAX_GRR_DOMAIN = 256  # the largest GRR domain whose ranges are written down
-# FHR's item limit; a range size 2^D then prints within Python's 4,300 digits
-_MAX_UNARY_DOMAIN = _MAX_FHR_ORDER - 1
+# the unary range size 2^D is a D-bit int that certificate.json prints in
+# full; Python refuses to print one past 4,300 digits (D of about 14,284),
+# and this limit keeps well inside that while covering the sweep's domain
+_MAX_UNARY_DOMAIN = 4095
 _MAX_WITNESSES = 8
 _PROB_SUM_TOL = 1e-9
 # slack of the pass rule: on the observed overlap, and on the effective
@@ -84,12 +91,12 @@ class OutputRange:
         total = math.fsum(self.probs.tolist())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        if not (self.probs > 0).all():
+        if not self.probs.min() > 0:  # a NaN fails it too
             raise ValueError("output ranges must not carry zero-probability outputs")
         ordered = np.sort(self.codes)
         if ordered[0] < 0:
             raise ValueError("output codes must be nonnegative")
-        if (ordered[1:] == ordered[:-1]).any():
+        if np.count_nonzero(ordered[1:] == ordered[:-1]):
             raise ValueError("output codes must be distinct")
 
     @property
@@ -159,62 +166,93 @@ def certify_ranges(ranges: Mapping[int, OutputRange]) -> FldpCertificate:
     Witnesses follow a walk over pairs t < t' in item order, each pair's
     shared outputs in the smaller range's enumeration order (t's on a
     tie): the running maximum starts at 1.0, and up to eight outputs that
-    tie with it are kept in the order the walk meets them.
+    tie with it are kept in the order the walk meets them. The worst ratio
+    is found first, in one pass over the matrix (:func:`_best_ratios`), so
+    the walk visits only the rows that hold a witness, at most eight.
     """
     items = sorted(ranges)
     if len(items) < 2:
         raise ValueError("certification needs at least two items")
     rows = [ranges[t] for t in items]
-    P = np.zeros((len(items), max(int(r.codes.max()) for r in rows) + 1))
-    for a, r in enumerate(rows):
-        P[a, r.codes] = r.probs
+    codes = np.concatenate([r.codes for r in rows])
+    P = np.zeros((len(items), int(codes.max()) + 1))
+    P[np.repeat(np.arange(len(items)), [r.size for r in rows]), codes] = np.concatenate(
+        [r.probs for r in rows]
+    )
+    del codes
     S = (P > 0).astype(np.float64)
     sizes = S.sum(axis=1).astype(np.int64)
     upper = np.triu_indices(len(items), 1)
     inter = (S @ S.T)[upper].astype(np.int64)
     del S
     eta = min(1.0, float((inter / np.maximum(sizes[upper[0]], sizes[upper[1]])).min()))
-    max_ratio = 1.0
-    witnesses: list[tuple[int, int, int]] = []
-    for a in range(len(items) - 1):
-        c = rows[a].codes
-        block = P[a + 1 :, c]
-        with np.errstate(divide="ignore"):
-            forward = rows[a].probs / block
-        # forward where forward >= 1, else 1 / forward (the same two float
-        # operations as a pair-by-pair walk); 0 off the shared outputs
-        ratio = 1 / forward
-        np.maximum(ratio, forward, out=ratio)
-        ratio[block == 0] = 0.0
-        top = float(ratio.max())
-        if top > max_ratio:
-            max_ratio, witnesses = top, []
-        elif top < max_ratio or len(witnesses) == _MAX_WITNESSES:
-            continue
-        tied = ratio == max_ratio
-        for i in np.flatnonzero(tied.any(axis=1)).tolist():
-            b = a + 1 + i
-            ks = np.flatnonzero(tied[i])
-            if rows[b].size < rows[a].size:
-                # this pair's shared outputs come in the smaller range's order
-                rank = np.zeros(P.shape[1], dtype=np.int64)
-                rank[rows[b].codes] = np.arange(rows[b].size)
-                ks = ks[np.argsort(rank[c[ks]])]
-            for k in ks[: _MAX_WITNESSES - len(witnesses)].tolist():
-                pair = (items[a], items[b]) if forward[i, k] >= 1 else (items[b], items[a])
-                witnesses.append((*pair, int(c[k])))
-            if len(witnesses) == _MAX_WITNESSES:
-                break
+    del upper
+    best = _best_ratios(P)
+    max_ratio = max(1.0, float(best.max()))
+
+    def found() -> Iterator[tuple[int, int, int]]:
+        for a in np.flatnonzero(best == max_ratio).tolist():
+            c = rows[a].codes
+            block = P[a + 1 :, c]
+            with np.errstate(divide="ignore", over="ignore"):
+                forward = rows[a].probs / block
+                # forward where forward >= 1, else 1 / forward (the same two
+                # float operations as a pair-by-pair walk); 0 off the shared
+                # outputs
+                ratio = 1 / forward
+            np.maximum(ratio, forward, out=ratio)
+            ratio[block == 0] = 0.0
+            tied = ratio == max_ratio
+            for i in np.flatnonzero(tied.any(axis=1)).tolist():
+                b = a + 1 + i
+                ks = np.flatnonzero(tied[i])
+                if rows[b].size < rows[a].size:
+                    # this pair's shared outputs come in the smaller range's order
+                    rank = np.zeros(P.shape[1], dtype=np.int64)
+                    rank[rows[b].codes] = np.arange(rows[b].size)
+                    ks = ks[np.argsort(rank[c[ks]])]
+                for k in ks.tolist():
+                    pair = (items[a], items[b]) if forward[i, k] >= 1 else (items[b], items[a])
+                    yield (*pair, int(c[k]))
+
     return FldpCertificate(
         eta_observed=eta,
         max_ratio_observed=max_ratio,
         epsilon_effective=math.log(max_ratio),
-        pair_witnesses=tuple(witnesses),
+        pair_witnesses=tuple(itertools.islice(found(), _MAX_WITNESSES)),
         range_size_min=int(sizes.min()),
         range_size_max=int(sizes.max()),
         intersection_size_min=int(inter.min()),
         intersection_size_max=int(inter.max()),
     )
+
+
+def _best_ratios(P: np.ndarray) -> np.ndarray:
+    """Each row a's largest ratio against the rows below it, 0 where it
+    shares no output with them.
+
+    Pair (a, b) has ratio P[a, k] / P[b, k] or its inverse, whichever is
+    larger, on an output k both reach. Float division rounds monotonically
+    in each operand, so over the rows b > a the larger is exactly
+    P[a, k] over the least later probability at k, or one over P[a, k]
+    over the greatest: the walk's own two operations. One scratch array
+    holds the greatest later probabilities down each column, then the
+    least, each turned into its ratios in place.
+    """
+    above, later = P[:-1], P[1:]
+    scratch = later.copy()
+    np.maximum.accumulate(scratch[::-1], axis=0, out=scratch[::-1])
+    shared = scratch > 0
+    shared &= above > 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(above, scratch, out=scratch)
+        np.divide(1.0, scratch, out=scratch)
+        best = scratch.max(axis=1, where=shared, initial=0.0)
+        np.copyto(scratch, later)
+        np.copyto(scratch, np.inf, where=scratch == 0)
+        np.minimum.accumulate(scratch[::-1], axis=0, out=scratch[::-1])
+        np.divide(above, scratch, out=scratch)
+    return np.maximum(best, scratch.max(axis=1, where=shared, initial=0.0))
 
 
 def _closed_form(
@@ -249,7 +287,7 @@ def _certify_fhr(params: PrivacyParams, domain_size: int) -> FldpCertificate:
     d = min_order_for_domain(domain_size).order
     if d > _MAX_FHR_ORDER:
         raise EnumerationLimitError(
-            f"FHR order {d} exceeds the enumeration limit {_MAX_FHR_ORDER}"
+            f"FHR order {d} exceeds the certification limit {_MAX_FHR_ORDER}"
         )
     # the flip probability directly, as 1 - p loses it once p nears 1; the
     # factor 4/d^2 both probabilities carry is a power of two, so it

@@ -367,9 +367,16 @@ class TestVerifyFldp:
         assert _run(["verify-fldp", "fhr", "--epsilon", "1.0", "--order", "6"]) == 1
         capsys.readouterr()
 
-    def test_enumeration_limit_is_usage_error(self, capsys):
-        assert _run(["verify-fldp", "fhr", "--epsilon", "1.0", "--order", "8192"]) == 1
-        assert "enumeration limit 4096" in capsys.readouterr().err
+    def test_enumeration_limit_is_usage_error(self, tmp_path, capsys):
+        assert _run(["verify-fldp", "fhr", "--epsilon", "1.0", "--order", "65536",
+                     "--out", str(tmp_path / "edge")]) == 0
+        assert capsys.readouterr().out.startswith("PASS fhr eta=0.500000 ")
+        assert _run(["verify-fldp", "fhr", "--epsilon", "1.0", "--order", "131072",
+                     "--out", str(tmp_path / "past")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fldp: FHR order 131072 exceeds the certification limit 65536\n"
+        assert not (tmp_path / "past").exists()
 
     def test_failed_certificate_exits_two(self, tmp_path, capsys, monkeypatch):
         broken = FldpCertificate(

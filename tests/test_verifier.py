@@ -3,9 +3,12 @@
 import functools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fldp import verifier
 from fldp.hadamard import min_order_for_domain, row_vector
@@ -74,13 +77,17 @@ class TestEnumerateRange:
         assert math.fsum(range_probabilities(rng).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_enumeration_limits(self):
-        # FHR's limit is order 4096; 4096 items need order 8192
-        with pytest.raises(EnumerationLimitError):
-            certify_mechanism("fhr", 1.0, 4096)
+        # FHR's limit is order 65536, the full-scale domain's; 65,536 items
+        # need order 131072
+        assert certify_mechanism("fhr", 1.0, 65535).range_size_max == 65536**2 // 2
+        message = "^FHR order 131072 exceeds the certification limit 65536$"
+        with pytest.raises(EnumerationLimitError, match=message):
+            certify_mechanism("fhr", 1.0, 65536)
         message = "^GRR domain 257 exceeds the enumeration limit 256$"
         with pytest.raises(EnumerationLimitError, match=message):
             enumerate_range("grr", 0, PrivacyParams.for_grr(1.0, 257), 257)
-        # the unary encodings stop at FHR's item limit, 4095
+        # the unary encodings stop at 4095 items, whose range size 2^4095
+        # still prints in certificate.json
         for name in ("oue", "rappor"):
             message = "^unary domain 4096 exceeds the enumeration limit 4095$"
             with pytest.raises(EnumerationLimitError, match=message):
@@ -344,6 +351,84 @@ class TestMatrixAgainstPairwiseOracle:
         assert (cert.range_size_min, cert.range_size_max) == (3, 6)
         assert (cert.intersection_size_min, cert.intersection_size_max) == (2, 5)
         assert cert.eta_observed == 2 / 6
+
+
+def _ranges(*laws):
+    """Items 0, 1, ... with the given ``(codes, probs)`` laws."""
+    return {t: OutputRange(codes=c, probs=p) for t, (c, p) in enumerate(laws)}
+
+
+# weights with ties, spread, and magnitudes down to the least subnormal,
+# whose ratios to ordinary probabilities overflow to inf
+_WEIGHTS = st.sampled_from([1.0, 2.0, 3.0, 0.5, 1e-3, 2.0**-600, 2.0**-1000, 5e-324]) | st.floats(
+    min_value=1e-300, max_value=1.0
+)
+
+
+@st.composite
+def _range_sets(draw):
+    outputs = draw(st.integers(min_value=1, max_value=8))
+    count = draw(st.integers(min_value=2, max_value=6))
+    items = draw(st.lists(st.integers(0, 40), min_size=count, max_size=count, unique=True))
+    ranges = {}
+    for t in items:
+        # codes in a drawn enumeration order, of any size: unequal and
+        # disjoint ranges both occur
+        codes = draw(st.lists(st.integers(0, outputs - 1), min_size=1, max_size=outputs,
+                              unique=True))
+        weights = np.array(draw(st.lists(_WEIGHTS, min_size=len(codes), max_size=len(codes))))
+        probs = weights / weights.sum()
+        assume((probs > 0).all() and abs(math.fsum(probs.tolist()) - 1) <= 1e-9)
+        ranges[t] = OutputRange(codes=codes, probs=probs)
+    return ranges
+
+
+# a ratio past the largest float: 5e-324 / 0.5 inverts to inf
+_OVERFLOW = (([0, 1], [5e-324, 1.0]), ([1, 0], [0.5, 0.5]))
+# the worst ratio only in the last pair (1, 2): item 0 shares nothing
+_LAST_PAIR = (([5], [1.0]), ([0, 1], [0.5, 0.5]), ([0, 1], [0.8, 0.2]))
+# the worst ratio, 5, only as 1 / forward: 0.1 / 0.5 inverted
+_INVERSE = (([0, 1], [0.1, 0.9]), ([0, 1], [0.5, 0.5]))
+
+
+class TestAuditAgainstPairwiseOracle:
+    """The one-pass audit equals the pairwise walk on any range set,
+    witnesses and their order included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_range_sets())
+    # disjoint ranges: eta 0, ratio 1, no witness
+    @example(_ranges(([0, 1], [0.5, 0.5]), ([2, 3], [0.5, 0.5])))
+    @example(_ranges(*_OVERFLOW))
+    @example(_ranges(*_LAST_PAIR))
+    @example(_ranges(*_INVERSE))
+    # ties everywhere at ratio 1, past the eight witnesses kept
+    @example(_ranges(*[(range(4), [0.25] * 4)] * 4))
+    def test_any_range_set(self, ranges):
+        cert = certify_ranges(ranges)
+        oracle = certify_ranges_oracle({t: range_probabilities(r) for t, r in ranges.items()})
+        assert cert == oracle
+        assert repr(cert) == repr(oracle)
+
+    def test_the_examples_reach_their_cases(self):
+        cert = certify_ranges(_ranges(*_OVERFLOW))
+        assert (cert.max_ratio_observed, cert.pair_witnesses) == (math.inf, ((1, 0, 0),))
+        assert certify_ranges(_ranges(*_LAST_PAIR)).pair_witnesses == ((1, 2, 1),)
+        cert = certify_ranges(_ranges(*_INVERSE))
+        assert (cert.max_ratio_observed, cert.pair_witnesses) == (5.0, ((1, 0, 0),))
+
+    def test_peak_memory_at_the_grr_limit(self):
+        # at most the pairwise walk's 3.37 MiB plus one items x outputs array
+        d = 256
+        params = PrivacyParams.for_grr(1.0, d)
+        ranges = {t: enumerate_range("grr", t, params, d) for t in range(d)}
+        tracemalloc.start()
+        try:
+            certify_ranges(ranges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.37 * 2**20 + d * d * 8
 
 
 def _sizes(cert):
