@@ -5,10 +5,8 @@ vector (+1 at index_x, -1 at index_y) into a running :class:`SumVector`,
 then estimate item i's count as ``correction * (sums . H[i + 1])``.
 Reports arrive as index arrays, either the two columns the client
 perturber returns or the (n, 2) rows :func:`fldp.wire.read_report_file`
-decodes, and are folded with two bincounts.
-Accumulation is a commutative integer merge, so partial sums from chunks
-or workers combine into exactly the sequential result. The whole domain
-is decoded at once by one fast Walsh-Hadamard transform of the sums,
+decodes, and are folded with two bincounts. The whole domain is decoded
+at once by one fast Walsh-Hadamard transform of the sums,
 O(order log order), whose entry ``i + 1`` is item ``i``'s dot product.
 
 The baseline estimators are the usual unbiased inversions of their flip
@@ -80,14 +78,6 @@ class SumVector:
             raise ValueError(f"report count must be nonnegative, got {self.n}")
         if self.sums.ndim != 1:
             raise ValueError(f"sums must be one-dimensional, got shape {self.sums.shape}")
-
-    def merge(self, other: "SumVector") -> "SumVector":
-        """Combine two partial sums; commutative and associative."""
-        if self.sums.shape != other.sums.shape:
-            raise ValueError(
-                f"cannot merge sums of length {self.sums.size} and {other.sums.size}"
-            )
-        return SumVector(sums=self.sums + other.sums, n=self.n + other.n)
 
 
 @dataclass(frozen=True)

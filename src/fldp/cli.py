@@ -39,7 +39,9 @@ from .experiment import (
     run_experiment,
 )
 from .mechanisms import MECHANISMS
-from .verifier import certificate_passes, certify_mechanism
+from .verifier import (
+    _MAX_FHR_ORDER, _MAX_GRR_DOMAIN, _MAX_UNARY_DOMAIN, certificate_passes, certify_mechanism,
+)
 from .wire import report_size_table
 
 __all__ = ["main", "build_parser", "verify_fldp"]
@@ -54,18 +56,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, kind: type, noun: str) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
+        return tuple(kind(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise ValueError(f"bad float list {text!r}: {exc}") from exc
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ValueError(f"bad integer list {text!r}: {exc}") from exc
+        raise ValueError(f"bad {noun} list {text!r}: {exc}") from exc
 
 
 def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
@@ -123,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         type=int,
         required=True,
-        help="Hadamard order for fhr (a power of two, up to 65536); domain size otherwise "
-        "(up to 256 for grr, 4095 for oue and rappor)",
+        help=f"Hadamard order for fhr (a power of two, up to {_MAX_FHR_ORDER}); domain size "
+        f"otherwise (up to {_MAX_GRR_DOMAIN} for grr, {_MAX_UNARY_DOMAIN} for oue and rappor)",
     )
     verify.add_argument("--out", type=str, default="results", help="output directory")
 
@@ -166,8 +161,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = ExperimentSpec(
         dataset=_dataset_spec(args),
         mechanisms=tuple(part for part in args.mechanisms.split(",") if part.strip()),
-        epsilons=_parse_floats(args.epsilons),
-        topk_list=_parse_ints(args.topk),
+        epsilons=_parse_list(args.epsilons, float, "float"),
+        topk_list=_parse_list(args.topk, int, "integer"),
         trials=args.trials,
         seed=args.seed,
         output_dir=args.out,

@@ -28,7 +28,7 @@ __all__ = [
     "generate_zipf",
     "ingest_csv",
     "load_stream",
-    "exact_frequencies",
+    "zipf_probabilities",
     "export_stream_csv",
     "export_ground_truth",
 ]
@@ -93,12 +93,7 @@ class ItemStream:
 
     @cached_property
     def ground_truth(self) -> np.ndarray:
-        return exact_frequencies(self.items, self.domain_size)
-
-
-def exact_frequencies(items: np.ndarray, domain_size: int) -> np.ndarray:
-    """Exact per-item counts of raw items over [0, domain_size)."""
-    return np.bincount(items, minlength=domain_size).astype(np.int64)
+        return np.bincount(self.items, minlength=self.domain_size).astype(np.int64)
 
 
 def zipf_probabilities(domain_size: int, exponent: float) -> np.ndarray:

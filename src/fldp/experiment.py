@@ -27,7 +27,6 @@ from . import aggregator, mechanisms, metrics
 from ._atomic import replace_atomically
 from .datasets import DatasetSpec, ItemStream, load_stream
 from .hadamard import min_order_for_domain
-from .wire import report_size_table
 
 __all__ = [
     "DEFAULT_EPSILONS",
@@ -147,10 +146,9 @@ def estimate_once(
     if mechanism in ("oue", "rappor"):
         bit_counts = mechanisms.unary_sample_counts(items, params, domain_size, rng)
         return aggregator.unary_estimate(bit_counts, params, items.size).estimates
-    if mechanism == "olh":
-        seeds, values = mechanisms.olh_perturb_batch(items, params, domain_size, rng)
-        return aggregator.olh_estimate_all(seeds, values, domain_size, params).estimates
-    raise ValueError(f"no estimator for mechanism {mechanism!r}")
+    # olh, the one registered name left
+    seeds, values = mechanisms.olh_perturb_batch(items, params, domain_size, rng)
+    return aggregator.olh_estimate_all(seeds, values, domain_size, params).estimates
 
 
 def _score(truth: np.ndarray, estimates: np.ndarray, k: int) -> tuple[float, float, float, float]:
@@ -169,6 +167,8 @@ def _score(truth: np.ndarray, estimates: np.ndarray, k: int) -> tuple[float, flo
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run the sweep, returning all rows and writing results + manifest."""
     stream = load_stream(spec.dataset)
+    if stream.domain_size < 2:
+        raise ValueError(f"domain must have at least 2 items, got {stream.domain_size}")
     # every top-k candidate needs a positive true count (see metrics.related_error)
     k = max(spec.topk_list)
     needed = min(k, stream.domain_size)
@@ -188,7 +188,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 
     for mech_idx, mechanism in enumerate(spec.mechanisms):
         for eps_idx, epsilon in enumerate(spec.epsilons):
-            bits = report_size_table(stream.domain_size, epsilon)[mechanism]
+            bits = mechanisms.lookup(mechanism).report_bits(stream.domain_size, epsilon)
             trial_scores: dict[int, list[tuple[float, float, float, float]]] = {
                 k: [] for k in spec.topk_list
             }
@@ -253,7 +253,7 @@ def _write_outputs(spec: ExperimentSpec, stream: ItemStream, rows: list[ResultRo
         "kld_smoothing": "1/(10*n) per candidate",
         "report_bits": {
             mech: {
-                repr(float(eps)): report_size_table(stream.domain_size, eps)[mech]
+                repr(float(eps)): mechanisms.lookup(mech).report_bits(stream.domain_size, eps)
                 for eps in spec.epsilons
             }
             for mech in spec.mechanisms

@@ -46,6 +46,7 @@ __all__ = [
     "FldpCertificate",
     "enumerate_range",
     "certify_ranges",
+    "certify_mechanism",
     "certificate_passes",
 ]
 
@@ -133,17 +134,13 @@ class FldpCertificate:
             raise ValueError(f"max ratio must be at least 1, got {self.max_ratio_observed}")
 
 
-def enumerate_range(
-    mechanism: str, item: int, params: PrivacyParams, domain_size: int
-) -> OutputRange:
+def enumerate_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRange:
     """Exact output distribution of GRR run on ``item``.
 
     Analytic, never sampled; raises :class:`EnumerationLimitError` when the
     output space is too large to write down. GRR only: FHR and the unary
     encodings are certified in closed form by :func:`certify_mechanism`.
     """
-    if mechanism != "grr":
-        raise ValueError(f"cannot enumerate mechanism {mechanism!r}")
     if domain_size > _MAX_GRR_DOMAIN:
         raise EnumerationLimitError(
             f"GRR domain {domain_size} exceeds the enumeration limit {_MAX_GRR_DOMAIN}"
@@ -347,8 +344,9 @@ def certify_mechanism(mechanism: str, epsilon: float, domain_size: int) -> FldpC
         return _certify_fhr(params, domain_size)
     if mechanism in ("oue", "rappor"):
         return _certify_unary(mechanism, params, domain_size)
-    items = range(domain_size)
-    return certify_ranges({t: enumerate_range(mechanism, t, params, domain_size) for t in items})
+    if mechanism != "grr":
+        raise ValueError(f"cannot certify mechanism {mechanism!r}")
+    return certify_ranges({t: enumerate_range(t, params, domain_size) for t in range(domain_size)})
 
 
 def certificate_passes(mechanism: str, epsilon: float, certificate: FldpCertificate) -> bool:

@@ -299,7 +299,7 @@ def exact_range(mechanism: str, item: int, params, domain_size: int) -> OutputRa
         return fhr_range_oracle(item, params, domain_size)
     if mechanism in ("oue", "rappor"):
         return unary_range_oracle(mechanism, item, params, domain_size)
-    return enumerate_range(mechanism, item, params, domain_size)
+    return enumerate_range(item, params, domain_size)
 
 
 def certify_fhr_oracle(params, domain_size: int) -> FldpCertificate:

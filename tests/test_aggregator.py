@@ -85,26 +85,6 @@ class TestAccumulate:
             fhr_accumulate(np.array([[2.0, 3.0]]), HadamardOrder(2))
         assert fhr_accumulate_indices(np.array([]), np.array([]), HadamardOrder(2)).n == 0
 
-    @settings(max_examples=50)
-    @given(st.data())
-    def test_merge_matches_sequential(self, data):
-        order = HadamardOrder(3)
-        pair = st.tuples(
-            st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7)
-        ).filter(lambda t: t[0] != t[1])
-        batch_a = data.draw(st.lists(pair, max_size=30))
-        batch_b = data.draw(st.lists(pair, max_size=30))
-        merged = fhr_accumulate(_pairs(batch_a), order).merge(
-            fhr_accumulate(_pairs(batch_b), order)
-        )
-        merged_flipped = fhr_accumulate(_pairs(batch_b), order).merge(
-            fhr_accumulate(_pairs(batch_a), order)
-        )
-        sequential = fhr_accumulate(_pairs(batch_a + batch_b), order)
-        assert np.array_equal(merged.sums, sequential.sums)
-        assert np.array_equal(merged_flipped.sums, sequential.sums)
-        assert merged.n == merged_flipped.n == sequential.n
-
     @settings(max_examples=30)
     @given(st.data())
     def test_sumvector_invariants(self, data):
@@ -116,12 +96,6 @@ class TestAccumulate:
         summed = fhr_accumulate(_pairs(batch), order)
         assert summed.sums.sum() == 0
         assert np.abs(summed.sums).max(initial=0) <= summed.n
-
-    def test_merge_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SumVector(np.zeros(4, dtype=np.int64), 0).merge(
-                SumVector(np.zeros(8, dtype=np.int64), 0)
-            )
 
 
 class TestFhrEstimate:

@@ -4,11 +4,13 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import pytest
 
 import fldp.cli as cli
+from fldp import verifier
 from fldp.mechanisms import MECHANISMS
 from fldp.verifier import FldpCertificate
 
@@ -99,6 +101,10 @@ class TestRejectedBeforeWork:
              "epsilons must be unique"),
             (_RUN + ["--mechanisms", "fhr", "--epsilons", "1", "--topk", "5,5"],
              "k values must be unique"),
+            (_RUN + ["--mechanisms", "fhr", "--epsilons", "1,x", "--topk", "5"],
+             "bad float list '1,x'"),
+            (_RUN + ["--mechanisms", "fhr", "--epsilons", "1", "--topk", "5,y"],
+             "bad integer list '5,y'"),
         ],
     )
     def test_one_usage_line_and_nothing_written(self, argv, message, capsys, tmp_path):
@@ -362,6 +368,13 @@ class TestVerifyFldp:
         assert list(mechanism.choices) == [
             name for name, m in MECHANISMS.items() if m.eta is not None
         ]
+
+    def test_order_help_names_the_certification_limits(self, capsys):
+        assert _run(["verify-fldp", "--help"]) == 0
+        printed = capsys.readouterr().out
+        limits = (verifier._MAX_FHR_ORDER, verifier._MAX_GRR_DOMAIN, verifier._MAX_UNARY_DOMAIN)
+        for limit in limits:
+            assert re.search(rf"\b{limit}\b", printed)
 
     def test_fhr_order_must_be_power_of_two(self, capsys):
         assert _run(["verify-fldp", "fhr", "--epsilon", "1.0", "--order", "6"]) == 1

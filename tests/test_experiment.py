@@ -152,6 +152,24 @@ class TestDegenerateDomain:
         for row in rows:
             assert np.isfinite([row.kld, row.re, row.se, row.ncr]).all()
 
+    def test_one_item_domain_rejected_before_any_perturbation(self, tmp_path, monkeypatch):
+        # FHR's, the unary encodings' and OLH's params all accept one item
+        def estimate_once_must_not_run(*args):
+            raise AssertionError("estimate_once ran")
+
+        monkeypatch.setattr(experiment, "estimate_once", estimate_once_must_not_run)
+        data = tmp_path / "one.csv"
+        data.write_text("a\na\na\n", encoding="utf-8")
+        spec = _tiny_spec(
+            tmp_path / "out",
+            dataset=DatasetSpec(source="csv", path=str(data)),
+            mechanisms=("fhr", "oue", "rappor", "olh"),
+            topk_list=(1,),
+        )
+        with pytest.raises(ValueError, match="^domain must have at least 2 items, got 1$"):
+            run_experiment(spec)
+        assert not (tmp_path / "out").exists()
+
 
 class TestTooFewPresentItems:
     """200 Zipf draws over 1023 items (seed 0) hit only 55 distinct items."""
@@ -249,7 +267,7 @@ class TestSpecValidation:
             _tiny_spec(tmp_path, topk_list=(5, 10, 5))
 
     def test_estimate_once_unknown_mechanism(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown mechanism 'shr'"):
             estimate_once("shr", np.array([0]), 4, 1.0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 4.0])

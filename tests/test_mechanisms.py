@@ -720,7 +720,7 @@ _PARAMS_READERS = {
     ),
     "enumerate_range[grr]": (
         ("grr", "oue", "rappor"),
-        lambda params: enumerate_range("grr", 0, params, 4),
+        lambda params: enumerate_range(0, params, 4),
     ),
     **{
         f"unary_range_oracle[{name}]": (

@@ -65,7 +65,7 @@ class TestEnumerateRange:
 
     def test_grr_range_is_whole_domain(self):
         params = PrivacyParams.for_grr(1.0, 4)
-        rng = enumerate_range("grr", 2, params, 4)
+        rng = enumerate_range(2, params, 4)
         assert set(range_probabilities(rng)) == {0, 1, 2, 3}
         for value, prob in range_probabilities(rng).items():
             assert prob == pytest.approx(params.p if value == 2 else params.q)
@@ -85,7 +85,7 @@ class TestEnumerateRange:
             certify_mechanism("fhr", 1.0, 65536)
         message = "^GRR domain 257 exceeds the enumeration limit 256$"
         with pytest.raises(EnumerationLimitError, match=message):
-            enumerate_range("grr", 0, PrivacyParams.for_grr(1.0, 257), 257)
+            enumerate_range(0, PrivacyParams.for_grr(1.0, 257), 257)
         # the unary encodings stop at 4095 items, whose range size 2^4095
         # still prints in certificate.json
         for name in ("oue", "rappor"):
@@ -100,7 +100,7 @@ class TestEnumerateRange:
         with pytest.raises(EnumerationLimitError):
             certify_mechanism("fhr", 1.0, 2**40 - 1)
         with pytest.raises(EnumerationLimitError):
-            enumerate_range("grr", 0, PrivacyParams.for_grr(1.0, 10**12), 10**12)
+            enumerate_range(0, PrivacyParams.for_grr(1.0, 10**12), 10**12)
         with pytest.raises(EnumerationLimitError):
             certify_mechanism("rappor", 1.0, 10**12)
 
@@ -114,17 +114,12 @@ class TestEnumerateRange:
         assert list(range_probabilities(rng)) == list(range(8))
 
     def test_unknown_mechanism_rejected(self):
-        with pytest.raises(ValueError, match="cannot enumerate mechanism 'olh'"):
-            enumerate_range("olh", 0, PrivacyParams.for_olh(1.0), 4)
-        # FHR is certified in closed form, never enumerated
-        with pytest.raises(ValueError, match="cannot enumerate mechanism 'fhr'"):
-            enumerate_range("fhr", 0, _fhr_params(1.0), 3)
-        with pytest.raises(ValueError, match="cannot enumerate mechanism 'shr'"):
-            enumerate_range("shr", 0, PrivacyParams.for_grr(1.0, 3), 3)
-        # nor are the unary encodings, which are certified in closed form
-        for name in ("oue", "rappor"):
-            with pytest.raises(ValueError, match=f"cannot enumerate mechanism '{name}'"):
-                enumerate_range(name, 0, MECHANISMS[name].params(1.0, 3), 3)
+        # only GRR is enumerated, FHR and the unary encodings are certified
+        # in closed form, and OLH has no certificate
+        with pytest.raises(ValueError, match="^cannot certify mechanism 'olh'$"):
+            certify_mechanism("olh", 1.0, 4)
+        with pytest.raises(ValueError, match="^unknown mechanism 'shr'"):
+            certify_mechanism("shr", 1.0, 4)
 
     def test_output_range_validation(self):
         with pytest.raises(ValueError):
@@ -421,7 +416,7 @@ class TestAuditAgainstPairwiseOracle:
         # at most the pairwise walk's 3.37 MiB plus one items x outputs array
         d = 256
         params = PrivacyParams.for_grr(1.0, d)
-        ranges = {t: enumerate_range("grr", t, params, d) for t in range(d)}
+        ranges = {t: enumerate_range(t, params, d) for t in range(d)}
         tracemalloc.start()
         try:
             certify_ranges(ranges)
