@@ -41,7 +41,8 @@ class DatasetSpec:
     """Everything needed to reproduce a workload.
 
     ``source`` is "zipf" or "csv"; ``path`` only applies to csv. The Zipf
-    exponent must exceed 1 so the untruncated law is normalizable.
+    exponent must exceed 1, so the untruncated law is normalizable, and be
+    finite, so the manifest (which records it for either source) is JSON.
     """
 
     source: str
@@ -59,12 +60,10 @@ class DatasetSpec:
                 raise ValueError(f"n must be at least 1, got {self.n}")
             if self.domain_size < 2:
                 raise ValueError(f"domain must have at least 2 items, got {self.domain_size}")
-            if not self.zipf_exponent > 1:
-                raise ValueError(
-                    f"zipf exponent must exceed 1, got {self.zipf_exponent}"
-                )
         elif self.path is None:
             raise ValueError("csv source requires a path")
+        if not 1 < self.zipf_exponent < float("inf"):
+            raise ValueError(f"zipf exponent must be finite and exceed 1, got {self.zipf_exponent}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +97,8 @@ class ItemStream:
 
 def zipf_probabilities(domain_size: int, exponent: float) -> np.ndarray:
     """Truncated Zipf law over [0, domain_size), normalized."""
-    if not exponent > 1:
-        raise ValueError(f"zipf exponent must exceed 1, got {exponent}")
+    if not 1 < exponent < float("inf"):
+        raise ValueError(f"zipf exponent must be finite and exceed 1, got {exponent}")
     weights = np.arange(1, domain_size + 1, dtype=np.float64) ** (-exponent)
     return weights / weights.sum()
 

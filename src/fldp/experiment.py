@@ -261,5 +261,5 @@ def _write_outputs(spec: ExperimentSpec, stream: ItemStream, rows: list[ResultRo
         "trial_aggregation": "arithmetic mean",
     }
     with replace_atomically(out_dir / "manifest.json", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+        json.dump(manifest, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")

@@ -20,13 +20,10 @@ decide how to project onto distributions, not the estimators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "NoOverlapError",
-    "TopKSelection",
     "top_k",
     "kld",
     "related_error",
@@ -39,28 +36,10 @@ class NoOverlapError(ValueError):
     """True and estimated top-k sets share no items; the metric is undefined."""
 
 
-@dataclass(frozen=True)
-class TopKSelection:
-    """The k highest-frequency items, ranked descending.
-
-    Ties are broken by ascending item index so selections are reproducible
-    across runs regardless of how the table was produced.
-    """
-
-    k: int
-    items: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if self.items.size > self.k:
-            raise ValueError(f"selection holds {self.items.size} items but k={self.k}")
-        if self.items.size != np.unique(self.items).size:
-            raise ValueError("selection contains duplicate items")
-
-
-def top_k(table: np.ndarray, k: int) -> TopKSelection:
-    """Rank items by table value descending, ties by ascending index.
+def top_k(table: np.ndarray, k: int) -> np.ndarray:
+    """The k highest-valued items as an int64 index array, ranked by value
+    descending, ties by ascending index; every item when k reaches the
+    table's size.
 
     A partial selection: the k-th largest value is found in O(size), and
     only the items at or above it, boundary ties included, are sorted. The
@@ -77,15 +56,24 @@ def top_k(table: np.ndarray, k: int) -> TopKSelection:
         threshold = np.partition(table, table.size - k)[table.size - k]
         pool = np.flatnonzero(table >= threshold)
     # lexsort's last key dominates: -value first, index as tie-break
-    ranked = pool[np.lexsort((pool, -table[pool]))]
-    return TopKSelection(k=k, items=ranked[:k])
+    return pool[np.lexsort((pool, -table[pool]))][:k]
+
+
+def _distinct(items: np.ndarray) -> np.ndarray:
+    """The selection as an array, which must not name an item twice."""
+    items = np.asarray(items)
+    if items.size != np.unique(items).size:
+        raise ValueError("selection contains duplicate items")
+    return items
 
 
 def _restrict(table: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """The candidates' entries of a table, which must be finite throughout."""
+    """The candidates' entries of a table, which must be finite throughout;
+    the candidates must be distinct items of the table."""
     table = np.asarray(table, dtype=np.float64)
     if not np.isfinite(table).all():
         raise ValueError("metrics need finite tables, got NaN or infinite values")
+    items = _distinct(items)
     if items.size and (items.min() < 0 or items.max() >= table.size):
         raise ValueError("candidate item outside table")
     return table[items]
@@ -94,7 +82,7 @@ def _restrict(table: np.ndarray, items: np.ndarray) -> np.ndarray:
 def kld(
     real: np.ndarray,
     est: np.ndarray,
-    candidates: TopKSelection,
+    candidates: np.ndarray,
     smoothing: float | None = None,
 ) -> float:
     """Symmetrized KL divergence over the candidate items.
@@ -113,8 +101,8 @@ def kld(
         if total == 0:
             raise ValueError("the default smoothing needs a true table with nonzero total")
         smoothing = 1.0 / (10.0 * total)
-    p = np.clip(_restrict(real, candidates.items), 0, None) + smoothing
-    q = np.clip(_restrict(est, candidates.items), 0, None) + smoothing
+    p = np.clip(_restrict(real, candidates), 0, None) + smoothing
+    q = np.clip(_restrict(est, candidates), 0, None) + smoothing
     if np.any(p <= 0) or np.any(q <= 0):
         raise ValueError("a candidate has zero mass after smoothing")
     p = p / p.sum()
@@ -124,14 +112,14 @@ def kld(
     return 0.5 * (forward + backward)
 
 
-def related_error(real: np.ndarray, est: np.ndarray, candidates: TopKSelection) -> float:
+def related_error(real: np.ndarray, est: np.ndarray, candidates: np.ndarray) -> float:
     """Median over candidates of |p - p*| / p; scale-invariant.
 
     Every candidate must have positive true frequency, otherwise the
     ratio is undefined and the call is rejected.
     """
-    p = _restrict(real, candidates.items)
-    q = _restrict(est, candidates.items)
+    p = _restrict(real, candidates)
+    q = _restrict(est, candidates)
     if np.any(p <= 0):
         raise ValueError("candidates include an item with zero true frequency")
     return float(np.median(np.abs(p - q) / p))
@@ -150,27 +138,28 @@ def squared_error(real: np.ndarray, est: np.ndarray, k: int) -> float:
     total = float(real.sum())
     if total <= 0:
         raise ValueError("true table must have positive total mass")
-    shared = np.intersect1d(top_k(real, k).items, top_k(est, k).items)
+    shared = np.intersect1d(top_k(real, k), top_k(est, k))
     if shared.size == 0:
         raise NoOverlapError(f"true and estimated top-{k} sets are disjoint")
     diff = (real[shared] - est[shared]) / total
     return float(np.mean(diff * diff))
 
 
-def ncr(real_topk: TopKSelection, est_topk: TopKSelection) -> float:
+def ncr(real_topk: np.ndarray, est_topk: np.ndarray) -> float:
     """Normalized cumulative rank of the estimated top-k against the true.
 
-    A true item at rank r (1-based) is worth k - r + 1 points; each
-    estimated item collects the points of its true rank if it appears in
-    the true selection at all. The total is divided by the true selection's
-    own score, k(k+1)/2 when it holds k items, so matching sets score 1 and
-    disjoint sets 0 even when k exceeds the table.
+    With k the true selection's size, a true item at rank r (1-based) is
+    worth k - r + 1 points; each estimated item collects the points of its
+    true rank if it appears in the true selection at all. The total is
+    divided by the true selection's own score, k(k+1)/2, so matching sets
+    score 1 and disjoint sets 0.
     """
-    if real_topk.k != est_topk.k:
-        raise ValueError(f"selections disagree on k: {real_topk.k} vs {est_topk.k}")
-    if not real_topk.items.size:
+    real_topk, est_topk = _distinct(real_topk), _distinct(est_topk)
+    if real_topk.size != est_topk.size:
+        raise ValueError(f"selections disagree on k: {real_topk.size} vs {est_topk.size}")
+    if not real_topk.size:
         raise ValueError("the true selection is empty")
-    k = real_topk.k
-    scores = {int(item): k - rank for rank, item in enumerate(real_topk.items)}
-    total = sum(scores.get(int(item), 0) for item in est_topk.items)
+    k = real_topk.size
+    scores = {int(item): k - rank for rank, item in enumerate(real_topk)}
+    total = sum(scores.get(int(item), 0) for item in est_topk)
     return total / sum(scores.values())

@@ -6,17 +6,19 @@ shared output the probability ratio is at most e^eps. A certificate gives
 the observed eta, the worst ratio and its witnesses, derived from the
 mechanism's output law, never sampled.
 
-GRR is enumerated: :func:`enumerate_range` writes down an item's range, its
-outputs (the reported values) and their probabilities, and
-:func:`certify_ranges` scatters the ranges into one items x outputs matrix
-P. Its support S = P > 0 gives the range sizes and every pair's overlap
-(S . S^T). The worst ratio comes from one pass down P's columns, each
-row against the largest and smallest probabilities below it, so only the
-rows that hold a witness are walked pair by pair: O(items x outputs) work
-and at most eight row walks, not O(items^2 x outputs).
+GRR is enumerated: :func:`enumerate_range` writes down an item's law, one
+probability per reported value, and the rows are stacked into the items x
+outputs matrix P that :func:`certify_ranges` audits. A zero entry is an
+output outside the item's range, so the support S = P > 0 gives the range
+sizes and every pair's overlap (S . S^T). The worst ratio comes from one
+pass down P's columns, each row against the largest and smallest
+probabilities below it, so only the rows that hold a witness are walked
+pair by pair: O(items x outputs) work and at most eight row walks, not
+O(items^2 x outputs).
 
 FHR and the unary encodings are certified in closed form, from what their
-constructions fix, with witnesses from the same walk:
+constructions fix, with witnesses from the same pairwise walk, each pair's
+shared outputs in the lower item's enumeration order:
 
 - FHR outputs the sign-assigned index pair ``(x, y)``, +1 at column x and
   -1 at column y. Distinct Sylvester rows are balanced and orthogonal, so
@@ -33,7 +35,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .mechanisms import PrivacyParams, _require, lookup
 
 __all__ = [
     "EnumerationLimitError",
-    "OutputRange",
     "FldpCertificate",
     "enumerate_range",
     "certify_ranges",
@@ -69,40 +70,6 @@ _RATIO_TOL = 1e-9
 
 class EnumerationLimitError(ValueError):
     """The mechanism's output space is too large to certify exactly."""
-
-
-@dataclass(frozen=True, eq=False)
-class OutputRange:
-    """Exact output distribution of a mechanism run on one item.
-
-    ``codes`` lists each reachable output's code in enumeration order and
-    ``probs`` its exact probability; outputs that cannot occur are absent
-    rather than carried at zero. The codes are small nonnegative ints, as
-    they index the columns of the certifier's probability matrix.
-    """
-
-    codes: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "codes", np.asarray(self.codes, dtype=np.int64))
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
-        if self.codes.ndim != 1 or self.codes.shape != self.probs.shape:
-            raise ValueError("codes and probs must be 1-D arrays of one length")
-        total = math.fsum(self.probs.tolist())
-        if abs(total - 1.0) > _PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-        if not self.probs.min() > 0:  # a NaN fails it too
-            raise ValueError("output ranges must not carry zero-probability outputs")
-        ordered = np.sort(self.codes)
-        if ordered[0] < 0:
-            raise ValueError("output codes must be nonnegative")
-        if np.count_nonzero(ordered[1:] == ordered[:-1]):
-            raise ValueError("output codes must be distinct")
-
-    @property
-    def size(self) -> int:
-        return self.codes.size
 
 
 @dataclass(frozen=True)
@@ -134,8 +101,9 @@ class FldpCertificate:
             raise ValueError(f"max ratio must be at least 1, got {self.max_ratio_observed}")
 
 
-def enumerate_range(item: int, params: PrivacyParams, domain_size: int) -> OutputRange:
-    """Exact output distribution of GRR run on ``item``.
+def enumerate_range(item: int, params: PrivacyParams, domain_size: int) -> np.ndarray:
+    """Exact output law of GRR run on ``item``: the probability of each
+    reported value, indexed by the value.
 
     Analytic, never sampled; raises :class:`EnumerationLimitError` when the
     output space is too large to write down. GRR only: FHR and the unary
@@ -150,36 +118,42 @@ def enumerate_range(item: int, params: PrivacyParams, domain_size: int) -> Outpu
     _require(params, "q", "GRR or unary encoding")
     probs = np.full(domain_size, params.q)
     probs[item] = params.p
-    return OutputRange(codes=np.arange(domain_size), probs=probs)
+    return probs
 
 
-def certify_ranges(ranges: Mapping[int, OutputRange]) -> FldpCertificate:
-    """Audit precomputed output ranges over every unordered pair of items.
+def certify_ranges(P: np.ndarray | list) -> FldpCertificate:
+    """Audit an items x outputs probability matrix over every unordered
+    pair of items.
 
-    The eta reported is the worst overlap fraction; the ratio is maximized
-    only over outputs both items can produce. Disjoint ranges yield eta 0
-    with a trivial ratio of 1, since no shared output exists to compare.
+    Row t of ``P`` (a 2-D array, or a sequence of equal-length rows) is
+    item t's output law, and a zero entry an output outside t's range. The
+    eta reported is the worst overlap fraction; the ratio is maximized only
+    over outputs both items can produce. Disjoint ranges yield eta 0 with a
+    trivial ratio of 1, since no shared output exists to compare.
 
     Witnesses follow a walk over pairs t < t' in item order, each pair's
-    shared outputs in the smaller range's enumeration order (t's on a
-    tie): the running maximum starts at 1.0, and up to eight outputs that
-    tie with it are kept in the order the walk meets them. The worst ratio
-    is found first, in one pass over the matrix (:func:`_best_ratios`), so
-    the walk visits only the rows that hold a witness, at most eight.
+    shared outputs in column order: the running maximum starts at 1.0, and
+    up to eight outputs that tie with it are kept in the order the walk
+    meets them. The worst ratio is found first, in one pass over the
+    matrix (:func:`_best_ratios`), so the walk visits only the rows that
+    hold a witness, at most eight.
     """
-    items = sorted(ranges)
-    if len(items) < 2:
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim != 2:
+        raise ValueError(f"P must be a 2-D items x outputs matrix, got {P.ndim} dimensions")
+    if len(P) < 2:
         raise ValueError("certification needs at least two items")
-    rows = [ranges[t] for t in items]
-    codes = np.concatenate([r.codes for r in rows])
-    P = np.zeros((len(items), int(codes.max()) + 1))
-    P[np.repeat(np.arange(len(items)), [r.size for r in rows]), codes] = np.concatenate(
-        [r.probs for r in rows]
-    )
-    del codes
+    if np.isnan(P).any():
+        raise ValueError("probabilities must not be NaN")
+    if (P < 0).any():
+        raise ValueError("probabilities must be nonnegative")
+    for row in P:
+        total = math.fsum(row.tolist())
+        if abs(total - 1.0) > _PROB_SUM_TOL:
+            raise ValueError(f"probabilities sum to {total}, expected 1")
     S = (P > 0).astype(np.float64)
     sizes = S.sum(axis=1).astype(np.int64)
-    upper = np.triu_indices(len(items), 1)
+    upper = np.triu_indices(len(P), 1)
     inter = (S @ S.T)[upper].astype(np.int64)
     del S
     eta = min(1.0, float((inter / np.maximum(sizes[upper[0]], sizes[upper[1]])).min()))
@@ -189,28 +163,20 @@ def certify_ranges(ranges: Mapping[int, OutputRange]) -> FldpCertificate:
 
     def found() -> Iterator[tuple[int, int, int]]:
         for a in np.flatnonzero(best == max_ratio).tolist():
-            c = rows[a].codes
+            c = np.flatnonzero(P[a])
             block = P[a + 1 :, c]
             with np.errstate(divide="ignore", over="ignore"):
-                forward = rows[a].probs / block
+                forward = P[a, c] / block
                 # forward where forward >= 1, else 1 / forward (the same two
                 # float operations as a pair-by-pair walk); 0 off the shared
                 # outputs
                 ratio = 1 / forward
             np.maximum(ratio, forward, out=ratio)
             ratio[block == 0] = 0.0
-            tied = ratio == max_ratio
-            for i in np.flatnonzero(tied.any(axis=1)).tolist():
-                b = a + 1 + i
-                ks = np.flatnonzero(tied[i])
-                if rows[b].size < rows[a].size:
-                    # this pair's shared outputs come in the smaller range's order
-                    rank = np.zeros(P.shape[1], dtype=np.int64)
-                    rank[rows[b].codes] = np.arange(rows[b].size)
-                    ks = ks[np.argsort(rank[c[ks]])]
-                for k in ks.tolist():
-                    pair = (items[a], items[b]) if forward[i, k] >= 1 else (items[b], items[a])
-                    yield (*pair, int(c[k]))
+            # row-major: pairs (a, b) in item order, each in column order
+            for i, k in zip(*np.nonzero(ratio == max_ratio)):
+                b = a + 1 + int(i)
+                yield (a, b, int(c[k])) if forward[i, k] >= 1 else (b, a, int(c[k]))
 
     return FldpCertificate(
         eta_observed=eta,
@@ -257,9 +223,9 @@ def _closed_form(
 ) -> FldpCertificate:
     """The certificate of ranges of ``size`` outputs, any two sharing
     ``overlap``, whose largest ratio is ``top``. Its witnesses are the first
-    eight at ``top`` on :func:`certify_ranges`' walk: pairs t < t' in item
-    order, and ``outputs(t, t')`` yields ``(ratio, witness)`` for the shared
-    outputs whose ratio may be ``top``, in t's enumeration order."""
+    eight at ``top`` on the pairwise walk: pairs t < t' in item order, and
+    ``outputs(t, t')`` yields ``(ratio, witness)`` for the shared outputs
+    whose ratio may be ``top``, in t's enumeration order."""
     pairs = itertools.combinations(range(domain_size), 2)
     found = (w for t, u in pairs for ratio, w in outputs(t, u) if ratio == top)
     return FldpCertificate(
@@ -346,7 +312,7 @@ def certify_mechanism(mechanism: str, epsilon: float, domain_size: int) -> FldpC
         return _certify_unary(mechanism, params, domain_size)
     if mechanism != "grr":
         raise ValueError(f"cannot certify mechanism {mechanism!r}")
-    return certify_ranges({t: enumerate_range(t, params, domain_size) for t in range(domain_size)})
+    return certify_ranges([enumerate_range(t, params, domain_size) for t in range(domain_size)])
 
 
 def certificate_passes(mechanism: str, epsilon: float, certificate: FldpCertificate) -> bool:

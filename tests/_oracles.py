@@ -7,8 +7,8 @@ library's vectorized or closed-form code is meaningful evidence.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,7 +17,7 @@ import numpy as np
 from fldp.datasets import ItemStream, zipf_probabilities
 from fldp.hadamard import HadamardOrder, min_order_for_domain, row_vector
 from fldp.mechanisms import FhrReport, _require
-from fldp.verifier import FldpCertificate, OutputRange, certify_ranges, enumerate_range
+from fldp.verifier import FldpCertificate, enumerate_range
 from fldp.wire import WireFormatError, packed_size
 
 
@@ -183,19 +183,9 @@ def sign_block_oracle(rows, order: int) -> np.ndarray:
     return 1 - 2 * parity
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class FhrRange(OutputRange):
-    """An FHR item's enumerated range, whose code ``x * order + y`` stands
-    for the pair ``(x, y)``: +1 at column x and -1 at column y."""
-
-    order: int
-
-    def output(self, code: int) -> tuple[int, int]:
-        return divmod(code, self.order)
-
-
-def fhr_range_oracle(item: int, params, domain_size: int) -> FhrRange:
-    """Every output of FHR run on ``item``, in enumeration order.
+def fhr_range_oracle(item: int, params, domain_size: int) -> dict:
+    """Every output of FHR run on ``item`` as ``{(x, y): probability}``, in
+    enumeration order: +1 at column x and -1 at column y.
 
     For x in the row's +1 columns and y in its -1 columns (both
     ascending): (x, y), kept with probability p 4/order^2, then (y, x),
@@ -208,22 +198,25 @@ def fhr_range_oracle(item: int, params, domain_size: int) -> FhrRange:
     if item < 0 or row >= d:
         raise ValueError(f"item {item} outside domain [0, {domain_size})")
     signs = row_vector(row, d)
-    pos = np.flatnonzero(signs > 0)[:, None]
-    neg = np.flatnonzero(signs < 0)[None, :]
     p_keep = params.p * 4 / (d * d)
     p_flip = 1 / (math.exp(params.epsilon) + 1) * 4 / (d * d)
-    codes = np.stack([pos * d + neg, neg * d + pos], axis=-1).ravel()
-    probs = np.tile([p_keep, p_flip], codes.size // 2)
-    return FhrRange(codes=codes, probs=probs, order=d)
+    neg = np.flatnonzero(signs < 0).tolist()
+    law = {}
+    for x in np.flatnonzero(signs > 0).tolist():
+        for y in neg:
+            law[x, y] = p_keep
+            law[y, x] = p_flip
+    return law
 
 
-def unary_range_oracle(mechanism: str, item: int, params, domain_size: int) -> OutputRange:
-    """Every output of OUE or RAPPOR run on ``item``: all 2^D bit patterns,
-    coded as ints whose bit j is position j, in ascending order.
+def unary_range_oracle(mechanism: str, item: int, params, domain_size: int) -> dict:
+    """Every output of OUE or RAPPOR run on ``item`` as ``{output:
+    probability}``: all 2^D bit patterns, coded as ints whose bit j is
+    position j, in ascending order.
 
     Each probability is the product of the D per-bit factors in float, taken
     in position order, so it carries rounding and underflows to 0 at large
-    budgets (then the range is rejected). Written out whole, so D <= 12.
+    budgets, where the range is rejected. Written out whole, so D <= 12.
     """
     if mechanism not in ("oue", "rappor"):
         raise ValueError(f"cannot enumerate mechanism {mechanism!r}")
@@ -241,7 +234,9 @@ def unary_range_oracle(mechanism: str, item: int, params, domain_size: int) -> O
     for j in range(domain_size):
         on, off = (p, miss) if j == item else (q, clear)
         probs *= np.where((masks >> j) & 1, on, off)
-    return OutputRange(codes=masks, probs=probs)
+    if not probs.min() > 0:
+        raise ValueError("the float products underflow to zero-probability outputs")
+    return dict(enumerate(probs.tolist()))
 
 
 def unary_probability_oracle(mechanism: str, params, domain_size: int, item: int, code: int) -> Fraction:
@@ -292,37 +287,28 @@ def unary_max_ratio_oracle(mechanism: str, params, domain_size: int) -> Fraction
     )
 
 
-def exact_range(mechanism: str, item: int, params, domain_size: int) -> OutputRange:
-    """The enumerated range of any certifiable mechanism, FHR's and the unary
-    encodings' from the oracles."""
+def exact_range(mechanism: str, item: int, params, domain_size: int) -> dict:
+    """The enumerated law of any certifiable mechanism as ``{output:
+    probability}`` in enumeration order, FHR's and the unary encodings'
+    from the oracles."""
     if mechanism == "fhr":
         return fhr_range_oracle(item, params, domain_size)
     if mechanism in ("oue", "rappor"):
         return unary_range_oracle(mechanism, item, params, domain_size)
-    return enumerate_range(item, params, domain_size)
+    return dict(enumerate(enumerate_range(item, params, domain_size).tolist()))
 
 
-def certify_fhr_oracle(params, domain_size: int) -> FldpCertificate:
-    """FHR's certificate in matrix form: :func:`certify_ranges` over every
-    item's enumerated range, its witness outputs decoded to (x, y)."""
-    ranges = {t: fhr_range_oracle(t, params, domain_size) for t in range(domain_size)}
-    cert = certify_ranges(ranges)
-    return dataclasses.replace(
-        cert,
-        pair_witnesses=tuple(
-            (t, u, ranges[t].output(code)) for t, u, code in cert.pair_witnesses
-        ),
-    )
-
-
-def range_probabilities(output_range) -> dict:
-    """An ``OutputRange`` as ``{output: probability}`` in enumeration order,
-    FHR outputs as ``(x, y)`` pairs."""
-    decode = output_range.output if isinstance(output_range, FhrRange) else int
-    return {
-        decode(code): prob
-        for code, prob in zip(output_range.codes.tolist(), output_range.probs.tolist())
-    }
+def law_matrix(laws) -> np.ndarray:
+    """Items' ``{output: probability}`` laws as the rows of one items x
+    outputs matrix, as :func:`certify_ranges` takes it: each output's
+    column is where the walk over the laws first meets it, and an item's
+    row is zero at the outputs it cannot emit."""
+    outputs = dict.fromkeys(itertools.chain.from_iterable(laws))
+    column = {s: k for k, s in enumerate(outputs)}
+    P = np.zeros((len(laws), len(column)))
+    for t, law in enumerate(laws):
+        P[t, list(map(column.__getitem__, law))] = list(law.values())
+    return P
 
 
 def fhr_estimate_all_oracle(sum_vector, domain_size: int, params, order, chunk: int = 256):
@@ -359,9 +345,30 @@ def ratio_profile_oracle(mechanism: str, params, domain_size: int, pair) -> dict
     t, t_prime = pair
     if t == t_prime:
         raise ValueError(f"pair items must be distinct, got {t} twice")
-    range_t = range_probabilities(exact_range(mechanism, t, params, domain_size))
-    range_u = range_probabilities(exact_range(mechanism, t_prime, params, domain_size))
+    range_t = exact_range(mechanism, t, params, domain_size)
+    range_u = exact_range(mechanism, t_prime, params, domain_size)
     return {s: range_t[s] / range_u[s] for s in range_t if s in range_u}
+
+
+def _pairs_oracle(ranges):
+    """Every unordered pair t < t' in item order, with its shared outputs
+    in the smaller range's insertion order (t's on a tie)."""
+    items = sorted(ranges)
+    for a_idx, t in enumerate(items):
+        probs_t = ranges[t]
+        for t_prime in items[a_idx + 1 :]:
+            probs_u = ranges[t_prime]
+            small, large = (
+                (probs_t, probs_u) if len(probs_t) <= len(probs_u) else (probs_u, probs_t)
+            )
+            yield t, t_prime, [s for s in small if s in large]
+
+
+def _oriented_oracle(ranges, t, t_prime, s):
+    """A shared output's ratio, at least 1, and its witness oriented from
+    the item more likely to emit it."""
+    forward = ranges[t][s] / ranges[t_prime][s]
+    return (forward, (t, t_prime, s)) if forward >= 1 else (1 / forward, (t_prime, t, s))
 
 
 def certify_ranges_oracle(ranges):
@@ -372,8 +379,6 @@ def certify_ranges_oracle(ranges):
     smaller range's insertion order (t's on a tie); the running maximum
     ratio starts at 1.0 and keeps up to eight tying witnesses, in order.
     """
-    from fldp.verifier import FldpCertificate
-
     max_witnesses = 8
     items = sorted(ranges)
     if len(items) < 2:
@@ -383,28 +388,18 @@ def certify_ranges_oracle(ranges):
     max_ratio = 1.0
     witnesses = []
     inter_min, inter_max = None, None
-    for a_idx, t in enumerate(items):
-        probs_t = ranges[t]
-        for t_prime in items[a_idx + 1 :]:
-            probs_u = ranges[t_prime]
-            small, large = (
-                (probs_t, probs_u) if len(probs_t) <= len(probs_u) else (probs_u, probs_t)
-            )
-            shared = [s for s in small if s in large]
-            inter_size = len(shared)
-            inter_min = inter_size if inter_min is None else min(inter_min, inter_size)
-            inter_max = inter_size if inter_max is None else max(inter_max, inter_size)
-            eta = min(eta, inter_size / max(len(probs_t), len(probs_u)))
-            for s in shared:
-                forward = probs_t[s] / probs_u[s]
-                ratio, witness = (
-                    (forward, (t, t_prime, s)) if forward >= 1 else (1 / forward, (t_prime, t, s))
-                )
-                if ratio > max_ratio:
-                    max_ratio = ratio
-                    witnesses = [witness]
-                elif ratio == max_ratio and len(witnesses) < max_witnesses:
-                    witnesses.append(witness)
+    for t, t_prime, shared in _pairs_oracle(ranges):
+        inter_size = len(shared)
+        inter_min = inter_size if inter_min is None else min(inter_min, inter_size)
+        inter_max = inter_size if inter_max is None else max(inter_max, inter_size)
+        eta = min(eta, inter_size / max(len(ranges[t]), len(ranges[t_prime])))
+        for s in shared:
+            ratio, witness = _oriented_oracle(ranges, t, t_prime, s)
+            if ratio > max_ratio:
+                max_ratio = ratio
+                witnesses = [witness]
+            elif ratio == max_ratio and len(witnesses) < max_witnesses:
+                witnesses.append(witness)
     return FldpCertificate(
         eta_observed=eta,
         max_ratio_observed=max_ratio,
@@ -415,6 +410,20 @@ def certify_ranges_oracle(ranges):
         intersection_size_min=inter_min or 0,
         intersection_size_max=inter_max or 0,
     )
+
+
+def witness_walk_oracle(ranges, top) -> tuple:
+    """The first eight outputs at ratio ``top`` on the pairwise audit's
+    walk, which stops once it has them: the witnesses
+    :func:`certify_ranges_oracle` keeps when ``top`` is the largest ratio,
+    found without walking every pair."""
+    found = (
+        witness
+        for t, t_prime, shared in _pairs_oracle(ranges)
+        for ratio, witness in (_oriented_oracle(ranges, t, t_prime, s) for s in shared)
+        if ratio == top
+    )
+    return tuple(itertools.islice(found, 8))
 
 
 def pack_fhr_oracle(report: FhrReport, order: HadamardOrder) -> bytes:

@@ -17,7 +17,6 @@ from _oracles import (
     fhr_range_oracle,
     kld_oracle,
     ncr_oracle,
-    range_probabilities,
     related_error_oracle,
     squared_error_oracle,
     sylvester_matrix,
@@ -84,7 +83,7 @@ def test_criterion_02_unbiasedness(capsys):
     for mech_idx, (mechanism, domain) in enumerate(plan):
         stream = streams[domain]
         truth = stream.ground_truth.astype(np.float64)
-        top = top_k(truth, 20).items
+        top = top_k(truth, 20)
         per_trial = np.empty((trials, top.size))
         for trial in range(trials):
             rng = np.random.default_rng(
@@ -169,7 +168,7 @@ def test_criterion_05_report_dot_distributions(capsys):
             for candidate in range(domain):
                 signs = row_vector(candidate + 1, order.order)
                 buckets = {-2: [], 0: [], 2: []}
-                for (x, y), prob in range_probabilities(output_range).items():
+                for (x, y), prob in output_range.items():
                     buckets[int(signs[x]) - int(signs[y])].append(prob)
                 dist = {dot: math.fsum(probs) for dot, probs in buckets.items()}
                 if candidate == item:
@@ -338,10 +337,10 @@ def test_criterion_10_metric_units_and_oracles(capsys):
         smoothing = 1.0 / (10.0 * real.sum())
 
         pairs = [
-            (kld(real, est, candidates), kld_oracle(real, est, candidates.items, smoothing)),
+            (kld(real, est, candidates), kld_oracle(real, est, candidates, smoothing)),
             (
                 related_error(real, est, candidates),
-                related_error_oracle(real, est, candidates.items),
+                related_error_oracle(real, est, candidates),
             ),
             (ncr(candidates, top_k(est, k)), ncr_oracle(real, est, k)),
         ]

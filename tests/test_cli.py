@@ -105,6 +105,9 @@ class TestRejectedBeforeWork:
              "bad float list '1,x'"),
             (_RUN + ["--mechanisms", "fhr", "--epsilons", "1", "--topk", "5,y"],
              "bad integer list '5,y'"),
+            (_RUN + ["--mechanisms", "fhr", "--epsilons", "1", "--topk", "1",
+                     "--zipf-exponent", "inf"],
+             "zipf exponent must be finite and exceed 1, got inf"),
         ],
     )
     def test_one_usage_line_and_nothing_written(self, argv, message, capsys, tmp_path):

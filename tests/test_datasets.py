@@ -1,5 +1,7 @@
 """Zipf synthesis, CSV ingestion, and ground-truth bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,18 @@ class TestZipf:
     def test_exponent_at_most_one_rejected(self):
         with pytest.raises(ValueError):
             _zipf(100, 8, exponent=1.0)
+
+    @pytest.mark.parametrize("exponent", [math.inf, math.nan])
+    def test_non_finite_exponent_rejected(self, exponent):
+        # manifest.json records the exponent, and strict JSON has no
+        # Infinity or NaN
+        message = f"^zipf exponent must be finite and exceed 1, got {exponent}$"
+        with pytest.raises(ValueError, match=message):
+            DatasetSpec(source="zipf", n=10, domain_size=8, zipf_exponent=exponent)
+        with pytest.raises(ValueError, match=message):
+            DatasetSpec(source="csv", path="items.csv", zipf_exponent=exponent)
+        with pytest.raises(ValueError, match=message):
+            zipf_probabilities(8, exponent)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fldp.hadamard import HadamardOrder, fwht, min_order_for_domain, row_vector
 from fldp.mechanisms import PrivacyParams
 
-from _oracles import fhr_range_oracle, range_probabilities, sign_block_oracle, sylvester_matrix
+from _oracles import fhr_range_oracle, sign_block_oracle, sylvester_matrix
 
 
 class TestMinOrder:
@@ -126,9 +126,8 @@ class TestPositions:
     @staticmethod
     def _kept_halves(row, order):
         params = PrivacyParams.for_fhr(1.0)
-        output_range = fhr_range_oracle(row - 1, params, order - 1)
+        probabilities = fhr_range_oracle(row - 1, params, order - 1)
         # kept outputs have probability 4p / order^2, flipped 4 / ((e^eps + 1) order^2)
-        probabilities = range_probabilities(output_range)
         kept = [out for out, prob in probabilities.items() if prob > 2 / order**2]
         return {x for x, _ in kept}, {y for _, y in kept}
 

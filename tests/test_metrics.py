@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fldp.metrics import NoOverlapError, TopKSelection, kld, ncr, related_error, squared_error, top_k
+from fldp.metrics import NoOverlapError, kld, ncr, related_error, squared_error, top_k
 
 from _oracles import (
     kld_oracle,
@@ -28,21 +28,21 @@ def _random_tables(rng, size):
 class TestTopK:
     def test_ranking_descending(self):
         sel = top_k(np.array([5.0, 9.0, 1.0, 7.0]), 3)
-        assert sel.items.tolist() == [1, 3, 0]
+        assert sel.tolist() == [1, 3, 0]
 
     def test_ties_break_by_ascending_index(self):
         sel = top_k(np.array([5.0, 7.0, 7.0, 1.0]), 2)
-        assert sel.items.tolist() == [1, 2]
+        assert sel.tolist() == [1, 2]
         sel = top_k(np.array([3.0, 3.0, 3.0]), 2)
-        assert sel.items.tolist() == [0, 1]
+        assert sel.tolist() == [0, 1]
         sel = top_k(np.array([1.0, 3.0, 3.0, 3.0, 2.0]), 2)  # ties across the k-th value
-        assert sel.items.tolist() == [1, 2]
+        assert sel.tolist() == [1, 2]
         sel = top_k(np.array([0.0, -0.0, -0.0, 0.0, -1.0]), 3)  # -0.0 == 0.0
-        assert sel.items.tolist() == [0, 1, 2]
+        assert sel.tolist() == [0, 1, 2]
 
     def test_k_larger_than_table(self):
         sel = top_k(np.array([2.0, 1.0]), 5)
-        assert sel.items.tolist() == [0, 1]
+        assert sel.tolist() == [0, 1]
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -53,7 +53,7 @@ class TestTopK:
            st.integers(min_value=1, max_value=10))
     def test_matches_oracle(self, values, k):
         table = np.asarray(values, dtype=np.float64)
-        assert top_k(table, k).items.tolist() == top_k_oracle(values, k)
+        assert top_k(table, k).tolist() == top_k_oracle(values, k)
 
     def test_partial_selection_matches_full_sort(self):
         rng = np.random.default_rng(20)
@@ -69,7 +69,7 @@ class TestTopK:
                 table = rng.normal(size=size)
             ks = {1, size - 1, size, size + 1, 3 * size, int(rng.integers(1, size + 1))}
             for k in ks:
-                assert top_k(table, k).items.tolist() == top_k_oracle(table, k), (table, k)
+                assert top_k(table, k).tolist() == top_k_oracle(table, k), (table, k)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("k", [1, 2, 4, 10])
@@ -79,10 +79,18 @@ class TestTopK:
             top_k(table, k)
 
     def test_selection_validation(self):
-        with pytest.raises(ValueError):
-            TopKSelection(k=2, items=np.array([0, 1, 2]))
-        with pytest.raises(ValueError):
-            TopKSelection(k=3, items=np.array([1, 1]))
+        # a selection is an int64 index array; each metric that takes one
+        # rejects duplicate items
+        assert top_k(np.array([5.0, 9.0, 1.0]), 2).dtype == np.int64
+        assert top_k(np.array([5.0, 9.0, 1.0]), 5).dtype == np.int64
+        table = np.array([3.0, 2.0, 1.0])
+        twice = np.array([1, 1])
+        for metric in (kld, related_error):
+            with pytest.raises(ValueError, match="^selection contains duplicate items$"):
+                metric(table, table, twice)
+        for real_sel, est_sel in ((twice, np.array([0, 1])), (np.array([0, 1]), twice)):
+            with pytest.raises(ValueError, match="^selection contains duplicate items$"):
+                ncr(real_sel, est_sel)
 
 
 class TestKld:
@@ -114,14 +122,14 @@ class TestKld:
 
     def test_zero_mass_without_smoothing_rejected(self):
         real = np.array([1.0, 0.0])
-        sel = TopKSelection(k=2, items=np.array([0, 1]))
+        sel = np.array([0, 1])
         with pytest.raises(ValueError):
             kld(real, real, sel, smoothing=0.0)
 
     def test_zero_total_with_default_smoothing_rejected(self):
         # the default smoothing is a tenth of a count, 1 / (10 * 0)
         real = np.zeros(3)
-        sel = TopKSelection(k=2, items=np.array([0, 1]))
+        sel = np.array([0, 1])
         with pytest.raises(ValueError, match="nonzero total"):
             kld(real, np.ones(3), sel)
 
@@ -130,7 +138,7 @@ class TestKld:
     def test_non_finite_table_rejected(self, table, bad):
         tables = {"real": np.array([4.0, 3.0, 2.0, 1.0]), "est": np.array([4.0, 3.0, 2.0, 1.0])}
         tables[table][3] = bad  # outside the candidates too
-        sel = TopKSelection(k=2, items=np.array([0, 1]))
+        sel = np.array([0, 1])
         for smoothing in (None, 0.1):
             with pytest.raises(ValueError, match="finite tables, got NaN or infinite"):
                 kld(tables["real"], tables["est"], sel, smoothing)
@@ -142,7 +150,7 @@ class TestKld:
         real, est = _random_tables(rng, 15)
         sel = top_k(real, 6)
         smoothing = 1.0 / (10.0 * real.sum())
-        expected = kld_oracle(real, est, sel.items.tolist(), smoothing)
+        expected = kld_oracle(real, est, sel.tolist(), smoothing)
         assert kld(real, est, sel) == pytest.approx(expected, abs=1e-12)
 
 
@@ -159,14 +167,14 @@ class TestRelatedError:
         real = np.array([10.0, 10.0, 10.0, 10.0])
         est = np.array([11.0, 12.0, 14.0, 10.0])
         errors = [0.1, 0.2, 0.4, 0.0]
-        sel3 = TopKSelection(k=3, items=np.array([0, 1, 2]))
+        sel3 = np.array([0, 1, 2])
         assert related_error(real, est, sel3) == pytest.approx(median_oracle(errors[:3]))
-        sel4 = TopKSelection(k=4, items=np.array([0, 1, 2, 3]))
+        sel4 = np.array([0, 1, 2, 3])
         assert related_error(real, est, sel4) == pytest.approx(median_oracle(errors))
 
     def test_zero_true_frequency_rejected(self):
         real = np.array([5.0, 0.0])
-        sel = TopKSelection(k=2, items=np.array([0, 1]))
+        sel = np.array([0, 1])
         with pytest.raises(ValueError):
             related_error(real, real, sel)
 
@@ -175,7 +183,7 @@ class TestRelatedError:
     def test_non_finite_table_rejected(self, table, bad):
         tables = {"real": np.array([4.0, 3.0, 2.0, 1.0]), "est": np.array([4.0, 3.0, 2.0, 1.0])}
         tables[table][0] = bad
-        sel = TopKSelection(k=2, items=np.array([0, 1]))
+        sel = np.array([0, 1])
         with pytest.raises(ValueError, match="finite tables, got NaN or infinite"):
             related_error(tables["real"], tables["est"], sel)
 
@@ -185,7 +193,7 @@ class TestRelatedError:
         rng = np.random.default_rng(seed)
         real, est = _random_tables(rng, 12)
         sel = top_k(real, 7)
-        expected = related_error_oracle(real, est, sel.items.tolist())
+        expected = related_error_oracle(real, est, sel.tolist())
         assert related_error(real, est, sel) == pytest.approx(expected)
 
 
@@ -221,41 +229,38 @@ class TestSquaredError:
 
 class TestNcr:
     def test_equal_sets_any_order_score_one(self):
-        real_sel = TopKSelection(k=3, items=np.array([4, 2, 9]))
-        est_sel = TopKSelection(k=3, items=np.array([9, 4, 2]))
+        real_sel = np.array([4, 2, 9])
+        est_sel = np.array([9, 4, 2])
         assert ncr(real_sel, est_sel) == 1.0
 
     def test_disjoint_sets_score_zero(self):
-        real_sel = TopKSelection(k=2, items=np.array([0, 1]))
-        est_sel = TopKSelection(k=2, items=np.array([2, 3]))
+        real_sel = np.array([0, 1])
+        est_sel = np.array([2, 3])
         assert ncr(real_sel, est_sel) == 0.0
 
     def test_partial_membership(self):
         # estimated set catches true ranks 1 and 3: (3 + 1) / 6
-        real_sel = TopKSelection(k=3, items=np.array([7, 8, 9]))
-        est_sel = TopKSelection(k=3, items=np.array([7, 9, 1]))
+        real_sel = np.array([7, 8, 9])
+        est_sel = np.array([7, 9, 1])
         assert ncr(real_sel, est_sel) == pytest.approx(4 / 6)
 
     @pytest.mark.parametrize("k", [10, 11, 20])
     def test_k_beyond_the_table(self, k):
-        # both selections hold all 10 items, whose perfect score is
-        # k + (k - 1) + ... + (k - 9), not k(k + 1)/2; any estimate scores 1
+        # at k = D, D + 1 and 2D both selections hold all 10 items, so any
+        # estimate scores 1
         table = np.arange(10.0, 0.0, -1.0)
         for est in (table.copy(), table[::-1].copy(), -table):
             assert ncr_oracle(table.tolist(), est.tolist(), k) == 1.0
             assert ncr(top_k(table, k), top_k(est, k)) == 1.0
 
     def test_empty_true_selection_rejected(self):
-        empty = TopKSelection(k=2, items=np.array([], dtype=np.int64))
+        empty = np.array([], dtype=np.int64)
         with pytest.raises(ValueError, match="empty"):
             ncr(empty, empty)
 
     def test_mismatched_k_rejected(self):
-        with pytest.raises(ValueError):
-            ncr(
-                TopKSelection(k=2, items=np.array([0, 1])),
-                TopKSelection(k=3, items=np.array([0, 1, 2])),
-            )
+        with pytest.raises(ValueError, match="^selections disagree on k: 2 vs 3$"):
+            ncr(np.array([0, 1]), np.array([0, 1, 2]))
 
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=8))

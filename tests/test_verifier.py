@@ -1,5 +1,6 @@
 """Exact certificates: overlap fractions, ratio bounds, witnesses."""
 
+import dataclasses
 import functools
 import math
 import sys
@@ -16,7 +17,6 @@ from fldp.mechanisms import MECHANISMS, PrivacyParams
 from fldp.verifier import (
     EnumerationLimitError,
     FldpCertificate,
-    OutputRange,
     certificate_passes,
     certify_mechanism,
     certify_ranges,
@@ -24,16 +24,16 @@ from fldp.verifier import (
 )
 
 from _oracles import (
-    certify_fhr_oracle,
     certify_ranges_oracle,
     exact_range,
     fhr_range_oracle,
-    range_probabilities,
+    law_matrix,
     ratio_profile_oracle,
     unary_max_ratio_oracle,
     unary_probability_oracle,
     unary_range_oracle,
     unary_ranges_exact,
+    witness_walk_oracle,
 )
 
 
@@ -45,19 +45,19 @@ class TestEnumerateRange:
     def test_fhr_order_8_range_size(self):
         # 16 positive-negative index pairs in two orientations each
         rng = fhr_range_oracle(0, _fhr_params(1.0), 7)
-        assert rng.size == 32
+        assert len(rng) == 32
 
     def test_fhr_probabilities_sum_to_one_per_item(self):
         for item in range(7):
             rng = fhr_range_oracle(item, _fhr_params(0.6), 7)
-            assert math.fsum(range_probabilities(rng).values()) == pytest.approx(1.0, abs=1e-12)
+            assert math.fsum(rng.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_fhr_pair_probabilities(self):
         eps = 1.0
         params = _fhr_params(eps)
         rng = fhr_range_oracle(2, params, 7)
         vec = row_vector(3, 8)
-        for (x, y), prob in range_probabilities(rng).items():
+        for (x, y), prob in rng.items():
             if vec[x] == 1 and vec[y] == -1:
                 assert prob == pytest.approx(params.p * 4 / 64)
             else:
@@ -65,16 +65,16 @@ class TestEnumerateRange:
 
     def test_grr_range_is_whole_domain(self):
         params = PrivacyParams.for_grr(1.0, 4)
-        rng = enumerate_range(2, params, 4)
-        assert set(range_probabilities(rng)) == {0, 1, 2, 3}
-        for value, prob in range_probabilities(rng).items():
+        row = enumerate_range(2, params, 4)
+        assert row.dtype == np.float64 and row.shape == (4,)
+        for value, prob in enumerate(row.tolist()):
             assert prob == pytest.approx(params.p if value == 2 else params.q)
 
     def test_unary_range_is_all_bit_patterns(self):
         params = PrivacyParams.for_oue(1.0)
         rng = unary_range_oracle("oue", 1, params, 3)
-        assert rng.size == 8
-        assert math.fsum(range_probabilities(rng).values()) == pytest.approx(1.0, abs=1e-12)
+        assert len(rng) == 8
+        assert math.fsum(rng.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_enumeration_limits(self):
         # FHR's limit is order 65536, the full-scale domain's; 65,536 items
@@ -105,13 +105,16 @@ class TestEnumerateRange:
             certify_mechanism("rappor", 1.0, 10**12)
 
     def test_output_codes(self):
-        # fhr codes x * order + y decode to the pair; other codes are the output
+        # fhr outputs are (x, y) pairs of ints, x over the row's +1 columns
+        # and y over its -1 columns, each kept pair followed by its flip;
+        # unary outputs are the bit patterns as ints, ascending
         rng = fhr_range_oracle(2, _fhr_params(1.0), 7)
-        outputs = [rng.output(c) for c in rng.codes.tolist()]
-        assert outputs == [divmod(int(c), 8) for c in rng.codes]
-        assert all(type(x) is int for pair in outputs for x in pair)
+        vec = row_vector(3, 8)
+        pos, neg = np.flatnonzero(vec > 0).tolist(), np.flatnonzero(vec < 0).tolist()
+        assert list(rng) == [out for x in pos for y in neg for out in ((x, y), (y, x))]
+        assert all(type(x) is int for pair in rng for x in pair)
         rng = unary_range_oracle("rappor", 1, PrivacyParams.for_rappor(1.0), 3)
-        assert list(range_probabilities(rng)) == list(range(8))
+        assert list(rng) == list(range(8))
 
     def test_unknown_mechanism_rejected(self):
         # only GRR is enumerated, FHR and the unary encodings are certified
@@ -122,16 +125,14 @@ class TestEnumerateRange:
             certify_mechanism("shr", 1.0, 4)
 
     def test_output_range_validation(self):
+        # each row is one item's law: it must sum to 1, and the rows must
+        # be of one length; a zero entry is an output outside the range
+        with pytest.raises(ValueError, match="sum to 0.9"):
+            certify_ranges([[0.5, 0.4], [0.5, 0.5]])
         with pytest.raises(ValueError):
-            OutputRange(codes=[0, 1], probs=[0.5, 0.4])
-        with pytest.raises(ValueError):
-            OutputRange(codes=[0, 1], probs=[1.0, 0.0])
-        with pytest.raises(ValueError, match="distinct"):
-            OutputRange(codes=[3, 3], probs=[0.5, 0.5])
-        with pytest.raises(ValueError, match="nonnegative"):
-            OutputRange(codes=[-1, 0], probs=[0.5, 0.5])
-        with pytest.raises(ValueError, match="one length"):
-            OutputRange(codes=[0, 1, 2], probs=[0.5, 0.5])
+            certify_ranges([[0.5, 0.5], [1.0]])
+        cert = certify_ranges([[1.0, 0.0], [0.0, 1.0]])
+        assert (cert.range_size_max, cert.eta_observed) == (1, 0.0)
 
 
 class TestCertify:
@@ -177,17 +178,12 @@ class TestCertify:
         assert cert.eta_observed == 1.0
 
     def test_disjoint_ranges_give_eta_zero(self):
-        ranges = {
-            0: OutputRange(codes=[0, 1], probs=[0.5, 0.5]),
-            1: OutputRange(codes=[2, 3], probs=[0.5, 0.5]),
-        }
-        cert = certify_ranges(ranges)
+        P = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
+        cert = certify_ranges(P)
         assert cert.eta_observed == 0.0
         assert cert.max_ratio_observed == 1.0
         assert cert.pair_witnesses == ()
-        assert cert == certify_ranges_oracle(
-            {t: range_probabilities(r) for t, r in ranges.items()}
-        )
+        assert cert == certify_ranges_oracle(_laws(P))
 
     def test_witnesses_attain_max_ratio(self):
         cert = certify_mechanism("fhr", 1.0, 7)
@@ -198,7 +194,23 @@ class TestCertify:
 
     def test_single_item_rejected(self):
         with pytest.raises(ValueError):
-            certify_ranges({0: OutputRange(codes=[0], probs=[1.0])})
+            certify_ranges([[1.0]])
+
+    @pytest.mark.parametrize(
+        "P,message",
+        [
+            ([0.5, 0.5], "^P must be a 2-D items x outputs matrix, got 1 dimensions$"),
+            ([[0.5, 0.5]], "^certification needs at least two items$"),
+            ([[0.5, 0.5], [np.nan, 1.0]], "^probabilities must not be NaN$"),
+            ([[0.5, 0.5], [-0.5, 1.5]], "^probabilities must be nonnegative$"),
+            ([[0.5, 0.5], [0.0, 0.0]], r"^probabilities sum to 0\.0, expected 1$"),
+            ([[0.5, 0.5], [1 + 2e-9, 0.0]], r"^probabilities sum to 1\.000000002, expected 1$"),
+            ([[0.5, 0.5], [1 - 2e-9, 0.0]], r"^probabilities sum to 0\.999999998, expected 1$"),
+        ],
+    )
+    def test_malformed_matrix_rejected(self, P, message):
+        with pytest.raises(ValueError, match=message):
+            certify_ranges(P)
 
     def test_certificate_validation(self):
         with pytest.raises(ValueError):
@@ -209,12 +221,18 @@ class TestCertify:
 
 class TestFhrClosedForm:
     """FHR's closed-form certificate equals the matrix form's over its
-    enumerated ranges, field for field, under the same probabilities."""
+    enumerated laws, field for field, under the same probabilities. The
+    closed form walks each pair's shared outputs in the lower item's
+    enumeration order, the matrix in column order, so the witnesses are
+    those of the pairwise walk at the matrix's largest ratio."""
 
     @staticmethod
     def _check(order, eps):
         cert = certify_mechanism("fhr", eps, order - 1)
-        oracle = certify_fhr_oracle(_fhr_params(eps), order - 1)
+        laws = [fhr_range_oracle(t, _fhr_params(eps), order - 1) for t in range(order - 1)]
+        matrix = certify_ranges(law_matrix(laws))
+        witnesses = witness_walk_oracle(dict(enumerate(laws)), matrix.max_ratio_observed)
+        oracle = dataclasses.replace(matrix, pair_witnesses=witnesses)
         assert cert == oracle, (order, eps)
         assert repr(cert) == repr(oracle)  # python ints and floats, as JSON needs
         return cert
@@ -279,16 +297,19 @@ class TestFhrClosedForm:
 
 
 class TestMatrixAgainstPairwiseOracle:
-    """The matrix certificate equals the pairwise audit's, field for field."""
+    """The matrix certificate, and FHR's closed form, equal the pairwise
+    audit's, field for field."""
 
     @staticmethod
     def _both(mechanism, eps, domain):
         params = MECHANISMS[mechanism].params(eps, domain)
-        ranges = {t: exact_range(mechanism, t, params, domain) for t in range(domain)}
-        oracle = certify_ranges_oracle({t: range_probabilities(r) for t, r in ranges.items()})
+        laws = {t: exact_range(mechanism, t, params, domain) for t in range(domain)}
+        oracle = certify_ranges_oracle(laws)
         if mechanism == "fhr":
-            return certify_fhr_oracle(params, domain), oracle
-        return certify_ranges(ranges), oracle
+            return certify_mechanism("fhr", eps, domain), oracle
+        # GRR's and the unary laws reach every output, ascending, so each
+        # output is its own column
+        return certify_ranges(law_matrix(list(laws.values()))), oracle
 
     @pytest.mark.parametrize("eps", [0.4, 1.0, 2.0, 4.5])
     @pytest.mark.parametrize(
@@ -316,41 +337,43 @@ class TestMatrixAgainstPairwiseOracle:
 
     def test_ties_at_ratio_one(self):
         # with no ratio above 1, outputs of equal probability are the
-        # witnesses, oriented from the lower item and in its order
-        ranges = {
-            0: OutputRange(codes=[0, 1, 2], probs=[0.5, 0.25, 0.25]),
-            1: OutputRange(codes=[2, 1, 3], probs=[0.25, 0.25, 0.5]),
-        }
-        cert = certify_ranges(ranges)
-        assert cert == certify_ranges_oracle(
-            {t: range_probabilities(r) for t, r in ranges.items()}
-        )
+        # witnesses, oriented from the lower item and in column order
+        P = _matrix(([0, 1, 2], [0.5, 0.25, 0.25]), ([2, 1, 3], [0.25, 0.25, 0.5]))
+        cert = certify_ranges(P)
+        assert cert == certify_ranges_oracle(_laws(P))
         assert cert.max_ratio_observed == 1.0
         assert cert.pair_witnesses == ((0, 1, 1), (0, 1, 2))
         assert cert.eta_observed == 2 / 3
 
     def test_unequal_range_sizes(self):
-        # pair (0, 1) shares outputs 1, 3, 5; item 1's range is the smaller,
-        # so its order 5, 3, 1 is the order its witnesses come in
-        ranges = {
-            0: OutputRange(codes=[0, 1, 2, 3, 4, 5], probs=[1 / 6] * 6),
-            1: OutputRange(codes=[5, 3, 1], probs=[1 / 3] * 3),
-            2: OutputRange(codes=[4, 3, 2, 1, 0, 6], probs=[1 / 6] * 6),
-        }
-        cert = certify_ranges(ranges)
-        assert cert == certify_ranges_oracle(
-            {t: range_probabilities(r) for t, r in ranges.items()}
+        # pair (0, 1) shares outputs 1, 3, 5 at ratio 2, and pair (1, 2)
+        # shares 1 and 3; each pair's witnesses come in column order
+        P = _matrix(
+            ([0, 1, 2, 3, 4, 5], [1 / 6] * 6),
+            ([5, 3, 1], [1 / 3] * 3),
+            ([4, 3, 2, 1, 0, 6], [1 / 6] * 6),
         )
+        cert = certify_ranges(P)
+        assert cert == certify_ranges_oracle(_laws(P))
         assert cert.max_ratio_observed == 2.0
-        assert cert.pair_witnesses == ((1, 0, 5), (1, 0, 3), (1, 0, 1), (1, 2, 3), (1, 2, 1))
+        assert cert.pair_witnesses == ((1, 0, 1), (1, 0, 3), (1, 0, 5), (1, 2, 1), (1, 2, 3))
         assert (cert.range_size_min, cert.range_size_max) == (3, 6)
         assert (cert.intersection_size_min, cert.intersection_size_max) == (2, 5)
         assert cert.eta_observed == 2 / 6
 
 
-def _ranges(*laws):
-    """Items 0, 1, ... with the given ``(codes, probs)`` laws."""
-    return {t: OutputRange(codes=c, probs=p) for t, (c, p) in enumerate(laws)}
+def _matrix(*laws):
+    """The matrix whose row t holds item t's ``(columns, probs)`` law."""
+    P = np.zeros((len(laws), 1 + max(max(c) for c, _ in laws)))
+    for t, (columns, probs) in enumerate(laws):
+        P[t, list(columns)] = probs
+    return P
+
+
+def _laws(P):
+    """Each row of ``P`` as ``{column: probability}`` over its range, in
+    column order, as the pairwise oracle takes it."""
+    return {t: {k: p for k, p in enumerate(row) if p > 0} for t, row in enumerate(P.tolist())}
 
 
 # weights with ties, spread, and magnitudes down to the least subnormal,
@@ -361,21 +384,20 @@ _WEIGHTS = st.sampled_from([1.0, 2.0, 3.0, 0.5, 1e-3, 2.0**-600, 2.0**-1000, 5e-
 
 
 @st.composite
-def _range_sets(draw):
+def _matrices(draw):
     outputs = draw(st.integers(min_value=1, max_value=8))
     count = draw(st.integers(min_value=2, max_value=6))
-    items = draw(st.lists(st.integers(0, 40), min_size=count, max_size=count, unique=True))
-    ranges = {}
-    for t in items:
-        # codes in a drawn enumeration order, of any size: unequal and
-        # disjoint ranges both occur
-        codes = draw(st.lists(st.integers(0, outputs - 1), min_size=1, max_size=outputs,
-                              unique=True))
-        weights = np.array(draw(st.lists(_WEIGHTS, min_size=len(codes), max_size=len(codes))))
+    P = np.zeros((count, outputs))
+    for t in range(count):
+        # a support of any size, zeros elsewhere: unequal and disjoint
+        # ranges both occur
+        columns = draw(st.lists(st.integers(0, outputs - 1), min_size=1, max_size=outputs,
+                                unique=True))
+        weights = np.array(draw(st.lists(_WEIGHTS, min_size=len(columns), max_size=len(columns))))
         probs = weights / weights.sum()
         assume((probs > 0).all() and abs(math.fsum(probs.tolist()) - 1) <= 1e-9)
-        ranges[t] = OutputRange(codes=codes, probs=probs)
-    return ranges
+        P[t, columns] = probs
+    return P
 
 
 # a ratio past the largest float: 5e-324 / 0.5 inverts to inf
@@ -387,39 +409,39 @@ _INVERSE = (([0, 1], [0.1, 0.9]), ([0, 1], [0.5, 0.5]))
 
 
 class TestAuditAgainstPairwiseOracle:
-    """The one-pass audit equals the pairwise walk on any range set,
-    witnesses and their order included."""
+    """The one-pass audit equals the pairwise walk on any matrix, witnesses
+    and their order included."""
 
     @settings(max_examples=400, deadline=None)
-    @given(_range_sets())
+    @given(_matrices())
     # disjoint ranges: eta 0, ratio 1, no witness
-    @example(_ranges(([0, 1], [0.5, 0.5]), ([2, 3], [0.5, 0.5])))
-    @example(_ranges(*_OVERFLOW))
-    @example(_ranges(*_LAST_PAIR))
-    @example(_ranges(*_INVERSE))
+    @example(_matrix(([0, 1], [0.5, 0.5]), ([2, 3], [0.5, 0.5])))
+    @example(_matrix(*_OVERFLOW))
+    @example(_matrix(*_LAST_PAIR))
+    @example(_matrix(*_INVERSE))
     # ties everywhere at ratio 1, past the eight witnesses kept
-    @example(_ranges(*[(range(4), [0.25] * 4)] * 4))
-    def test_any_range_set(self, ranges):
-        cert = certify_ranges(ranges)
-        oracle = certify_ranges_oracle({t: range_probabilities(r) for t, r in ranges.items()})
+    @example(_matrix(*[(range(4), [0.25] * 4)] * 4))
+    def test_any_range_set(self, P):
+        cert = certify_ranges(P)
+        oracle = certify_ranges_oracle(_laws(P))
         assert cert == oracle
         assert repr(cert) == repr(oracle)
 
     def test_the_examples_reach_their_cases(self):
-        cert = certify_ranges(_ranges(*_OVERFLOW))
+        cert = certify_ranges(_matrix(*_OVERFLOW))
         assert (cert.max_ratio_observed, cert.pair_witnesses) == (math.inf, ((1, 0, 0),))
-        assert certify_ranges(_ranges(*_LAST_PAIR)).pair_witnesses == ((1, 2, 1),)
-        cert = certify_ranges(_ranges(*_INVERSE))
+        assert certify_ranges(_matrix(*_LAST_PAIR)).pair_witnesses == ((1, 2, 1),)
+        cert = certify_ranges(_matrix(*_INVERSE))
         assert (cert.max_ratio_observed, cert.pair_witnesses) == (5.0, ((1, 0, 0),))
 
     def test_peak_memory_at_the_grr_limit(self):
         # at most the pairwise walk's 3.37 MiB plus one items x outputs array
         d = 256
         params = PrivacyParams.for_grr(1.0, d)
-        ranges = {t: enumerate_range(t, params, d) for t in range(d)}
+        rows = [enumerate_range(t, params, d) for t in range(d)]
         tracemalloc.start()
         try:
-            certify_ranges(ranges)
+            certify_ranges(rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -449,13 +471,13 @@ class TestUnaryClosedForm:
             params = MECHANISMS[mechanism].params(eps, domain)
             cert = certify_mechanism(mechanism, eps, domain)
             try:
-                ranges = {t: unary_range_oracle(mechanism, t, params, domain) for t in range(domain)}
+                laws = [unary_range_oracle(mechanism, t, params, domain) for t in range(domain)]
             except ValueError as exc:
                 # the float products underflow to 0 (OUE over 12 items from about eps = 68)
                 assert "zero-probability" in str(exc)
                 assert (mechanism, domain, eps) == ("oue", 12, 80.0)
             else:
-                assert _sizes(cert) == _sizes(certify_ranges(ranges)), eps
+                assert _sizes(cert) == _sizes(certify_ranges(law_matrix(laws))), eps
             top = unary_max_ratio_oracle(mechanism, params, domain)
             assert cert.max_ratio_observed == float(top), eps
             assert cert.epsilon_effective == math.log(cert.max_ratio_observed)
@@ -551,7 +573,7 @@ class TestReportDotDistributions:
             rng = fhr_range_oracle(item, params, 7)
             vec = row_vector(item + 1, order.order).astype(int)
             mass = {}
-            for (x, y), prob in range_probabilities(rng).items():
+            for (x, y), prob in rng.items():
                 dot = int(vec[x] - vec[y])
                 mass[dot] = mass.get(dot, 0.0) + prob
             assert set(mass) == {2, -2}
@@ -571,7 +593,7 @@ class TestReportDotDistributions:
                     continue
                 vec = row_vector(other + 1, order.order).astype(int)
                 mass = {0: 0.0, 2: 0.0, -2: 0.0}
-                for (x, y), prob in range_probabilities(rng).items():
+                for (x, y), prob in rng.items():
                     mass[int(vec[x] - vec[y])] += prob
                 assert mass[0] == pytest.approx(0.5, abs=1e-12)
                 assert mass[2] == pytest.approx(0.25, abs=1e-12)
