@@ -1,4 +1,4 @@
-"""Server-side accumulation, frequency estimation, and variance formulas.
+"""Server-side accumulation and frequency estimation.
 
 FHR aggregation is a two-step pipeline: fold every report's implied sparse
 vector (+1 at index_x, -1 at index_y) into a running :class:`SumVector`,
@@ -26,7 +26,6 @@ metrics layer that decides how to project onto a distribution.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -36,7 +35,6 @@ from .hadamard import HadamardOrder, fwht
 from .mechanisms import (
     _OLH_KEY_LIMIT,
     PrivacyParams,
-    _check_epsilon,
     _integers,
     _olh_buckets,
     _olh_keys,
@@ -52,10 +50,6 @@ __all__ = [
     "unary_estimate",
     "olh_support_counts",
     "olh_estimate_all",
-    "fhr_variance_bound",
-    "fhr_variance_exact",
-    "oue_variance",
-    "variance_crossover",
 ]
 
 # the fewest reports worth a thread of their own in the OLH support tally
@@ -73,22 +67,12 @@ class SumVector:
     sums: np.ndarray
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"report count must be nonnegative, got {self.n}")
-        if self.sums.ndim != 1:
-            raise ValueError(f"sums must be one-dimensional, got shape {self.sums.shape}")
-
 
 @dataclass(frozen=True)
 class FrequencyEstimate:
     """Per-item count estimates on the same scale as the raw data."""
 
     estimates: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.estimates)):
-            raise ValueError("estimates must be finite")
 
 
 def fhr_accumulate_indices(
@@ -245,47 +229,3 @@ def olh_estimate_all(
     counts = olh_support_counts(seeds, values, domain_size, params.g)
     estimates = (counts - n / params.g) / (params.p - 1 / params.g)
     return FrequencyEstimate(estimates=estimates)
-
-
-def _fhr_variance_coefficient(epsilon: float) -> float:
-    """B = (e^eps+1)^2 / (2 (e^eps-1)^2), squared as a ratio so that no
-    budget with a finite e^eps overflows."""
-    _check_epsilon(epsilon)
-    e = math.exp(epsilon)
-    return ((e + 1) / (e - 1)) ** 2 / 2
-
-
-def fhr_variance_bound(epsilon: float, n: int) -> float:
-    """Upper bound (e^eps+1)^2 / (2 (e^eps-1)^2) * n on Var[f-hat_t]."""
-    b = _fhr_variance_coefficient(epsilon)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    return b * n
-
-
-def fhr_variance_exact(epsilon: float, n: int, true_count: int) -> float:
-    """Exact Var[f-hat_t] = B*n + (B-1)*n_t with B the bound coefficient.
-
-    Coincides with :func:`fhr_variance_bound` when the item never occurs;
-    for n_t > 0 it exceeds the bound whenever B > 1 (small epsilon).
-    """
-    b = _fhr_variance_coefficient(epsilon)
-    if not 0 <= true_count <= n:
-        raise ValueError(f"true_count must lie in [0, {n}], got {true_count}")
-    return b * n + (b - 1) * true_count
-
-
-def oue_variance(epsilon: float, n: int) -> float:
-    """OUE per-item estimator variance 4 e^eps / (e^eps - 1)^2 * n."""
-    _check_epsilon(epsilon)
-    e = math.exp(epsilon)
-    return 4 / (e - 1) * (e / (e - 1)) * n
-
-
-def variance_crossover() -> float:
-    """Budget where FHR's bound meets the OUE variance: ln(3 + 2*sqrt(2)).
-
-    Below this value FHR has the smaller constant, above it OUE does; the
-    root solves (e^eps + 1)^2 = 8 e^eps.
-    """
-    return math.log(3 + 2 * math.sqrt(2))

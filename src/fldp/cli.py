@@ -187,8 +187,6 @@ def verify_fldp(
             raise ValueError(f"fhr order must be a power of two >= 4, got {size}")
         domain_size = size - 1
     else:
-        if size < 2:
-            raise ValueError(f"domain must have at least 2 items, got {size}")
         domain_size = size
     certificate = certify_mechanism(mechanism, epsilon, domain_size)
     passed = certificate_passes(mechanism, epsilon, certificate)

@@ -303,9 +303,10 @@ def certify_mechanism(mechanism: str, epsilon: float, domain_size: int) -> FldpC
     """Audit all pairs of items under the registry's parameters: FHR and
     the unary encodings in closed form, GRR over every item's enumerated
     range."""
-    params = lookup(mechanism).params(epsilon, domain_size)
+    record = lookup(mechanism)
     if domain_size < 2:
-        raise ValueError(f"domain must contain at least 2 items, got {domain_size}")
+        raise ValueError(f"domain must have at least 2 items, got {domain_size}")
+    params = record.params(epsilon, domain_size)
     if mechanism == "fhr":
         return _certify_fhr(params, domain_size)
     if mechanism in ("oue", "rappor"):

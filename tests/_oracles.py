@@ -340,6 +340,60 @@ def fhr_estimate_oracle(sum_vector, item: int, params) -> float:
     return params.correction * float(dot)
 
 
+def fhr_variance_oracle(epsilon: float, n: int, true_count: int = 0) -> float:
+    """FHR's Var[f-hat_t] = B*n + (B - 1)*n_t, with
+    B = (e^eps+1)^2 / (2 (e^eps-1)^2) squared as a ratio so that no budget
+    with a finite e^eps overflows. B*n is the variance for an item no user
+    holds; B > 1 below the OUE crossover ln(3 + 2*sqrt(2))."""
+    e = math.exp(epsilon)
+    b = ((e + 1) / (e - 1)) ** 2 / 2
+    return b * n + (b - 1) * true_count
+
+
+def oue_variance_oracle(epsilon: float, n: int) -> float:
+    """OUE's Var[f-hat_t] for an item no user holds, 4 e^eps / (e^eps - 1)^2 * n
+    (Wang et al., USENIX Security 2017)."""
+    e = math.exp(epsilon)
+    return 4 / (e - 1) * (e / (e - 1)) * n
+
+
+def fhr_moments_oracle(counts, item: int, params) -> tuple[Fraction, Fraction]:
+    """Exact mean and variance of FHR's estimate of ``item`` when
+    ``counts[s]`` users hold item s.
+
+    The estimate is correction * (H[item + 1] . sums), a sum of independent
+    per-user terms correction * (H[item + 1, x] - H[item + 1, y]), each
+    under the law :func:`fhr_range_oracle` gives for the item its user
+    holds. Summed in rationals of the float probabilities and correction.
+    """
+    domain_size = len(counts)
+    signs = row_vector(item + 1, min_order_for_domain(domain_size).order).tolist()
+    c = Fraction(params.correction)
+    mean = var = Fraction(0)
+    for s, count in enumerate(counts):
+        if not count:
+            continue
+        law = fhr_range_oracle(s, params, domain_size)
+        dots = [(Fraction(prob), signs[x] - signs[y]) for (x, y), prob in law.items()]
+        m1 = sum(prob * dot for prob, dot in dots)
+        m2 = sum(prob * dot * dot for prob, dot in dots)
+        mean += count * c * m1
+        var += count * c * c * (m2 - m1 * m1)
+    return mean, var
+
+
+def oue_moments_oracle(counts, item: int, params) -> tuple[Fraction, Fraction]:
+    """Exact mean and variance of OUE's estimate of ``item`` when
+    ``counts[s]`` users hold item s: its bit count is
+    Bin(n_t, p) + Bin(n - n_t, q), inverted by (c - n q) / (p - q), in
+    rationals of the float p and q."""
+    p, q = Fraction(params.p), Fraction(params.q)
+    n, n_t = sum(counts), counts[item]
+    mean = (n_t * p + (n - n_t) * q - n * q) / (p - q)
+    var = (n_t * p * (1 - p) + (n - n_t) * q * (1 - q)) / (p - q) ** 2
+    return mean, var
+
+
 def ratio_profile_oracle(mechanism: str, params, domain_size: int, pair) -> dict:
     """P(s|t) / P(s|t') over the outputs both items of ``pair`` can produce."""
     t, t_prime = pair

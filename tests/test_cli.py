@@ -108,6 +108,8 @@ class TestRejectedBeforeWork:
             (_RUN + ["--mechanisms", "fhr", "--epsilons", "1", "--topk", "1",
                      "--zipf-exponent", "inf"],
              "zipf exponent must be finite and exceed 1, got inf"),
+            (["verify-fldp", "grr", "--order", "1", "--epsilon", "1.0"],
+             "domain must have at least 2 items, got 1"),
         ],
     )
     def test_one_usage_line_and_nothing_written(self, argv, message, capsys, tmp_path):

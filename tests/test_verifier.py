@@ -124,6 +124,17 @@ class TestEnumerateRange:
         with pytest.raises(ValueError, match="^unknown mechanism 'shr'"):
             certify_mechanism("shr", 1.0, 4)
 
+    @pytest.mark.parametrize("domain", [1, 0, -3])
+    def test_short_domain_rejected_alike(self, domain):
+        # the domain is checked before any mechanism's params are built,
+        # and an unknown name is still named first
+        message = f"^domain must have at least 2 items, got {domain}$"
+        for name in ("fhr", "grr", "oue", "rappor", "olh"):
+            with pytest.raises(ValueError, match=message):
+                certify_mechanism(name, 1.0, domain)
+        with pytest.raises(ValueError, match="^unknown mechanism 'shr'"):
+            certify_mechanism("shr", 1.0, domain)
+
     def test_output_range_validation(self):
         # each row is one item's law: it must sum to 1, and the rows must
         # be of one length; a zero entry is an output outside the range
