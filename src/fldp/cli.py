@@ -44,7 +44,7 @@ from .verifier import (
 )
 from .wire import report_size_table
 
-__all__ = ["main", "build_parser", "verify_fldp"]
+__all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,25 +58,28 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_list(text: str, kind: type, noun: str) -> tuple:
     try:
-        return tuple(kind(part) for part in text.split(",") if part.strip())
+        return tuple(kind(part.strip()) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ValueError(f"bad {noun} list {text!r}: {exc}") from exc
 
 
 def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dataset", choices=("zipf", "csv"), default="zipf", help="workload source"
-    )
     parser.add_argument("--zipf-n", type=int, default=100_000, help="records to draw")
     parser.add_argument("--zipf-d", type=int, default=1023, help="domain size")
     parser.add_argument(
         "--zipf-exponent", type=float, default=DEFAULT_ZIPF_EXPONENT, help="Zipf exponent"
     )
-    parser.add_argument("--csv", type=str, default=None, help="input CSV (one value per row)")
+    parser.add_argument(
+        "--csv",
+        type=str,
+        default=None,
+        help="input CSV (one value per row); replaces the Zipf stream, and the "
+        "--zipf-* flags are then unused",
+    )
     parser.add_argument("--seed", type=int, default=0, help="master seed")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fldp", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -131,9 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dataset_spec(args: argparse.Namespace) -> DatasetSpec:
-    if args.dataset == "csv":
-        if not args.csv:
-            raise ValueError("--dataset csv requires --csv PATH")
+    if args.csv is not None:
         return DatasetSpec(source="csv", path=args.csv)
     return DatasetSpec(
         source="zipf",
@@ -160,7 +161,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = ExperimentSpec(
         dataset=_dataset_spec(args),
-        mechanisms=tuple(part for part in args.mechanisms.split(",") if part.strip()),
+        mechanisms=_parse_list(args.mechanisms, str, "mechanism"),
         epsilons=_parse_list(args.epsilons, float, "float"),
         topk_list=_parse_list(args.topk, int, "integer"),
         trials=args.trials,
@@ -174,20 +175,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def verify_fldp(
-    mechanism: str, epsilon: float, size: int, out_dir: str | Path
-) -> tuple[dict, bool]:
-    """Certify one mechanism and write certificate.json; returns (doc, passed).
-
-    ``size`` is the Hadamard order for fhr (the usable domain is one
-    smaller, since row zero is reserved) and the domain size otherwise.
-    """
-    if mechanism == "fhr":
-        if size < 4 or size & (size - 1):
-            raise ValueError(f"fhr order must be a power of two >= 4, got {size}")
-        domain_size = size - 1
-    else:
-        domain_size = size
+def _cmd_verify(args: argparse.Namespace) -> int:
+    # --order is the Hadamard order for fhr (the usable domain is one
+    # smaller, since row zero is reserved) and the domain size otherwise
+    mechanism, epsilon, size = args.mechanism, args.epsilon, args.order
+    if mechanism == "fhr" and (size < 4 or size & (size - 1)):
+        raise ValueError(f"fhr order must be a power of two >= 4, got {size}")
+    domain_size = size - 1 if mechanism == "fhr" else size
     certificate = certify_mechanism(mechanism, epsilon, domain_size)
     passed = certificate_passes(mechanism, epsilon, certificate)
     document = {
@@ -199,21 +193,14 @@ def verify_fldp(
         **dataclasses.asdict(certificate),
         "passed": passed,
     }
-    out_dir = Path(out_dir)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with replace_atomically(out_dir / "certificate.json", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return document, passed
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    document, passed = verify_fldp(args.mechanism, args.epsilon, args.order, args.out)
-    status = "PASS" if passed else "FAIL"
     print(
-        f"{status} {args.mechanism} eta={document['eta_observed']:.6f} "
-        f"epsilon_effective={document['epsilon_effective']:.9f} "
-        f"(target {args.epsilon})"
+        f"{'PASS' if passed else 'FAIL'} {mechanism} eta={certificate.eta_observed:.6f} "
+        f"epsilon_effective={certificate.epsilon_effective:.9f} (target {epsilon})"
     )
     return 0 if passed else 2
 
@@ -235,7 +222,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

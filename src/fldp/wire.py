@@ -20,9 +20,7 @@ row's first word. With s = ceil((2r+1)/8) bytes a record, the writer packs
 file, holding 17 + s bytes per record (the body read, the array, which is
 the result, and one byte of checks). The result is the form
 :func:`fldp.aggregator.fhr_accumulate` folds; no per-record object is
-built on the server side. The single-report :func:`pack_fhr` and
-:func:`unpack_fhr` are the one-record case of the same codec, so they take
-the same orders (r <= 31). Files are written whole or not at all (see
+built on the server side. Files are written whole or not at all (see
 :mod:`fldp._atomic`).
 """
 
@@ -45,8 +43,6 @@ from .mechanisms import MECHANISMS, FhrReport
 __all__ = [
     "WireFormatError",
     "packed_size",
-    "pack_fhr",
-    "unpack_fhr",
     "write_report_file",
     "read_report_file",
     "report_size_table",
@@ -66,23 +62,6 @@ class WireFormatError(ValueError):
 def packed_size(order: HadamardOrder) -> int:
     """Bytes per packed report: ceil((2r+1) / 8)."""
     return (2 * order.r + 1 + 7) // 8
-
-
-def pack_fhr(report: FhrReport, order: HadamardOrder) -> bytes:
-    """Serialize one report into packed_size(order) bytes, the body of a
-    one-record report file; rejects out-of-range and equal indices."""
-    _file_order(order.r)
-    return _pack_records(_report_pairs([report], order, 0), order)
-
-
-def unpack_fhr(data: bytes, order: HadamardOrder) -> FhrReport:
-    """Decode packed_size(order) bytes, a one-record report file's body,
-    back into a report; rejects wrong lengths and every invalid record."""
-    _file_order(order.r)
-    nbytes = packed_size(order)
-    if len(data) != nbytes:
-        raise WireFormatError(f"expected {nbytes} bytes, got {len(data)}")
-    return FhrReport(*_unpack_records(data, order)[0].tolist())
 
 
 def _file_order(r: int) -> HadamardOrder:

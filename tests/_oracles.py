@@ -382,15 +382,28 @@ def fhr_moments_oracle(counts, item: int, params) -> tuple[Fraction, Fraction]:
     return mean, var
 
 
-def oue_moments_oracle(counts, item: int, params) -> tuple[Fraction, Fraction]:
-    """Exact mean and variance of OUE's estimate of ``item`` when
-    ``counts[s]`` users hold item s: its bit count is
-    Bin(n_t, p) + Bin(n - n_t, q), inverted by (c - n q) / (p - q), in
-    rationals of the float p and q."""
+def pure_variance_oracle(p: float, q: float, n: int, true_count: int = 0) -> float:
+    """Var[f-hat_t] of a pure protocol that sets item t's position with
+    probability p for a holder and q for anyone else, inverted by
+    (c - n q) / (p - q): n q (1 - q) / (p - q)^2 + n_t (1 - p - q) / (p - q)
+    (Wang et al., USENIX Security 2017)."""
+    return n * q * (1 - q) / (p - q) ** 2 + true_count * (1 - p - q) / (p - q)
+
+
+def unary_moments_oracle(counts, params, rates) -> tuple[Fraction, Fraction]:
+    """Exact mean and variance of the estimate (c - n q) / (p - q) of an
+    item when ``counts[s]`` users hold item s and a holder of s sets the
+    item's position with probability ``rates[s]``.
+
+    The position's count sums one independent Bernoulli(rates[s]) per
+    user: the bit counts of OUE and RAPPOR, and GRR's tally of reported
+    values. Summed in rationals of the float rates, p and q.
+    """
     p, q = Fraction(params.p), Fraction(params.q)
-    n, n_t = sum(counts), counts[item]
-    mean = (n_t * p + (n - n_t) * q - n * q) / (p - q)
-    var = (n_t * p * (1 - p) + (n - n_t) * q * (1 - q)) / (p - q) ** 2
+    n = sum(counts)
+    rates = [Fraction(rate) for rate in rates]
+    mean = (sum(count * rate for count, rate in zip(counts, rates)) - n * q) / (p - q)
+    var = sum(count * rate * (1 - rate) for count, rate in zip(counts, rates)) / (p - q) ** 2
     return mean, var
 
 

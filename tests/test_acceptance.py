@@ -7,6 +7,7 @@ asserts.  Statistical criteria use fixed seeds, so every run is a replay.
 
 import itertools
 import math
+import struct
 import time
 
 import numpy as np
@@ -29,7 +30,9 @@ from fldp.hadamard import fwht, min_order_for_domain, row_vector
 from fldp.mechanisms import FhrReport, PrivacyParams, fhr_perturb_batch
 from fldp.metrics import NoOverlapError, kld, ncr, related_error, squared_error, top_k
 from fldp.verifier import certify_mechanism
-from fldp.wire import WireFormatError, pack_fhr, packed_size, unpack_fhr
+from fldp.wire import (
+    FILE_MAGIC, WireFormatError, packed_size, read_report_file, write_report_file,
+)
 
 
 def _report(capsys, criterion: int, passed: bool, detail: str) -> None:
@@ -274,35 +277,43 @@ def test_criterion_08_hadamard_equivalence(capsys):
     )
 
 
-def test_criterion_09_wire_format(capsys):
-    """Packed size formula, exhaustive round-trip, and fuzzed unpacking."""
+def test_criterion_09_wire_format(capsys, tmp_path):
+    """Packed size formula, exhaustive round-trip, and fuzzed reads, all
+    through the report file."""
     sizes_ok = all(
         packed_size(min_order_for_domain(2**r - 1)) == math.ceil((2 * r + 1) / 8)
         for r in range(1, 17)
     )
 
+    # one file per r holding every ordered pair of distinct indices
     round_trip_ok = True
     for r in range(1, 7):
         order = min_order_for_domain(2**r - 1)
-        for x, y in itertools.permutations(range(2**r), 2):
-            report = FhrReport(index_x=x, index_y=y)
-            if unpack_fhr(pack_fhr(report, order), order) != report:
-                round_trip_ok = False
+        pairs = list(itertools.permutations(range(2**r), 2))
+        path = tmp_path / f"every-pair-{r}.bin"
+        write_report_file(path, [FhrReport(index_x=x, index_y=y) for x, y in pairs], order)
+        read_order, read_back = read_report_file(path)
+        round_trip_ok &= read_order == order and read_back.tolist() == list(map(list, pairs))
 
+    # each fuzzed body sits behind a header that declares one record
     rng = np.random.default_rng(909)
     fuzz_ok = True
+    path = tmp_path / "fuzz.bin"
     for _ in range(4000):
         r = int(rng.integers(1, 11))
         order = min_order_for_domain(2**r - 1)
         length = int(rng.integers(0, packed_size(order) + 3))
         blob = rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
+        path.write_bytes(struct.pack(">4sIQ", FILE_MAGIC, r, 1) + blob)
         try:
-            decoded = unpack_fhr(blob, order)
-            fuzz_ok &= isinstance(decoded, FhrReport)
+            _, decoded = read_report_file(path)
         except WireFormatError:
-            pass
+            continue
         except Exception:
             fuzz_ok = False
+            continue
+        x, y = decoded.reshape(-1).tolist()
+        fuzz_ok &= x != y and 0 <= x < order.order and 0 <= y < order.order
     passed = sizes_ok and round_trip_ok and fuzz_ok
     _report(
         capsys, 9, passed,

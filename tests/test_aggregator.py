@@ -28,6 +28,7 @@ from fldp.mechanisms import (
     olh_hash,
     olh_perturb_batch,
 )
+from fldp.verifier import enumerate_range
 
 from _oracles import (
     fhr_estimate_all_oracle,
@@ -35,8 +36,9 @@ from _oracles import (
     fhr_moments_oracle,
     fhr_variance_oracle,
     olh_hash_oracle,
-    oue_moments_oracle,
     oue_variance_oracle,
+    pure_variance_oracle,
+    unary_moments_oracle,
     unary_perturb_bits_oracle,
 )
 
@@ -524,13 +526,25 @@ class TestVarianceFormulas:
         # and variance follow from one user's output law
         for domain in (3, 7, 15):
             for eps in (0.5, 1.0, _CROSSOVER, 2.0):
-                fhr, oue = PrivacyParams.for_fhr(eps), PrivacyParams.for_oue(eps)
+                fhr = PrivacyParams.for_fhr(eps)
+                tallied = {
+                    "grr": PrivacyParams.for_grr(eps, domain),
+                    "oue": PrivacyParams.for_oue(eps),
+                    "rappor": PrivacyParams.for_rappor(eps),
+                }
                 for counts, item in _exact_moment_cases(domain):
                     n, n_t = sum(counts), counts[item]
                     mean, var = fhr_moments_oracle(counts, item, fhr)
                     assert _exactly_near(mean, n_t)
                     assert _exactly_near(var, fhr_variance_oracle(eps, n, n_t))
-                    mean, var = oue_moments_oracle(counts, item, oue)
-                    assert _exactly_near(mean, n_t)
-                    if n_t == 0:
-                        assert _exactly_near(var, oue_variance_oracle(eps, n))
+                    for name, params in tallied.items():
+                        if name == "grr":  # the certified law, one row per held item
+                            laws = [enumerate_range(s, params, domain) for s in range(domain)]
+                            rates = [law[item] for law in laws]
+                        else:
+                            rates = [params.p if s == item else params.q for s in range(domain)]
+                        mean, var = unary_moments_oracle(counts, params, rates)
+                        assert _exactly_near(mean, n_t)
+                        assert _exactly_near(var, pure_variance_oracle(params.p, params.q, n, n_t))
+                        if name == "oue" and n_t == 0:
+                            assert _exactly_near(var, oue_variance_oracle(eps, n))

@@ -86,6 +86,20 @@ class TestUsageErrors:
         assert printed.err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["run", "gen-data"])
+    def test_dataset_flag_is_unrecognized(self, tmp_path, capsys, command):
+        data = tmp_path / "input.csv"
+        data.write_text("apple\npear\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--dataset", "csv", "--csv", str(data), "--out", str(out)]
+        assert _run(argv) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        usage, error = printed.err.splitlines()
+        assert usage.startswith("usage: fldp ")
+        assert error == "fldp: error: unrecognized arguments: --dataset csv"
+        assert not out.exists()
+
 
 class TestRejectedBeforeWork:
     _RUN = ["run", "--trials", "1", "--zipf-n", "2000", "--zipf-d", "16"]
@@ -124,7 +138,7 @@ class TestRejectedBeforeWork:
         data = tmp_path / "bad.csv"
         data.write_bytes(b"a\n\xff\nb\n")
         out = tmp_path / "out"
-        argv = ["run", "--dataset", "csv", "--csv", str(data), "--mechanisms", "fhr",
+        argv = ["run", "--csv", str(data), "--mechanisms", "fhr",
                 "--epsilons", "1", "--topk", "1", "--trials", "1", "--out", str(out)]
         assert _run(argv) == 1
         printed = capsys.readouterr()
@@ -206,6 +220,18 @@ class TestGenData:
         )
         capsys.readouterr()
 
+    def test_csv_input_writes_the_files_rows(self, tmp_path, capsys):
+        data = tmp_path / "input.csv"
+        data.write_text("apple\npear\napple\nfig\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert _run(["gen-data", "--csv", str(data), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote 4 records over 3 items to {out}")
+        with open(out / "dataset.csv", newline="", encoding="utf-8") as handle:
+            assert list(csv.reader(handle)) == [["apple"], ["pear"], ["apple"], ["fig"]]
+        with open(out / "ground_truth.csv", newline="", encoding="utf-8") as handle:
+            truth = {row[0]: row[1] for row in list(csv.reader(handle))[1:]}
+        assert truth == {"apple": "2", "pear": "1", "fig": "1"}
+
     def test_zero_users_rejected(self, tmp_path, capsys):
         code = _run([
             "gen-data", "--zipf-n", "0", "--zipf-d", "8", "--out", str(tmp_path),
@@ -250,21 +276,37 @@ class TestRun:
         data.write_text("\n".join(["apple"] * 30 + ["pear"] * 10) + "\n", encoding="utf-8")
         out = tmp_path / "sweep"
         code = _run([
-            "run", "--dataset", "csv", "--csv", str(data),
+            "run", "--csv", str(data),
             "--mechanisms", "fhr", "--epsilons", "1.0",
             "--trials", "1", "--topk", "2", "--out", str(out),
         ])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["dataset"]["source"] == "csv"
         assert manifest["dataset"]["n"] == 40
         assert manifest["dataset"]["domain_size"] == 2
         capsys.readouterr()
+
+    def test_spaced_mechanism_list_runs_each_mechanism(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = _run([
+            "run", "--mechanisms", " fhr, grr ", "--epsilons", "1.0, 2.0",
+            "--topk", "2, 3", "--trials", "1",
+            "--zipf-n", "500", "--zipf-d", "8", "--out", str(out),
+        ])
+        assert code == 0
+        capsys.readouterr()
+        with open(out / "results.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert {row["mechanism"] for row in rows} == {"fhr", "grr"}
+        assert {row["epsilon"] for row in rows} == {"1.0", "2.0"}
+        assert {row["k"] for row in rows} == {"2", "3"}
 
     def test_oversized_csv_field_exits_one(self, tmp_path, capsys):
         data = tmp_path / "big.csv"
         data.write_text("apple\n" + "x" * 200_000 + "\npear\n", encoding="utf-8")
         code = _run([
-            "run", "--dataset", "csv", "--csv", str(data),
+            "run", "--csv", str(data),
             "--mechanisms", "fhr", "--epsilons", "1.0",
             "--trials", "1", "--topk", "2", "--out", str(tmp_path / "sweep"),
         ])
@@ -275,12 +317,14 @@ class TestRun:
 
     def test_missing_csv_path(self, tmp_path, capsys):
         code = _run([
-            "run", "--dataset", "csv",
-            "--mechanisms", "fhr", "--epsilons", "1.0",
-            "--trials", "1", "--topk", "2", "--out", str(tmp_path),
+            "run", "--mechanisms", "fhr", "--epsilons", "1.0",
+            "--trials", "1", "--topk", "2", "--out", str(tmp_path), "--csv",
         ])
         assert code == 1
-        capsys.readouterr()
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert "argument --csv: expected one argument" in printed.err
+        assert not any(tmp_path.iterdir())
 
     def test_k_beyond_present_items_exits_one(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -349,13 +393,18 @@ class TestVerifyFldp:
         assert not (tmp_path / "certificate.json").exists()
 
     def test_document_is_the_certificate_plus_the_request(self, tmp_path, capsys):
-        document, _ = cli.verify_fldp("grr", 1.0, 4, tmp_path)
+        assert _run(["verify-fldp", "grr", "--epsilon", "1.0", "--order", "4",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        document = json.loads((tmp_path / "certificate.json").read_text(encoding="utf-8"))
         request = {"mechanism", "epsilon", "size", "domain_size", "eta_expected", "passed"}
         fields = {f.name for f in dataclasses.fields(FldpCertificate)}
         assert not request & fields
         assert set(document) == request | fields
-        on_disk = json.loads((tmp_path / "certificate.json").read_text(encoding="utf-8"))
-        assert set(on_disk) == set(document)
+        assert {key: document[key] for key in request} == {
+            "mechanism": "grr", "epsilon": 1.0, "size": 4, "domain_size": 4,
+            "eta_expected": 1.0, "passed": True,
+        }
 
     def test_grr_certificate_passes(self, tmp_path, capsys):
         code = _run([
@@ -368,7 +417,7 @@ class TestVerifyFldp:
         capsys.readouterr()
 
     def test_choices_are_the_certifiable_mechanisms(self):
-        verify = cli.build_parser()._subparsers._group_actions[0].choices["verify-fldp"]
+        verify = cli._build_parser()._subparsers._group_actions[0].choices["verify-fldp"]
         (mechanism,) = [a for a in verify._actions if a.dest == "mechanism"]
         assert list(mechanism.choices) == [
             name for name, m in MECHANISMS.items() if m.eta is not None

@@ -17,45 +17,70 @@ from fldp.mechanisms import FhrReport
 from fldp.wire import (
     FILE_MAGIC,
     WireFormatError,
-    pack_fhr,
     packed_size,
     read_report_file,
     report_size_table,
-    unpack_fhr,
     write_report_file,
 )
 
 
+def _pack_one(directory, report, order):
+    """The report's packed record: the body of the one-record file the
+    writer makes of it."""
+    path = directory / "one.bin"
+    write_report_file(path, [report], order)
+    return path.read_bytes()[16:]
+
+
+def _unpack_one(directory, data, order):
+    """The report that a file of ``data`` behind a header declaring one
+    record at ``order`` reads back as."""
+    path = directory / "one.bin"
+    path.write_bytes(struct.pack(">4sIQ", FILE_MAGIC, order.r, 1) + data)
+    _, pairs = read_report_file(path)
+    (index_x, index_y), = pairs.tolist()
+    return FhrReport(index_x=index_x, index_y=index_y)
+
+
 class TestPackedLayout:
+    """One record at a time, as the body of a one-record report file."""
+
     def test_sizes(self):
         assert packed_size(HadamardOrder(2)) == 1
         assert packed_size(HadamardOrder(4)) == 2  # 9 bits
         assert packed_size(HadamardOrder(10)) == 3  # 21 bits
 
-    def test_hand_packed_example(self):
+    def test_hand_packed_example(self, tmp_path):
         # r=2: index_x=00, sign=1, index_y=01, left-aligned -> 0b00101000
-        data = pack_fhr(FhrReport(index_x=0, index_y=1), HadamardOrder(2))
+        data = _pack_one(tmp_path, FhrReport(index_x=0, index_y=1), HadamardOrder(2))
         assert data == bytes([0x28])
 
-    def test_hand_unpacked_example(self):
-        report = unpack_fhr(bytes([0x28]), HadamardOrder(2))
+    def test_hand_unpacked_example(self, tmp_path):
+        report = _unpack_one(tmp_path, bytes([0x28]), HadamardOrder(2))
         assert (report.index_x, report.index_y) == (0, 1)
 
-    def test_sign_bit_is_ignored_on_read(self):
+    def test_sign_bit_is_ignored_on_read(self, tmp_path):
         # 0b00001000 differs from the example only in the sign bit
-        report = unpack_fhr(bytes([0x08]), HadamardOrder(2))
+        report = _unpack_one(tmp_path, bytes([0x08]), HadamardOrder(2))
         assert (report.index_x, report.index_y) == (0, 1)
 
     @pytest.mark.parametrize("r", range(1, 7))
-    def test_exhaustive_round_trip(self, r):
+    def test_exhaustive_round_trip(self, tmp_path, r):
+        # every ordered pair in one file: each record is the scalar oracle's
         order = HadamardOrder(r)
-        for x, y in itertools.permutations(range(order.order), 2):
-            report = FhrReport(index_x=x, index_y=y)
-            assert unpack_fhr(pack_fhr(report, order), order) == report
+        reports = [
+            FhrReport(index_x=x, index_y=y)
+            for x, y in itertools.permutations(range(order.order), 2)
+        ]
+        path = tmp_path / "every-pair.bin"
+        write_report_file(path, reports, order)
+        body = b"".join(pack_fhr_oracle(report, order) for report in reports)
+        assert path.read_bytes()[16:] == body
+        assert read_report_file(path)[1].tolist() == _rows(reports)
 
-    def test_index_overflow_rejected(self):
-        with pytest.raises(WireFormatError):
-            pack_fhr(FhrReport(index_x=4, index_y=1), HadamardOrder(2))
+    def test_index_overflow_rejected(self, tmp_path):
+        with pytest.raises(WireFormatError, match="overflows"):
+            _pack_one(tmp_path, FhrReport(index_x=4, index_y=1), HadamardOrder(2))
 
     # FhrReport is mutable: its constructor's checks do not bind a later assignment
     @pytest.mark.parametrize(
@@ -67,11 +92,11 @@ class TestPackedLayout:
         ],
         ids=["negative-x", "negative-y", "equal"],
     )
-    def test_reassigned_index_rejected(self, field, value, match):
+    def test_reassigned_index_rejected(self, tmp_path, field, value, match):
         report = FhrReport(index_x=2, index_y=1)
         setattr(report, field, value)
         with pytest.raises(WireFormatError, match=match):
-            pack_fhr(report, HadamardOrder(2))
+            _pack_one(tmp_path, report, HadamardOrder(2))
 
     # np.fromiter would cast each of these to an int64: 1.5 to 1, 3.0 to 3
     @pytest.mark.parametrize(
@@ -79,30 +104,22 @@ class TestPackedLayout:
         [("index_x", 1.5), ("index_y", np.float64(3.0)), ("index_x", "7")],
         ids=["float", "whole-float64", "string"],
     )
-    def test_non_integer_index_rejected(self, field, value):
+    def test_non_integer_index_rejected(self, tmp_path, field, value):
         report = FhrReport(index_x=5, index_y=2)
         setattr(report, field, value)
         with pytest.raises(WireFormatError, match="record 0: .* has a non-integer index"):
-            pack_fhr(report, HadamardOrder(3))
+            _pack_one(tmp_path, report, HadamardOrder(3))
 
     @pytest.mark.parametrize("r", [32, 63])
-    def test_orders_beyond_the_wire_cap_rejected(self, r):
+    def test_orders_beyond_the_wire_cap_rejected(self, tmp_path, r):
         order = HadamardOrder(r)
         with pytest.raises(WireFormatError, match="exponent"):
-            pack_fhr(FhrReport(index_x=1, index_y=0), order)
+            _pack_one(tmp_path, FhrReport(index_x=1, index_y=0), order)
         with pytest.raises(WireFormatError, match="exponent"):
-            unpack_fhr(bytes(packed_size(order)), order)
-
-    @pytest.mark.parametrize("r", [1, 16, 31])
-    def test_bytes_match_the_scalar_oracle(self, r):
-        order = HadamardOrder(r)
-        for report in _random_reports(r, 300, seed=r + 70):
-            packed = pack_fhr(report, order)
-            assert packed == pack_fhr_oracle(report, order)
-            assert unpack_fhr(packed, order) == report
+            _unpack_one(tmp_path, bytes(packed_size(order)), order)
 
     @pytest.mark.parametrize("r", [1, 7, 16, 31])
-    def test_unpack_decides_like_the_scalar_oracle(self, r):
+    def test_unpack_decides_like_the_scalar_oracle(self, tmp_path, r):
         # random bytes, with the padding cleared in every other blob so that
         # the index checks are reached too (equal indices are common at r = 1)
         order = HadamardOrder(r)
@@ -117,29 +134,29 @@ class TestPackedLayout:
                 expected = unpack_fhr_oracle(data, order)
             except WireFormatError:
                 with pytest.raises(WireFormatError):
-                    unpack_fhr(data, order)
+                    _unpack_one(tmp_path, data, order)
                 continue
-            assert unpack_fhr(data, order) == expected
+            assert _unpack_one(tmp_path, data, order) == expected
 
-    def test_wrong_length_rejected(self):
+    def test_wrong_length_rejected(self, tmp_path):
         with pytest.raises(WireFormatError):
-            unpack_fhr(bytes([0x28, 0x00]), HadamardOrder(2))
+            _unpack_one(tmp_path, bytes([0x28, 0x00]), HadamardOrder(2))
 
-    def test_nonzero_padding_rejected(self):
-        with pytest.raises(WireFormatError):
-            unpack_fhr(bytes([0x29]), HadamardOrder(2))
+    def test_nonzero_padding_rejected(self, tmp_path):
+        with pytest.raises(WireFormatError, match="padding"):
+            _unpack_one(tmp_path, bytes([0x29]), HadamardOrder(2))
 
-    def test_equal_indices_rejected(self):
+    def test_equal_indices_rejected(self, tmp_path):
         # r=2: index_x=01, sign=1, index_y=01 -> 0b01101000
-        with pytest.raises(WireFormatError):
-            unpack_fhr(bytes([0b01101000]), HadamardOrder(2))
+        with pytest.raises(WireFormatError, match="equal indices"):
+            _unpack_one(tmp_path, bytes([0b01101000]), HadamardOrder(2))
 
     @settings(max_examples=200)
     @given(st.binary(min_size=0, max_size=8), st.integers(min_value=1, max_value=10))
-    def test_fuzzed_unpack_never_aborts(self, data, r):
+    def test_fuzzed_unpack_never_aborts(self, tmp_path_factory, data, r):
         order = HadamardOrder(r)
         try:
-            report = unpack_fhr(data, order)
+            report = _unpack_one(tmp_path_factory.getbasetemp(), data, order)
         except WireFormatError:
             return
         assert report.index_x != report.index_y
@@ -147,17 +164,17 @@ class TestPackedLayout:
 
     @settings(max_examples=100)
     @given(st.integers(min_value=1, max_value=10), st.data())
-    def test_round_trip_property(self, r, data):
+    def test_round_trip_property(self, tmp_path_factory, r, data):
         order = HadamardOrder(r)
         x = data.draw(st.integers(min_value=0, max_value=order.order - 1))
         y = data.draw(
             st.integers(min_value=0, max_value=order.order - 1).filter(lambda v: v != x)
         )
         report = FhrReport(index_x=x, index_y=y)
-        packed = pack_fhr(report, order)
+        directory = tmp_path_factory.getbasetemp()
+        packed = _pack_one(directory, report, order)
         assert len(packed) == packed_size(order)
-        decoded = unpack_fhr(packed, order)
-        assert type(decoded) is FhrReport and decoded == report
+        assert _unpack_one(directory, packed, order) == report
 
 
 def _rows(reports):
@@ -417,7 +434,7 @@ _STREAM_COUNTS = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
 @pytest.fixture(scope="module")
 def long_stream():
     """3 * 2^16 + 5 reports at r = 16 and their concatenated records, each
-    packed by the scalar oracle, which pack_fhr matches byte for byte."""
+    packed by the scalar oracle, which the writer matches byte for byte."""
     order = HadamardOrder(16)
     reports = _random_reports(16, max(_STREAM_COUNTS), seed=17)
     return reports, b"".join(pack_fhr_oracle(report, order) for report in reports)
