@@ -60,8 +60,8 @@ class DatasetSpec:
                 raise ValueError(f"n must be at least 1, got {self.n}")
             if self.domain_size < 2:
                 raise ValueError(f"domain must have at least 2 items, got {self.domain_size}")
-        elif self.path is None:
-            raise ValueError("csv source requires a path")
+        elif not self.path:
+            raise ValueError(f"csv source requires a CSV file path, got {self.path!r}")
         if not 1 < self.zipf_exponent < float("inf"):
             raise ValueError(f"zipf exponent must be finite and exceed 1, got {self.zipf_exponent}")
 

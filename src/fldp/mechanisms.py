@@ -4,6 +4,8 @@ FHR (flexible Hadamard response) encodes an item as a Hadamard row, samples
 one +1 and one -1 position from it, and keeps the pair with probability
 ``p = e^eps / (e^eps + 1)``, otherwise flips both signs. The report is the
 pair of column indices, so it costs 2r+1 bits regardless of domain size.
+:func:`FhrReport` gives one report as one plain int, ``index_x << 32 |
+index_y``, the word the report-file writer reads.
 
 The baselines are the standard constructions: generalized randomized
 response (GRR), unary encoding in its symmetric (RAPPOR) and optimized
@@ -214,33 +216,28 @@ def lookup(name: str) -> Mechanism:
         ) from None
 
 
-@dataclass(slots=True, init=False)
-class FhrReport:
-    """One user's FHR message: index_x carries +1, index_y carries -1.
+def FhrReport(index_x: int, index_y: int) -> int:
+    """One user's FHR message as one int, ``index_x << 32 | index_y``:
+    index_x carries +1, index_y carries -1.
 
-    A slotted record, validated once at construction by a plain
-    ``__init__``: a report costs one Python call and holds no ``__dict__``.
-    Each index is taken through ``operator.index``, so a numpy integer is
-    stored as a Python int and a float or a string raises ValueError. It
-    is neither frozen nor hashable.
-    """
-
-    index_x: int
-    index_y: int
-
-    def __init__(self, index_x: int, index_y: int) -> None:
-        try:
-            index_x, index_y = operator.index(index_x), operator.index(index_y)
-        except TypeError:
-            raise ValueError(
-                f"report indices must be integers, got {index_x!r} and {index_y!r}"
-            ) from None
-        if index_x < 0 or index_y < 0:
-            raise ValueError("report indices must be nonnegative")
-        if index_x == index_y:
-            raise ValueError(f"report indices must differ, got {index_x} twice")
-        self.index_x = index_x
-        self.index_y = index_y
+    Each index is taken through ``operator.index``, so a numpy integer
+    gives the same int and a float or a string raises ValueError. The
+    indices are distinct, nonnegative and below 2^31, the largest index a
+    report file holds, so a report fits an int64 word; and unlike a report
+    object, an int is never tracked by the cyclic garbage collector."""
+    try:
+        index_x, index_y = operator.index(index_x), operator.index(index_y)
+    except TypeError:
+        raise ValueError(
+            f"report indices must be integers, got {index_x!r} and {index_y!r}"
+        ) from None
+    if index_x < 0 or index_y < 0:
+        raise ValueError("report indices must be nonnegative")
+    if index_x == index_y:
+        raise ValueError(f"report indices must differ, got {index_x} twice")
+    if index_x >= 1 << 31 or index_y >= 1 << 31:
+        raise ValueError(f"report indices must lie below 2^31, got {index_x} and {index_y}")
+    return index_x << 32 | index_y
 
 
 def _integers(values: np.ndarray, name: str) -> np.ndarray:

@@ -11,17 +11,17 @@ the advertised 2r+1 bits.
 Report files carry a fixed 16-byte header (magic, order exponent, record
 count) followed by the packed records. A report file's order exponent is
 capped at r <= 31: a record (2r+1 <= 63 bits) then fits one uint64 word,
-and the server's dense sum vector stays at or below 2^31 entries. Records
-are packed and unpacked with numpy shifts and masks in an (n, 2) int64
-array of (index_x, index_y) rows: a record is built in, or split from, its
-row's first word. With s = ceil((2r+1)/8) bytes a record, the writer packs
-2^16 reports at a time, holding 16 + s bytes per record of that chunk
-(about 1.3 MiB at r = 16, for any n), and the reader decodes the whole
-file, holding 17 + s bytes per record (the body read, the array, which is
-the result, and one byte of checks). The result is the form
-:func:`fldp.aggregator.fhr_accumulate` folds; no per-record object is
-built on the server side. Files are written whole or not at all (see
-:mod:`fldp._atomic`).
+and the server's dense sum vector stays at or below 2^31 entries. The
+writer reads reports, the ints ``index_x << 32 | index_y`` that
+:func:`fldp.mechanisms.FhrReport` makes, 2^16 at a time as int64 words, and
+builds each record in its report's word with numpy shifts and masks,
+holding at most 17 bytes per record of that chunk (about 1.1 MiB, for any
+n). The reader splits records into an (n, 2) int64 array of (index_x,
+index_y) rows, holding 17 + s bytes per record, with s = ceil((2r+1)/8)
+(the body read, the array, which is the result, and one byte of checks).
+The result is the form :func:`fldp.aggregator.fhr_accumulate` folds; no
+per-record object is built on the server side. Files are written whole or
+not at all (see :mod:`fldp._atomic`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import operator
 import os
 import struct
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from itertools import islice
 from pathlib import Path
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from ._atomic import replace_atomically
 from .hadamard import HadamardOrder
-from .mechanisms import MECHANISMS, FhrReport
+from .mechanisms import MECHANISMS
 
 __all__ = [
     "WireFormatError",
@@ -53,6 +53,8 @@ FILE_MAGIC = b"FHR1"
 _HEADER = struct.Struct(">4sIQ")  # magic, order exponent r, record count
 _MAX_FILE_EXPONENT = 31  # see the module docstring
 _CHUNK = 1 << 16  # reports the writer stages, checks and packs at a time
+# the int32 halves of a report's word that hold index_x and index_y
+_HIGH, _LOW = (1, 0) if sys.byteorder == "little" else (0, 1)
 
 
 class WireFormatError(ValueError):
@@ -76,14 +78,14 @@ def _file_order(r: int) -> HadamardOrder:
         raise WireFormatError(str(exc)) from exc
 
 
-def _check_distinct(pairs: np.ndarray, first: int = 0) -> None:
-    """Raise :class:`WireFormatError` at the first (index_x, index_y) row, of
-    rows numbered from ``first``, whose indices are equal; one byte a row."""
-    equal = pairs[:, 0] == pairs[:, 1]
+def _check_distinct(index_x: np.ndarray, index_y: np.ndarray, first: int = 0) -> None:
+    """Raise :class:`WireFormatError` at the first record, of records
+    numbered from ``first``, whose indices are equal; one byte a record."""
+    equal = index_x == index_y
     if equal.any():
         row = int(equal.argmax())
         raise WireFormatError(
-            f"record {first + row}: equal indices {pairs[row, 0]} are not a valid report"
+            f"record {first + row}: equal indices {index_x[row]} are not a valid report"
         )
 
 
@@ -93,27 +95,32 @@ def _swap_words(words: np.ndarray) -> None:
         words.byteswap(inplace=True)
 
 
-def _pack_records(pairs: np.ndarray, order: HadamardOrder, first: int = 0) -> bytes:
-    """The (index_x, index_y) rows, numbered from ``first``, as concatenated
-    records, sign bit 1, built in ``pairs``' own buffer, which they overwrite;
-    every index must lie in [0, order) and differ from its row's other."""
-    if pairs.size and int(pairs.max()) >= order.order:
-        raise WireFormatError(f"a report overflows {order.r}-bit indices")
-    if pairs.size and int(pairs.min()) < 0:
-        row = int(np.argmax((pairs < 0).any(axis=1)))
-        raise WireFormatError(f"record {first + row}: negative index in {pairs[row].tolist()}")
-    _check_distinct(pairs, first)
+def _pack_records(words: np.ndarray, order: HadamardOrder, first: int = 0) -> bytes:
+    """The int64 report words, numbered from ``first``, as concatenated
+    records, sign bit 1, built in the words' own buffer, which they
+    overwrite; every index must lie in [0, order) and differ from the other."""
+    halves = words.view(np.int32).reshape(-1, 2)
+    index_x, index_y = halves[:, _HIGH], halves[:, _LOW].view(np.uint32)
+    if words.size and max(int(index_x.max()), int(index_y.max())) >= order.order:
+        row = int(np.argmax(np.maximum(index_x, index_y) >= order.order))
+        raise WireFormatError(f"record {first + row}: a report overflows {order.r}-bit indices")
+    if words.size and int(index_x.min()) < 0:
+        row = int(np.argmax(index_x < 0))
+        pair = [int(index_x[row]), int(index_y[row])]
+        raise WireFormatError(f"record {first + row}: negative index in {pair}")
+    _check_distinct(index_x, index_y, first)
     r = order.r
+    # set the sign bit above index_y and lift both to the top of the low
+    # half; the word's right shift by as much joins them to index_x
+    index_y |= np.uint32(1 << r)
+    index_y <<= np.uint32(31 - r)
+    record = words.view(np.uint64)
+    record >>= np.uint64(31 - r)
     size = packed_size(order)
-    words = pairs.view(np.uint64)
-    record = words[:, 0]
-    record <<= np.uint64(r + 1)
-    record |= words[:, 1]
-    record |= np.uint64(1 << r)
     record <<= np.uint64(size * 8 - (2 * r + 1))
     _swap_words(record)
     # the record is the low ``size`` bytes of its big-endian word
-    return pairs.view(np.uint8)[:, 8 - size : 8].tobytes()
+    return words.view(np.uint8).reshape(-1, 8)[:, 8 - size :].tobytes()
 
 
 def _unpack_records(body: bytes, order: HadamardOrder) -> np.ndarray:
@@ -140,49 +147,45 @@ def _unpack_records(body: bytes, order: HadamardOrder) -> np.ndarray:
     np.bitwise_and(record, np.uint64((1 << r) - 1), out=index_y)
     record >>= np.uint64(r + 1)
     # an r-bit field is never negative nor past the order
-    _check_distinct(pairs)
+    _check_distinct(pairs[:, 0], pairs[:, 1])
     return pairs
 
 
-def _indices(reports: Iterable[FhrReport], first: int) -> Iterator[int]:
-    """Each report's index_x, then index_y; an index that is not an integer
-    (a float, even a whole one, or a string) is an error naming its record."""
-    for record, report in enumerate(reports, first):
-        try:
-            yield operator.index(report.index_x)
-            yield operator.index(report.index_y)
-        except TypeError:
-            raise WireFormatError(f"record {record}: {report} has a non-integer index") from None
-
-
-def _report_pairs(reports: Iterable[FhrReport], order: HadamardOrder, first: int) -> np.ndarray:
-    """The reports, numbered from ``first``, as an (n, 2) int64 array of
-    (index_x, index_y) rows, filled in one pass."""
+def _report_words(reports: list, order: HadamardOrder, first: int) -> np.ndarray:
+    """The reports, numbered from ``first``, as int64 words; a report that
+    is not an int (a float, even a whole one, a string or a tuple), or an
+    int past an int64, is an error naming its record."""
     try:
-        return np.fromiter(_indices(reports, first), dtype=np.int64).reshape(-1, 2)
-    except OverflowError as exc:
-        raise WireFormatError(f"a report overflows {order.r}-bit indices") from exc
+        return np.fromiter(map(operator.index, reports), dtype=np.int64, count=len(reports))
+    except (TypeError, OverflowError):
+        pass  # only a chunk that failed is walked again, to name its bad record
+    for record, report in enumerate(reports, first):
+        if not hasattr(type(report), "__index__"):
+            raise WireFormatError(f"record {record}: report {report!r} is not an integer")
+        if not -(1 << 63) <= operator.index(report) < 1 << 63:
+            raise WireFormatError(f"record {record}: a report overflows {order.r}-bit indices")
+    raise AssertionError("a chunk failed to convert, yet every report is an int64")
 
 
-def write_report_file(
-    path: str | Path, reports: Iterable[FhrReport], order: HadamardOrder
-) -> int:
+def write_report_file(path: str | Path, reports: Iterable[int], order: HadamardOrder) -> int:
     """Write a header plus packed records; returns the record count.
 
-    The bytes are the header followed by each report's packed record, and
-    they replace ``path`` only once all of them are written. The reports
-    are taken 2^16 at a time, each chunk packed and written on its own, and
-    the header's record count is patched in at the end.
+    Each report is an int ``index_x << 32 | index_y``, as
+    :func:`fldp.mechanisms.FhrReport` makes it. The bytes are the header
+    followed by each report's packed record, and they replace ``path`` only
+    once all of them are written. The reports are taken 2^16 at a time,
+    each chunk packed and written on its own, and the header's record count
+    is patched in at the end.
     """
     _file_order(order.r)
     reports = iter(reports)
     count = 0
     with replace_atomically(path, "wb") as handle:
         handle.write(_HEADER.pack(FILE_MAGIC, order.r, 0))
-        # a chunk's pairs and body are temporaries, freed before the next
-        # chunk is staged; the empty chunk at the end writes nothing
+        # a chunk's list, words and body are temporaries, each freed once
+        # the next is made; the empty chunk at the end writes nothing
         while written := handle.write(
-            _pack_records(_report_pairs(islice(reports, _CHUNK), order, count), order, count)
+            _pack_records(_report_words(list(islice(reports, _CHUNK)), order, count), order, count)
         ):
             count += written // packed_size(order)
         handle.seek(0)

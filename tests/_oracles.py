@@ -16,7 +16,7 @@ import numpy as np
 
 from fldp.datasets import ItemStream, zipf_probabilities
 from fldp.hadamard import HadamardOrder, min_order_for_domain, row_vector
-from fldp.mechanisms import FhrReport, _require
+from fldp.mechanisms import _require
 from fldp.verifier import FldpCertificate, enumerate_range
 from fldp.wire import WireFormatError, packed_size
 
@@ -493,28 +493,33 @@ def witness_walk_oracle(ranges, top) -> tuple:
     return tuple(itertools.islice(found, 8))
 
 
-def pack_fhr_oracle(report: FhrReport, order: HadamardOrder) -> bytes:
+def pack_fhr_oracle(report: int, order: HadamardOrder) -> bytes:
     """One packed report built as a Python int, shifted field by field:
-    index_x, the sign bit (always 1), index_y, then zero padding.
+    index_x, the sign bit (always 1), index_y, then zero padding. The
+    report is the int ``index_x << 32 | index_y``, split here by floor
+    division and remainder, so index_y lies in [0, 2^32) and index_x may
+    be negative.
 
     Rejects an index outside [0, order) and equal indices.
     """
+    index_x, index_y = divmod(report, 2**32)
     r = order.r
     d = order.order
-    if report.index_x >= d or report.index_y >= d:
+    if index_x >= d or index_y >= d:
         raise WireFormatError(f"report {report} overflows {r}-bit indices")
-    if report.index_x < 0 or report.index_y < 0:
+    if index_x < 0:
         raise WireFormatError(f"report {report} has a negative index")
-    if report.index_x == report.index_y:
-        raise WireFormatError(f"equal indices {report.index_x} are not a valid report")
+    if index_x == index_y:
+        raise WireFormatError(f"equal indices {index_x} are not a valid report")
     width = 2 * r + 1
     nbytes = packed_size(order)
-    word = (report.index_x << (r + 1)) | (1 << r) | report.index_y
+    word = (index_x << (r + 1)) | (1 << r) | index_y
     return (word << (nbytes * 8 - width)).to_bytes(nbytes, "big")
 
 
-def unpack_fhr_oracle(data: bytes, order: HadamardOrder) -> FhrReport:
-    """One packed report split as a Python int.
+def unpack_fhr_oracle(data: bytes, order: HadamardOrder) -> int:
+    """One packed report split as a Python int, returned as the report int
+    ``index_x * 2^32 + index_y``.
 
     Rejects wrong lengths, nonzero padding, and equal indices. The sign
     bit is ignored: the first index holds +1 by convention.
@@ -534,4 +539,4 @@ def unpack_fhr_oracle(data: bytes, order: HadamardOrder) -> FhrReport:
     index_x = word >> (r + 1)
     if index_x == index_y:
         raise WireFormatError(f"equal indices {index_x} are not a valid report")
-    return FhrReport(index_x=index_x, index_y=index_y)
+    return index_x * 2**32 + index_y

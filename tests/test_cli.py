@@ -124,6 +124,10 @@ class TestRejectedBeforeWork:
              "zipf exponent must be finite and exceed 1, got inf"),
             (["verify-fldp", "grr", "--order", "1", "--epsilon", "1.0"],
              "domain must have at least 2 items, got 1"),
+            (["gen-data", "--csv", ""], "csv source requires a CSV file path, got ''"),
+            (["run", "--csv", "", "--mechanisms", "fhr", "--epsilons", "1", "--topk", "1",
+              "--trials", "1"],
+             "csv source requires a CSV file path, got ''"),
         ],
     )
     def test_one_usage_line_and_nothing_written(self, argv, message, capsys, tmp_path):

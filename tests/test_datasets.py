@@ -104,6 +104,11 @@ class TestZipf:
         with pytest.raises(ValueError):
             DatasetSpec(source="csv")
 
+    def test_empty_csv_path_rejected(self):
+        # an empty path would open the working directory
+        with pytest.raises(ValueError, match="^csv source requires a CSV file path, got ''$"):
+            DatasetSpec(source="csv", path="")
+
     def test_rank_frequency_slope(self):
         # on log-log axes the head of the empirical law has slope close
         # to the negative exponent

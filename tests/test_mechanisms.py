@@ -1,5 +1,6 @@
 """Client-side perturbation: parameters, report validity, and rates."""
 
+import gc
 import math
 import tracemalloc
 
@@ -139,20 +140,40 @@ class TestFhrReport:
 
     def test_numpy_integers_are_stored_as_python_ints(self):
         report = FhrReport(np.int64(3), np.uint16(5))
-        assert type(report.index_x) is int and type(report.index_y) is int
+        assert type(report) is int
         assert report == FhrReport(3, 5)
 
-    def test_slotted_record_without_instance_dict(self):
+    def test_report_is_an_untracked_int(self):
         report = FhrReport(3, 5)
-        assert not hasattr(report, "__dict__")
-        assert FhrReport.__slots__ == ("index_x", "index_y")
-        assert (report.index_x, report.index_y) == (3, 5)
+        assert type(report) is int and report == 3 << 32 | 5
+        assert not gc.is_tracked(report)
 
     def test_positional_and_keyword_construction_agree(self):
         assert FhrReport(1, 0) == FhrReport(index_x=1, index_y=0)
         assert FhrReport(1, 0) != FhrReport(0, 1)
-        assert repr(FhrReport(1, 0)) == "FhrReport(index_x=1, index_y=0)"
-        assert repr(FhrReport(index_x=1, index_y=0)) == "FhrReport(index_x=1, index_y=0)"
+
+    def test_index_of_two_to_the_31_rejected(self):
+        # the largest index a report file holds is 2^31 - 1, whose report fits an int64
+        assert FhrReport(2**31 - 1, 0) == 2**63 - 2**32
+        assert FhrReport(0, 2**31 - 1) == 2**31 - 1
+        for index_x, index_y in [(2**31, 0), (0, 2**31), (2**40, 2**31)]:
+            with pytest.raises(ValueError, match="report indices must lie below 2\\^31"):
+                FhrReport(index_x, index_y)
+
+    def test_reports_cost_under_44_bytes_each(self):
+        # an int report takes 32 bytes and its list slot 8: the bound lies
+        # below the 56 that a 48-byte report object and its slot would take
+        rng = np.random.default_rng(6)
+        index_x = rng.integers(0, 1 << 16, size=1 << 16)
+        index_y = (index_x + rng.integers(1, 1 << 16, size=1 << 16)) % (1 << 16)
+        pairs = list(zip(index_x.tolist(), index_y.tolist()))
+        tracemalloc.start()
+        try:
+            reports = [FhrReport(x, y) for x, y in pairs]
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size / len(reports) < 44
 
     # a single report accumulates to its implied sparse vector
     def test_sparse_expansion(self):

@@ -32,6 +32,11 @@ def _pack_one(directory, report, order):
     return path.read_bytes()[16:]
 
 
+def _fields(report):
+    """A report int's (index_x, index_y)."""
+    return divmod(report, 1 << 32)
+
+
 def _unpack_one(directory, data, order):
     """The report that a file of ``data`` behind a header declaring one
     record at ``order`` reads back as."""
@@ -57,12 +62,12 @@ class TestPackedLayout:
 
     def test_hand_unpacked_example(self, tmp_path):
         report = _unpack_one(tmp_path, bytes([0x28]), HadamardOrder(2))
-        assert (report.index_x, report.index_y) == (0, 1)
+        assert _fields(report) == (0, 1)
 
     def test_sign_bit_is_ignored_on_read(self, tmp_path):
         # 0b00001000 differs from the example only in the sign bit
         report = _unpack_one(tmp_path, bytes([0x08]), HadamardOrder(2))
-        assert (report.index_x, report.index_y) == (0, 1)
+        assert _fields(report) == (0, 1)
 
     @pytest.mark.parametrize("r", range(1, 7))
     def test_exhaustive_round_trip(self, tmp_path, r):
@@ -82,32 +87,22 @@ class TestPackedLayout:
         with pytest.raises(WireFormatError, match="overflows"):
             _pack_one(tmp_path, FhrReport(index_x=4, index_y=1), HadamardOrder(2))
 
-    # FhrReport is mutable: its constructor's checks do not bind a later assignment
+    # an int that FhrReport would refuse is checked again where it is packed
     @pytest.mark.parametrize(
-        "field, value, match",
-        [
-            ("index_x", -1, "negative"),
-            ("index_y", -5, "negative"),
-            ("index_y", 2, "equal indices 2"),
-        ],
-        ids=["negative-x", "negative-y", "equal"],
+        "report, match",
+        [((-1 << 32) | 1, "negative"), ((2 << 32) | 2, "equal indices 2")],
+        ids=["negative-x", "equal"],
     )
-    def test_reassigned_index_rejected(self, tmp_path, field, value, match):
-        report = FhrReport(index_x=2, index_y=1)
-        setattr(report, field, value)
+    def test_reassigned_index_rejected(self, tmp_path, report, match):
         with pytest.raises(WireFormatError, match=match):
             _pack_one(tmp_path, report, HadamardOrder(2))
 
     # np.fromiter would cast each of these to an int64: 1.5 to 1, 3.0 to 3
     @pytest.mark.parametrize(
-        "field, value",
-        [("index_x", 1.5), ("index_y", np.float64(3.0)), ("index_x", "7")],
-        ids=["float", "whole-float64", "string"],
+        "report", [1.5, np.float64(3.0), "7"], ids=["float", "whole-float64", "string"]
     )
-    def test_non_integer_index_rejected(self, tmp_path, field, value):
-        report = FhrReport(index_x=5, index_y=2)
-        setattr(report, field, value)
-        with pytest.raises(WireFormatError, match="record 0: .* has a non-integer index"):
+    def test_non_integer_index_rejected(self, tmp_path, report):
+        with pytest.raises(WireFormatError, match="^record 0: report .* is not an integer$"):
             _pack_one(tmp_path, report, HadamardOrder(3))
 
     @pytest.mark.parametrize("r", [32, 63])
@@ -159,8 +154,9 @@ class TestPackedLayout:
             report = _unpack_one(tmp_path_factory.getbasetemp(), data, order)
         except WireFormatError:
             return
-        assert report.index_x != report.index_y
-        assert report.index_x < order.order and report.index_y < order.order
+        index_x, index_y = _fields(report)
+        assert index_x != index_y
+        assert index_x < order.order and index_y < order.order
 
     @settings(max_examples=100)
     @given(st.integers(min_value=1, max_value=10), st.data())
@@ -179,7 +175,7 @@ class TestPackedLayout:
 
 def _rows(reports):
     """The reports' (index_x, index_y) pairs, one list per report."""
-    return [[report.index_x, report.index_y] for report in reports]
+    return [list(_fields(report)) for report in reports]
 
 
 class TestReportFile:
@@ -367,37 +363,34 @@ class TestReportFileCodec:
         with pytest.raises(WireFormatError) as read:
             read_report_file(self._file_with_middle_record(tmp_path, r, middle))
         reports = _random_reports(r, 9, seed=3)
-        reports[4].index_x = reports[4].index_y = index
+        reports[4] = index << 32 | index
         with pytest.raises(WireFormatError) as written:
             write_report_file(tmp_path / "written.bin", reports, HadamardOrder(r))
         message = f"record 4: equal indices {index} are not a valid report"
         assert str(read.value) == str(written.value) == message
 
-    @pytest.mark.parametrize("index", [8, 2**63 - 1, 2**64 + 5])
-    def test_index_overflow_rejected_by_writer(self, tmp_path, index):
-        with pytest.raises(WireFormatError, match="overflows"):
-            write_report_file(
-                tmp_path / "o.bin", [FhrReport(index_x=index, index_y=0)], HadamardOrder(3)
-            )
+    # index_x past the order, index_x = 2^31 (the word 2^63, past an int64),
+    # and a word past 2^64
+    @pytest.mark.parametrize("report", [8 << 32, (2**31) << 32, 2**64 + 5])
+    def test_index_overflow_rejected_by_writer(self, tmp_path, report):
+        with pytest.raises(WireFormatError, match="^record 0: a report overflows 3-bit indices$"):
+            write_report_file(tmp_path / "o.bin", [report], HadamardOrder(3))
 
-    # a report reassigned after construction is checked where the writer
+    # a report int that FhrReport would refuse is checked where the writer
     # stages it, and no file is written; the reader would reject it or, for
     # a negative index, return other indices than the report's
     @pytest.mark.parametrize("r", [4, 31])
     @pytest.mark.parametrize(
-        "field, value, match",
+        "report, match",
         [
-            ("index_x", -1, r"record 4: negative index in \[-1, "),
-            ("index_y", -(2**40), "record 4: negative index"),
-            ("index_y", "index_x", "record 4: equal indices"),
+            ((-1 << 32) | 9, r"record 4: negative index in \[-1, 9\]"),
+            ((9 << 32) | 9, "record 4: equal indices 9 are not a valid report"),
         ],
-        ids=["negative-x", "negative-y", "equal"],
+        ids=["negative-x", "equal"],
     )
-    def test_reassigned_index_rejected_by_writer(self, tmp_path, r, field, value, match):
+    def test_reassigned_index_rejected_by_writer(self, tmp_path, r, report, match):
         reports = _random_reports(r, 9, seed=3)
-        if value == "index_x":
-            value = reports[4].index_x
-        setattr(reports[4], field, value)
+        reports[4] = report
         path = tmp_path / "bad.bin"
         with pytest.raises(WireFormatError, match=match):
             write_report_file(path, reports, HadamardOrder(r))
@@ -459,23 +452,24 @@ class TestStreamedWriter:
     @pytest.mark.parametrize("source", ["list", "generator"])
     @pytest.mark.parametrize("record", [3, _CHUNK + 3], ids=["first-chunk", "later-chunk"])
     @pytest.mark.parametrize(
-        "field, value, match",
+        "report, match",
         [
-            ("index_x", 1.5, ".* has a non-integer index"),
-            ("index_y", np.float64(3.0), ".* has a non-integer index"),
-            ("index_x", -1, r"negative index in \[-1, 9\]"),
-            ("index_y", 5, "equal indices 5 are not a valid report"),
+            (1.5, "report 1.5 is not an integer"),
+            (np.float64(3.0), r"report np.float64\(3.0\) is not an integer"),
+            ((-1 << 32) | 9, r"negative index in \[-1, 9\]"),
+            ((5 << 32) | 5, "equal indices 5 are not a valid report"),
+            ((5, 9), r"report \(5, 9\) is not an integer"),
+            ("7", "report '7' is not an integer"),
         ],
-        ids=["float", "whole-float64", "negative", "equal"],
+        ids=["float", "whole-float64", "negative", "equal", "tuple", "string"],
     )
     def test_bad_record_keeps_the_previous_file(
-        self, tmp_path, long_stream, field, value, match, record, source
+        self, tmp_path, long_stream, report, match, record, source
     ):
         path = tmp_path / "reports.bin"
         path.write_bytes(b"previous")
         reports = long_stream[0][: _CHUNK + 9]
-        reports[record] = FhrReport(index_x=5, index_y=9)
-        setattr(reports[record], field, value)
+        reports[record] = report
         if source == "generator":
             reports = (report for report in reports)
         with pytest.raises(WireFormatError, match=f"^record {record}: {match}$"):
@@ -485,9 +479,9 @@ class TestStreamedWriter:
 
 
 class TestReportFileMemory:
-    """The writer packs in one (2^16, 2) int64 buffer a chunk and the reader
-    unpacks in one (n, 2): traced peak bytes per record at n = 2^16 (the
-    bound's unit) and r = 16, whose records take 5 bytes."""
+    """The writer packs a chunk of 2^16 reports in their int64 words and the
+    reader unpacks in one (n, 2) int64 array: traced peak bytes per record
+    at n = 2^16 (the bound's unit) and r = 16, whose records take 5 bytes."""
 
     N = 1 << 16
     ORDER = HadamardOrder(16)
@@ -504,7 +498,8 @@ class TestReportFileMemory:
     def test_write(self, tmp_path):
         reports = _random_reports(16, self.N, seed=8)
         path = tmp_path / "reports.bin"
-        # the staged pairs (16) and the packed body (5), above the reports
+        # the chunk's list (8) and words (8), then the words and the packed
+        # body (5), above the reports
         assert self._peak_per_record(lambda: write_report_file(path, reports, self.ORDER)) < 24
 
     def test_write_peak_does_not_grow_with_n(self, tmp_path):
