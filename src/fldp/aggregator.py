@@ -3,10 +3,10 @@
 FHR aggregation is a two-step pipeline: fold every report's implied sparse
 vector (+1 at index_x, -1 at index_y) into a running :class:`SumVector`,
 then estimate item i's count as ``correction * (sums . H[i + 1])``.
-Reports arrive as index arrays, either the two columns the client
-perturber returns or the (n, 2) rows :func:`fldp.wire.read_report_file`
-decodes, and are folded with two bincounts. The whole domain is decoded
-at once by one fast Walsh-Hadamard transform of the sums,
+Reports arrive as the (index_x, index_y) index arrays that the client
+returns and :func:`fldp.wire.read_report_file` reads back, the one form
+:func:`fhr_accumulate` folds, with two bincounts. The whole domain is
+decoded at once by one fast Walsh-Hadamard transform of the sums,
 O(order log order), whose entry ``i + 1`` is item ``i``'s dot product.
 
 The baseline estimators are the usual unbiased inversions of their flip
@@ -45,7 +45,6 @@ __all__ = [
     "SumVector",
     "FrequencyEstimate",
     "fhr_accumulate",
-    "fhr_accumulate_indices",
     "fhr_estimate_all",
     "unary_estimate",
     "olh_support_counts",
@@ -75,31 +74,20 @@ class FrequencyEstimate:
     estimates: np.ndarray
 
 
-def fhr_accumulate_indices(
-    index_x: np.ndarray, index_y: np.ndarray, order: HadamardOrder
-) -> SumVector:
-    """Fold batches of report index pairs into a SumVector via bincount."""
+def fhr_accumulate(pairs: tuple[np.ndarray, np.ndarray], order: HadamardOrder) -> SumVector:
+    """Fold reports, the (index_x, index_y) index arrays a client returns and a
+    report file reads back, into a SumVector. Anything but two equal-length 1-D
+    arrays raises ValueError, one (n, 2) array included, as do indices outside
+    [0, order) or equal ones."""
     d = order.order
-    index_x = _integers(index_x, "report indices").astype(np.int64, copy=False)
-    index_y = _integers(index_y, "report indices").astype(np.int64, copy=False)
-    if index_x.shape != index_y.shape:
-        raise ValueError("index arrays must have matching shapes")
-    for arr in (index_x, index_y):
-        if arr.size and (arr.min() < 0 or arr.max() >= d):
-            raise ValueError(f"corrupt report: index outside [0, {d})")
+    shapes = [np.shape(c) for c in pairs] if isinstance(pairs, (tuple, list)) else [np.shape(pairs)]
+    if len(shapes) != 2 or len(shapes[0]) != 1 or shapes[0] != shapes[1]:
+        raise ValueError(f"reports must be two equal-length 1-D index arrays, got shapes {shapes}")
+    index_x, index_y = (_integers(c, "report indices", d) for c in pairs)
     if np.any(index_x == index_y):
         raise ValueError("corrupt report: equal indices")
     sums = np.bincount(index_x, minlength=d) - np.bincount(index_y, minlength=d)
     return SumVector(sums=sums.astype(np.int64), n=index_x.size)
-
-
-def fhr_accumulate(pairs: np.ndarray, order: HadamardOrder) -> SumVector:
-    """Fold an (n, 2) array of (index_x, index_y) rows, as a report file
-    reads back; raises ValueError for any other shape."""
-    pairs = np.asarray(pairs)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError(f"report pairs must have shape (n, 2), got {pairs.shape}")
-    return fhr_accumulate_indices(pairs[:, 0], pairs[:, 1], order)
 
 
 def fhr_estimate_all(
@@ -190,11 +178,9 @@ def olh_support_counts(
     if not 1 <= domain_size <= _OLH_KEY_LIMIT:
         raise ValueError(f"OLH domain size must lie in [1, 2^32], got {domain_size}")
     seeds = _integers(seeds, "seeds").astype(np.uint64, copy=False)
-    values = _integers(values, "reported buckets").astype(np.int64, copy=False)
+    values = _integers(values, "reported buckets", g)
     if seeds.shape != values.shape:
         raise ValueError("seeds and values must have matching shapes")
-    if values.size and (values.min() < 0 or values.max() >= g):
-        raise ValueError(f"reported buckets must lie in [0, {g})")
     a, offset = _olh_keys(seeds)  # (a, b), b's buffer to become the offset key
     lo, width = _olh_buckets(g)
     span = lo[values]

@@ -137,7 +137,7 @@ def estimate_once(
     if mechanism == "fhr":
         order = min_order_for_domain(domain_size)
         index_x, index_y = mechanisms.fhr_perturb_batch(items, params, order, rng)
-        summed = aggregator.fhr_accumulate_indices(index_x, index_y, order)
+        summed = aggregator.fhr_accumulate((index_x, index_y), order)
         return aggregator.fhr_estimate_all(summed, domain_size, params, order).estimates
     if mechanism == "grr":
         values = mechanisms.grr_perturb_batch(items, params, domain_size, rng)
@@ -228,13 +228,6 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 
 
 def _write_outputs(spec: ExperimentSpec, stream: ItemStream, rows: list[ResultRow]) -> None:
-    out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with replace_atomically(out_dir / "results.csv", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow(row.as_record())
     manifest = {
         "dataset": {
             "source": spec.dataset.source,
@@ -260,6 +253,16 @@ def _write_outputs(spec: ExperimentSpec, stream: ItemStream, rows: list[ResultRo
         },
         "trial_aggregation": "arithmetic mean",
     }
-    with replace_atomically(out_dir / "manifest.json", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+    out_dir = Path(spec.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # both files are written in full before either replaces its target
+    with (
+        replace_atomically(out_dir / "results.csv", newline="", encoding="utf-8") as results,
+        replace_atomically(out_dir / "manifest.json", encoding="utf-8") as manifest_file,
+    ):
+        writer = csv.writer(results)
+        writer.writerow(RESULT_COLUMNS)
+        for row in rows:
+            writer.writerow(row.as_record())
+        json.dump(manifest, manifest_file, indent=2, sort_keys=True, allow_nan=False)
+        manifest_file.write("\n")

@@ -240,12 +240,19 @@ def FhrReport(index_x: int, index_y: int) -> int:
     return index_x << 32 | index_y
 
 
-def _integers(values: np.ndarray, name: str) -> np.ndarray:
-    """``values`` as an array; a non-empty one must hold integers, not floats."""
+def _integers(values: np.ndarray, name: str, stop: int | None = None) -> np.ndarray:
+    """``values`` as an array; a non-empty one must hold integers, not floats.
+    With ``stop`` (at most 2^63) they must lie in [0, stop), compared as
+    Python ints so that no uint64 reads as a negative int64, and come back
+    as int64."""
     values = np.asarray(values)
     if values.size and values.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
-    return values
+    if stop is not None and values.size:
+        lo, hi = int(values.min()), int(values.max())
+        if lo < 0 or hi >= stop:
+            raise ValueError(f"{name} must lie in [0, {stop}), got {lo if lo < 0 else hi}")
+    return values if stop is None else values.astype(np.int64, copy=False)
 
 
 def fhr_perturb_batch(
@@ -267,14 +274,8 @@ def fhr_perturb_batch(
     The two outputs are the only n-sized arrays; ``items`` is not written.
     """
     _require(params, "correction", "FHR")
-    items = np.atleast_1d(_integers(items, "items"))  # a scalar item is a batch of one
-    if items.size:
-        lo, hi = int(items.min()), int(items.max())
-        if lo < 0 or hi + 1 >= order.order:
-            raise ValueError(
-                f"item {lo if lo < 0 else hi} does not fit order {order.order} "
-                f"(usable domain is [0, {order.order - 1}))"
-            )
+    # item i reads row i + 1; a scalar item is a batch of one
+    items = np.atleast_1d(_integers(items, "items", order.order - 1))
     n = items.size
     d = order.order
     x = rng.integers(0, d, size=n, dtype=np.uint64)
@@ -297,13 +298,6 @@ def fhr_perturb_batch(
     return x.view(np.int64), y.view(np.int64)
 
 
-def _check_domain(items: np.ndarray, domain_size: int) -> np.ndarray:
-    items = _integers(items, "items").astype(np.int64, copy=False)
-    if items.size and (items.min() < 0 or items.max() >= domain_size):
-        raise ValueError("item outside domain")
-    return items
-
-
 def _randomized_response(
     values: np.ndarray, p: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -322,7 +316,7 @@ def grr_perturb_batch(
 ) -> np.ndarray:
     """Generalized randomized response over [0, domain_size)."""
     _require(params, "q", "GRR or unary encoding")
-    return _randomized_response(_check_domain(items, domain_size), params.p, domain_size, rng)
+    return _randomized_response(_integers(items, "items", domain_size), params.p, domain_size, rng)
 
 
 def unary_sample_counts(
@@ -341,7 +335,7 @@ def unary_sample_counts(
     if domain_size < 2:
         raise ValueError(f"unary encoding needs a domain of at least 2, got {domain_size}")
     _require(params, "q", "GRR or unary encoding")
-    items = _check_domain(items, domain_size)
+    items = _integers(items, "items", domain_size)
     holders = np.bincount(items, minlength=domain_size)
     return rng.binomial(holders, params.p) + rng.binomial(items.size - holders, params.q)
 
@@ -380,14 +374,10 @@ def olh_hash(seed: int | np.ndarray, item: int | np.ndarray, g: int) -> int | np
     item t is ``((((a*t + b) mod 2^64) >> 32) * g) >> 32``. The upper half
     of ``a*t + b`` is pairwise independent over random (a, b) for keys
     below 2^32, so two distinct items collide with probability about 1/g;
-    larger items raise ValueError. Scalar in, scalar out; arrays broadcast
-    elementwise.
+    larger items, and floats, raise ValueError. Scalar in, scalar out;
+    arrays broadcast elementwise.
     """
-    items = np.asarray(item)
-    if items.size:
-        lo, hi = int(items.min()), int(items.max())
-        if lo < 0 or hi >= _OLH_KEY_LIMIT:
-            raise ValueError(f"item {lo if lo < 0 else hi} is not an OLH key in [0, 2^32)")
+    items = _integers(item, "OLH keys", _OLH_KEY_LIMIT)
     # the arithmetic is modulo 2^64; numpy warns of wraparound on scalars
     with np.errstate(over="ignore"):
         a = _splitmix64(seed, 1)
@@ -421,7 +411,7 @@ def olh_perturb_batch(
     """OLH reports for a batch: fresh 64-bit seed per user, hash into
     [0, g), then GRR inside the hashed domain. Returns (seeds, values)."""
     _require(params, "g", "OLH")
-    items = _check_domain(items, domain_size)
+    items = _integers(items, "items", domain_size)
     seeds = rng.integers(0, 2**64, size=items.size, dtype=np.uint64)
     buckets = olh_hash(seeds, items, params.g)
     return seeds, _randomized_response(buckets, params.p, params.g, rng)

@@ -16,12 +16,12 @@ writer reads reports, the ints ``index_x << 32 | index_y`` that
 :func:`fldp.mechanisms.FhrReport` makes, 2^16 at a time as int64 words, and
 builds each record in its report's word with numpy shifts and masks,
 holding at most 17 bytes per record of that chunk (about 1.1 MiB, for any
-n). The reader splits records into an (n, 2) int64 array of (index_x,
-index_y) rows, holding 17 + s bytes per record, with s = ceil((2r+1)/8)
-(the body read, the array, which is the result, and one byte of checks).
-The result is the form :func:`fldp.aggregator.fhr_accumulate` folds; no
-per-record object is built on the server side. Files are written whole or
-not at all (see :mod:`fldp._atomic`).
+n). The reader splits records in place in one (n, 2) int64 array and
+returns its columns (index_x, index_y), the form the client returns and
+:func:`fldp.aggregator.fhr_accumulate` folds, holding 17 + s bytes per
+record, s = ceil((2r+1)/8) (the body read, the array and a byte of checks);
+it builds no per-record object. Files are written whole or not at all (see
+:mod:`fldp._atomic`).
 """
 
 from __future__ import annotations
@@ -123,10 +123,10 @@ def _pack_records(words: np.ndarray, order: HadamardOrder, first: int = 0) -> by
     return words.view(np.uint8).reshape(-1, 8)[:, 8 - size :].tobytes()
 
 
-def _unpack_records(body: bytes, order: HadamardOrder) -> np.ndarray:
-    """A body's records as an (n, 2) int64 array of (index_x, index_y) rows,
-    split in that array's own buffer; the sign bit is ignored, and the
-    first record with nonzero padding or equal indices is an error."""
+def _unpack_records(body: bytes, order: HadamardOrder) -> tuple[np.ndarray, np.ndarray]:
+    """A body's records as (index_x, index_y), the int64 columns of the (n, 2)
+    array they are split in; the sign bit is ignored, and the first record
+    with nonzero padding or equal indices is an error."""
     r = order.r
     size = packed_size(order)
     count = len(body) // size
@@ -148,7 +148,7 @@ def _unpack_records(body: bytes, order: HadamardOrder) -> np.ndarray:
     record >>= np.uint64(r + 1)
     # an r-bit field is never negative nor past the order
     _check_distinct(pairs[:, 0], pairs[:, 1])
-    return pairs
+    return pairs[:, 0], pairs[:, 1]
 
 
 def _report_words(reports: list, order: HadamardOrder, first: int) -> np.ndarray:
@@ -193,9 +193,9 @@ def write_report_file(path: str | Path, reports: Iterable[int], order: HadamardO
     return count
 
 
-def read_report_file(path: str | Path) -> tuple[HadamardOrder, np.ndarray]:
-    """Read a report file back as its order and an (n, 2) int64 array of
-    (index_x, index_y) rows; validates magic, order, length, and every record.
+def read_report_file(path: str | Path) -> tuple[HadamardOrder, tuple[np.ndarray, np.ndarray]]:
+    """Read a report file back as its order and (index_x, index_y) int64
+    arrays, as a client returns them; validates magic, order, length, and every record.
 
     A record with nonzero padding or equal indices rejects the file with
     :class:`WireFormatError`. The header is checked against the

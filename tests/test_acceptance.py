@@ -293,7 +293,8 @@ def test_criterion_09_wire_format(capsys, tmp_path):
         path = tmp_path / f"every-pair-{r}.bin"
         write_report_file(path, [FhrReport(index_x=x, index_y=y) for x, y in pairs], order)
         read_order, read_back = read_report_file(path)
-        round_trip_ok &= read_order == order and read_back.tolist() == list(map(list, pairs))
+        read_pairs = list(zip(*(column.tolist() for column in read_back)))
+        round_trip_ok &= read_order == order and read_pairs == pairs
 
     # each fuzzed body sits behind a header that declares one record
     rng = np.random.default_rng(909)
@@ -312,7 +313,7 @@ def test_criterion_09_wire_format(capsys, tmp_path):
         except Exception:
             fuzz_ok = False
             continue
-        x, y = decoded.reshape(-1).tolist()
+        (x,), (y,) = (column.tolist() for column in decoded)
         fuzz_ok &= x != y and 0 <= x < order.order and 0 <= y < order.order
     passed = sizes_ok and round_trip_ok and fuzz_ok
     _report(

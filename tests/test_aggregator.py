@@ -15,7 +15,6 @@ from fldp import aggregator
 from fldp.aggregator import (
     SumVector,
     fhr_accumulate,
-    fhr_accumulate_indices,
     fhr_estimate_all,
     olh_estimate_all,
     olh_support_counts,
@@ -44,8 +43,9 @@ from _oracles import (
 
 
 def _pairs(pairs):
-    """(index_x, index_y) tuples as the (n, 2) int64 array a report file reads back."""
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    """(index_x, index_y) tuples as the two int64 index arrays a client returns."""
+    rows = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return rows[:, 0], rows[:, 1]
 
 
 class TestAccumulate:
@@ -65,28 +65,36 @@ class TestAccumulate:
         assert not summed.sums.any()
 
     def test_index_out_of_order_rejected(self):
-        with pytest.raises(ValueError):
-            fhr_accumulate_indices(np.array([4]), np.array([1]), HadamardOrder(2))
+        with pytest.raises(ValueError, match=r"report indices must lie in \[0, 4\), got 4"):
+            fhr_accumulate((np.array([4]), np.array([1])), HadamardOrder(2))
         for index in (8, 2**63, 2**64 - 1):  # the last two do not fit int64
-            with pytest.raises(ValueError, match=r"index outside \[0, 8\)"):
-                fhr_accumulate(np.array([[index, 0]], dtype=np.uint64), HadamardOrder(3))
+            pairs = (np.array([index], dtype=np.uint64), np.array([0], dtype=np.uint64))
+            with pytest.raises(ValueError, match=rf"must lie in \[0, 8\), got {index}$"):
+                fhr_accumulate(pairs, HadamardOrder(3))
 
     @pytest.mark.parametrize("shape", [(4, 3), (4,), (0,), (2, 2, 2)])
     def test_anything_but_index_pairs_rejected(self, shape):
-        with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
-            fhr_accumulate(np.zeros(shape, dtype=np.int64), HadamardOrder(3))
+        # one array is never the pair, not even (n, 2) rows; nor is one
+        # column, three, two of unequal length, or two that are not 1-D
+        zeros = np.zeros(shape, dtype=np.int64)
+        for pairs in (zeros, (zeros,), (zeros, zeros, zeros), [zeros, np.zeros(5)], 5):
+            with pytest.raises(ValueError, match="two equal-length 1-D index arrays"):
+                fhr_accumulate(pairs, HadamardOrder(3))
+        if zeros.ndim != 1:
+            with pytest.raises(ValueError, match="two equal-length 1-D index arrays"):
+                fhr_accumulate((zeros, zeros), HadamardOrder(3))
 
     def test_equal_indices_rejected(self):
-        with pytest.raises(ValueError):
-            fhr_accumulate_indices(np.array([1]), np.array([1]), HadamardOrder(2))
+        with pytest.raises(ValueError, match="equal indices"):
+            fhr_accumulate((np.array([1]), np.array([1])), HadamardOrder(2))
 
     def test_non_integer_indices_rejected(self):
         # 0.5 would be folded into column 0
         with pytest.raises(ValueError, match="report indices must be integers, got dtype float64"):
-            fhr_accumulate_indices([0.5], [1.0], HadamardOrder(2))
+            fhr_accumulate(([0.5], [1.0]), HadamardOrder(2))
         with pytest.raises(ValueError, match="report indices must be integers"):
-            fhr_accumulate(np.array([[2.0, 3.0]]), HadamardOrder(2))
-        assert fhr_accumulate_indices(np.array([]), np.array([]), HadamardOrder(2)).n == 0
+            fhr_accumulate((np.array([2.0]), np.array([3.0])), HadamardOrder(2))
+        assert fhr_accumulate((np.array([]), np.array([])), HadamardOrder(2)).n == 0
 
     @settings(max_examples=30)
     @given(st.data())
@@ -118,7 +126,7 @@ class TestFhrEstimate:
         order = min_order_for_domain(20)
         rng = np.random.default_rng(0)
         ix, iy = fhr_perturb_batch(np.full(n, item), params, order, rng)
-        summed = fhr_accumulate_indices(ix, iy, order)
+        summed = fhr_accumulate((ix, iy), order)
         est = fhr_estimate_oracle(summed, item, params)
         assert est == pytest.approx(n, rel=1e-9)
 
@@ -132,7 +140,7 @@ class TestFhrEstimate:
         for trial in range(trials):
             rng = np.random.default_rng(1000 + trial)
             ix, iy = fhr_perturb_batch(np.full(n, 7), params, order, rng)
-            summed = fhr_accumulate_indices(ix, iy, order)
+            summed = fhr_accumulate((ix, iy), order)
             estimates.append(fhr_estimate_oracle(summed, 7, params))
         estimates = np.asarray(estimates)
         sigma = estimates.std(ddof=1)
@@ -146,7 +154,7 @@ class TestFhrEstimate:
         rng = np.random.default_rng(5)
         items = rng.integers(0, 30, size=5000)
         ix, iy = fhr_perturb_batch(items, params, order, rng)
-        summed = fhr_accumulate_indices(ix, iy, order)
+        summed = fhr_accumulate((ix, iy), order)
         table = fhr_estimate_all(summed, 30, params, order)
         for item in (0, 13, 29):
             assert table.estimates[item] == pytest.approx(
@@ -160,7 +168,7 @@ class TestFhrEstimate:
         order = min_order_for_domain(domain)
         rng = np.random.default_rng(domain + n)
         ix, iy = fhr_perturb_batch(rng.integers(0, domain, size=n), params, order, rng)
-        summed = fhr_accumulate_indices(ix, iy, order)
+        summed = fhr_accumulate((ix, iy), order)
         before = summed.sums.copy()
         table = fhr_estimate_all(summed, domain, params, order)
         oracle = fhr_estimate_all_oracle(summed, domain, params, order)
@@ -509,7 +517,7 @@ class TestVarianceFormulas:
         for trial in range(trials):
             rng = np.random.default_rng(5000 + trial)
             ix, iy = fhr_perturb_batch(np.zeros(n, dtype=np.int64), params, order, rng)
-            summed = fhr_accumulate_indices(ix, iy, order)
+            summed = fhr_accumulate((ix, iy), order)
             estimates.append(fhr_estimate_oracle(summed, 9, params))
         observed = np.var(estimates, ddof=1)
         expected = fhr_variance_oracle(eps, n)

@@ -315,8 +315,11 @@ class TestAtomicOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "results.csv"]
 
     def test_manifest_survives_a_failing_dump(self, tmp_path, monkeypatch):
+        # results.csv is written first, yet it must not replace the old
+        # file beside the old manifest
         run_experiment(_tiny_spec(tmp_path))
         previous = (tmp_path / "manifest.json").read_bytes()
+        previous_results = (tmp_path / "results.csv").read_bytes()
 
         def failing_dump(obj, handle, **kwargs):
             handle.write('{"dataset": ')
@@ -326,4 +329,5 @@ class TestAtomicOutputs:
         with pytest.raises(RuntimeError, match="dump failed"):
             run_experiment(_tiny_spec(tmp_path, trials=3))
         assert (tmp_path / "manifest.json").read_bytes() == previous
+        assert (tmp_path / "results.csv").read_bytes() == previous_results
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "results.csv"]

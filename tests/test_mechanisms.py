@@ -178,19 +178,19 @@ class TestFhrReport:
     # a single report accumulates to its implied sparse vector
     def test_sparse_expansion(self):
         order = HadamardOrder(2)
-        vec = fhr_accumulate(np.array([[0, 1]]), order).sums
+        vec = fhr_accumulate((np.array([0]), np.array([1])), order).sums
         assert vec.tolist() == [1, -1, 0, 0]
 
     def test_sparse_expansion_reversed(self):
         order = HadamardOrder(2)
-        vec = fhr_accumulate(np.array([[3, 0]]), order).sums
+        vec = fhr_accumulate((np.array([3]), np.array([0])), order).sums
         assert vec.tolist() == [-1, 0, 0, 1]
 
     @given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15))
     def test_sparse_sums_to_zero(self, x, y):
         if x == y:
             return
-        vec = fhr_accumulate(np.array([[x, y]]), HadamardOrder(4)).sums
+        vec = fhr_accumulate((np.array([x]), np.array([y])), HadamardOrder(4)).sums
         assert vec.sum() == 0
 
 
@@ -347,7 +347,7 @@ class TestGrrPerturb:
 
     def test_item_outside_domain_rejected(self):
         params = PrivacyParams.for_grr(1.0, 5)
-        with pytest.raises(ValueError, match="item outside domain"):
+        with pytest.raises(ValueError, match=r"^items must lie in \[0, 5\), got 5$"):
             grr_perturb_batch(np.array([5]), params, 5, np.random.default_rng(0))
 
     def test_wrong_params_type_rejected(self):
@@ -396,7 +396,7 @@ class TestUnaryPerturb:
 
     def test_item_outside_domain_rejected(self):
         params = PrivacyParams.for_rappor(1.0)
-        with pytest.raises(ValueError, match="item outside domain"):
+        with pytest.raises(ValueError, match=r"^items must lie in \[0, 4\), got 4$"):
             unary_sample_counts(np.array([4]), params, 4, np.random.default_rng(0))
 
 
@@ -486,15 +486,24 @@ class TestOlh:
         shares = np.bincount(olh_hash(seeds, 7, g), minlength=g) / seeds.size
         assert np.all(np.abs(shares - 1 / g) <= bound)
 
+    def test_float_keys_rejected(self):
+        # a float key was truncated: 3.7 hashed as 3, [3.2, 7.9] as [3, 7]
+        with pytest.raises(ValueError, match="^OLH keys must be integers, got dtype float64$"):
+            olh_hash(12345, 3.7, 1000)
+        with pytest.raises(ValueError, match="^OLH keys must be integers, got dtype float64$"):
+            olh_hash(np.array([1, 2], dtype=np.uint64), np.array([3.2, 7.9]), 1000)
+
     def test_keys_beyond_32_bits_rejected(self):
         for item in (2**32, 2**40, -1):
-            with pytest.raises(ValueError, match="not an OLH key"):
+            message = rf"^OLH keys must lie in \[0, 4294967296\), got {item}$"
+            with pytest.raises(ValueError, match=message):
                 olh_hash(7, item, 3)
-            with pytest.raises(ValueError, match="not an OLH key"):
+            with pytest.raises(ValueError, match=message):
                 olh_hash(np.array([7, 8], dtype=np.uint64), np.array([0, item]), 3)
         assert 0 <= olh_hash(7, 2**32 - 1, 3) < 3
         # a domain may be wider than the hash's keys; such items are refused
-        with pytest.raises(ValueError, match="not an OLH key"):
+        message = r"^OLH keys must lie in \[0, 4294967296\), got 4294967296$"
+        with pytest.raises(ValueError, match=message):
             olh_perturb_batch(
                 np.array([2**32]), PrivacyParams.for_olh(1.0), 2**40, np.random.default_rng(0)
             )
@@ -517,7 +526,7 @@ class TestOlh:
     def test_item_outside_domain_rejected(self):
         params = PrivacyParams.for_olh(1.0)
         for item in (-1, 1023, 5_000_000):
-            with pytest.raises(ValueError, match="item outside domain"):
+            with pytest.raises(ValueError, match=rf"^items must lie in \[0, 1023\), got {item}$"):
                 olh_perturb_batch(np.array([item]), params, 1023, np.random.default_rng(0))
 
     def test_domain_check_draws_nothing(self):
@@ -620,6 +629,61 @@ class TestNonIntegerItems:
     @pytest.mark.parametrize("client", list(_CLIENTS))
     def test_empty_batch_of_any_dtype_accepted(self, client):
         _CLIENTS[client](np.array([]), np.random.default_rng(0))
+
+
+def _fold(column):
+    """A call that folds its values as the named column beside a valid partner."""
+    def call(values, rng):
+        partner = np.ones(np.shape(values), dtype=np.int64)
+        pairs = (values, partner) if column == "index_x" else (partner, values)
+        return fhr_accumulate(pairs, HadamardOrder(3))
+    return call
+
+
+# every index array the package takes is range-checked by one helper: the
+# site, the stop of its range [0, stop), and the name its messages give
+_RANGE_SITES = {
+    "fhr_perturb_batch": (_CLIENTS["fhr_perturb_batch"], 3, "items"),  # item i reads row i + 1
+    "grr_perturb_batch": (_CLIENTS["grr_perturb_batch"], 4, "items"),
+    "unary_sample_counts": (_CLIENTS["unary_sample_counts"], 4, "items"),
+    "olh_perturb_batch": (_CLIENTS["olh_perturb_batch"], 4, "items"),
+    "olh_hash": (lambda values, rng: olh_hash(7, values, 3), 2**32, "OLH keys"),
+    "fhr_accumulate-x": (_fold("index_x"), 8, "report indices"),
+    "fhr_accumulate-y": (_fold("index_y"), 8, "report indices"),
+    "olh_support_counts": (
+        lambda values, rng: olh_support_counts(np.zeros(2, dtype=np.uint64), values, 4, 2),
+        2,
+        "reported buckets",
+    ),
+}
+
+
+class TestRangeChecks:
+    # uint64 values at or above 2^63 would read as negative int64s, and
+    # a float would be truncated into the range
+    @pytest.mark.parametrize("site", list(_RANGE_SITES))
+    @pytest.mark.parametrize("bad", ["negative", "stop", "2^63", "2^64-1", "float"])
+    def test_out_of_range_or_float_rejected(self, site, bad):
+        call, stop, name = _RANGE_SITES[site]
+        values, got = {
+            "negative": (np.array([0, -1]), -1),
+            "stop": (np.array([0, stop]), stop),
+            "2^63": (np.array([0, 2**63], dtype=np.uint64), 2**63),
+            "2^64-1": (np.array([0, 2**64 - 1], dtype=np.uint64), 2**64 - 1),
+            "float": (np.array([0.0, 1.5]), None),
+        }[bad]
+        match = (
+            rf"^{name} must be integers, got dtype float64$"
+            if got is None
+            else rf"^{name} must lie in \[0, {stop}\), got {got}$"
+        )
+        with pytest.raises(ValueError, match=match):
+            call(values, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("site", list(_RANGE_SITES))
+    def test_last_value_below_stop_accepted(self, site):
+        call, stop, _ = _RANGE_SITES[site]
+        call(np.array([0, stop - 1]), np.random.default_rng(0))
 
 
 class TestScratchMemory:

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from _oracles import pack_fhr_oracle, unpack_fhr_oracle
 from fldp import wire
+from fldp.aggregator import fhr_accumulate
 from fldp.hadamard import HadamardOrder
-from fldp.mechanisms import FhrReport
+from fldp.mechanisms import FhrReport, PrivacyParams, fhr_perturb_batch
 from fldp.wire import (
     FILE_MAGIC,
     WireFormatError,
@@ -43,7 +44,7 @@ def _unpack_one(directory, data, order):
     path = directory / "one.bin"
     path.write_bytes(struct.pack(">4sIQ", FILE_MAGIC, order.r, 1) + data)
     _, pairs = read_report_file(path)
-    (index_x, index_y), = pairs.tolist()
+    (index_x,), (index_y,) = _lists(pairs)
     return FhrReport(index_x=index_x, index_y=index_y)
 
 
@@ -81,7 +82,7 @@ class TestPackedLayout:
         write_report_file(path, reports, order)
         body = b"".join(pack_fhr_oracle(report, order) for report in reports)
         assert path.read_bytes()[16:] == body
-        assert read_report_file(path)[1].tolist() == _rows(reports)
+        assert _lists(read_report_file(path)[1]) == _columns(reports)
 
     def test_index_overflow_rejected(self, tmp_path):
         with pytest.raises(WireFormatError, match="overflows"):
@@ -173,9 +174,15 @@ class TestPackedLayout:
         assert _unpack_one(directory, packed, order) == report
 
 
-def _rows(reports):
-    """The reports' (index_x, index_y) pairs, one list per report."""
-    return [list(_fields(report)) for report in reports]
+def _columns(reports):
+    """The reports' index_x list and index_y list."""
+    return [_fields(report)[0] for report in reports], [_fields(report)[1] for report in reports]
+
+
+def _lists(pairs):
+    """A read-back (index_x, index_y) pair of arrays as two lists."""
+    index_x, index_y = pairs
+    return index_x.tolist(), index_y.tolist()
 
 
 class TestReportFile:
@@ -193,7 +200,7 @@ class TestReportFile:
         assert count == len(reports)
         read_order, read_back = read_report_file(path)
         assert read_order == order
-        assert read_back.tolist() == _rows(reports)
+        assert _lists(read_back) == _columns(reports)
 
     def test_reads_back_a_contiguous_int64_pair_array(self, tmp_path):
         order = HadamardOrder(16)
@@ -204,10 +211,37 @@ class TestReportFile:
         path = tmp_path / "reports.bin"
         write_report_file(path, reports, order)
         _, pairs = read_report_file(path)
-        assert isinstance(pairs, np.ndarray)
-        assert pairs.dtype == np.int64 and pairs.shape == (5000, 2)
-        assert pairs.flags.c_contiguous
-        assert np.array_equal(pairs[:, 0], index_x) and np.array_equal(pairs[:, 1], index_y)
+        # the client's form, two int64 arrays, each a column view of one
+        # contiguous (n, 2) array: the reader copies no byte to split them
+        assert isinstance(pairs, tuple) and len(pairs) == 2
+        read_x, read_y = pairs
+        assert read_x.dtype == read_y.dtype == np.int64 and read_x.shape == read_y.shape == (5000,)
+        assert read_x.base is read_y.base and read_x.base.shape == (5000, 2)
+        assert read_x.base.flags.c_contiguous
+        assert np.array_equal(read_x, index_x) and np.array_equal(read_y, index_y)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=300),
+        st.floats(min_value=0.1, max_value=5.0),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_read_back_folds_like_the_client_pair(self, tmp_path_factory, r, n, epsilon, seed):
+        # client and server hold one form, (index_x, index_y): the pair the
+        # client returns and the pair the file reads back fold alike
+        order = HadamardOrder(r)
+        rng = np.random.default_rng(seed)
+        items = rng.integers(0, order.order - 1, size=n)
+        sent = fhr_perturb_batch(items, PrivacyParams.for_fhr(epsilon), order, rng)
+        path = tmp_path_factory.mktemp("fold") / "reports.bin"
+        write_report_file(path, map(FhrReport, *(column.tolist() for column in sent)), order)
+        read_order, received = read_report_file(path)
+        assert read_order == order
+        client, server = fhr_accumulate(sent, order), fhr_accumulate(received, read_order)
+        assert server.n == client.n == n
+        assert server.sums.dtype == client.sums.dtype == np.int64
+        assert np.array_equal(server.sums, client.sums)
 
     def test_header_is_sixteen_bytes(self, tmp_path):
         order = HadamardOrder(2)
@@ -289,7 +323,7 @@ class TestReportFileCodec:
         )
         assert path.read_bytes() == expected
         read_order, pairs = read_report_file(path)
-        assert read_order == order and pairs.tolist() == _rows(reports)
+        assert read_order == order and _lists(pairs) == _columns(reports)
 
     @pytest.mark.parametrize("r", [1, 16, 31])
     def test_list_and_generator_write_pack_fhr_records(self, tmp_path, r):
@@ -316,7 +350,7 @@ class TestReportFileCodec:
         write_report_file(keyword, [FhrReport(index_x=x, index_y=y) for x, y in pairs], order)
         assert positional.read_bytes() == keyword.read_bytes()
         _, read_back = read_report_file(positional)
-        assert read_back.tolist() == [list(pair) for pair in pairs]
+        assert list(zip(*_lists(read_back))) == pairs
 
     def test_empty_file_round_trip(self, tmp_path):
         path = tmp_path / "empty.bin"
@@ -324,7 +358,7 @@ class TestReportFileCodec:
         assert path.read_bytes() == struct.pack(">4sIQ", FILE_MAGIC, 5, 0)
         read_order, pairs = read_report_file(path)
         assert read_order == HadamardOrder(5)
-        assert pairs.shape == (0, 2) and pairs.dtype == np.int64
+        assert [(a.shape, a.dtype) for a in pairs] == [((0,), np.int64)] * 2
 
     def _file_with_middle_record(self, tmp_path, r, middle):
         order = HadamardOrder(r)
@@ -417,7 +451,7 @@ class TestReportFileCodec:
                 read_report_file(path)
             return
         read_order, pairs = read_report_file(path)
-        assert read_order == order and pairs.tolist() == _rows(expected)
+        assert read_order == order and _lists(pairs) == _columns(expected)
 
 
 _CHUNK = 1 << 16  # the reports the writer packs at a time
