@@ -166,9 +166,10 @@ def olh_support_counts(
     with that offset key held per report and advanced in place by ``a_i``,
     so an item costs one add, one compare and one count over the n
     reports, and no hash is recomputed. The items must be OLH keys, so
-    domain_size lies in [1, 2^32]. The set-up holds the keys (a, b), the
-    offset key of item 0 built in b's buffer, and one buffer for the
-    bucket gathers; no input is written.
+    domain_size lies in [1, 2^32], and the seeds integers in [0, 2^64),
+    as :func:`fldp.mechanisms.olh_hash` requires. The set-up holds the
+    keys (a, b), the offset key of item 0 built in b's buffer, and one
+    buffer for the bucket gathers; no input is written.
 
     The reports are cut into min(usable CPUs, n // 2^14) contiguous
     shards, at least one. Each shard walks the items on its own thread
@@ -177,7 +178,7 @@ def olh_support_counts(
     """
     if not 1 <= domain_size <= _OLH_KEY_LIMIT:
         raise ValueError(f"OLH domain size must lie in [1, 2^32], got {domain_size}")
-    seeds = _integers(seeds, "seeds").astype(np.uint64, copy=False)
+    seeds = _integers(seeds, "seeds", 1 << 64)
     values = _integers(values, "reported buckets", g)
     if seeds.shape != values.shape:
         raise ValueError("seeds and values must have matching shapes")

@@ -242,9 +242,9 @@ def FhrReport(index_x: int, index_y: int) -> int:
 
 def _integers(values: np.ndarray, name: str, stop: int | None = None) -> np.ndarray:
     """``values`` as an array; a non-empty one must hold integers, not floats.
-    With ``stop`` (at most 2^63) they must lie in [0, stop), compared as
+    With ``stop`` (at most 2^64) they must lie in [0, stop), compared as
     Python ints so that no uint64 reads as a negative int64, and come back
-    as int64."""
+    as int64, or as uint64 when ``stop`` passes 2^63."""
     values = np.asarray(values)
     if values.size and values.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
@@ -252,7 +252,9 @@ def _integers(values: np.ndarray, name: str, stop: int | None = None) -> np.ndar
         lo, hi = int(values.min()), int(values.max())
         if lo < 0 or hi >= stop:
             raise ValueError(f"{name} must lie in [0, {stop}), got {lo if lo < 0 else hi}")
-    return values if stop is None else values.astype(np.int64, copy=False)
+    if stop is None:
+        return values
+    return values.astype(np.int64 if stop <= 1 << 63 else _U64, copy=False)
 
 
 def fhr_perturb_batch(
@@ -374,10 +376,11 @@ def olh_hash(seed: int | np.ndarray, item: int | np.ndarray, g: int) -> int | np
     item t is ``((((a*t + b) mod 2^64) >> 32) * g) >> 32``. The upper half
     of ``a*t + b`` is pairwise independent over random (a, b) for keys
     below 2^32, so two distinct items collide with probability about 1/g;
-    larger items, and floats, raise ValueError. Scalar in, scalar out;
-    arrays broadcast elementwise.
+    larger items, and floats, raise ValueError, as do seeds outside
+    [0, 2^64). Scalar in, scalar out; arrays broadcast elementwise.
     """
     items = _integers(item, "OLH keys", _OLH_KEY_LIMIT)
+    seed = _integers(seed, "seeds", 1 << 64)
     # the arithmetic is modulo 2^64; numpy warns of wraparound on scalars
     with np.errstate(over="ignore"):
         a = _splitmix64(seed, 1)

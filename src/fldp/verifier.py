@@ -8,13 +8,14 @@ mechanism's output law, never sampled.
 
 GRR is enumerated: :func:`enumerate_range` writes down an item's law, one
 probability per reported value, and the rows are stacked into the items x
-outputs matrix P that :func:`certify_ranges` audits. A zero entry is an
-output outside the item's range, so the support S = P > 0 gives the range
-sizes and every pair's overlap (S . S^T). The worst ratio comes from one
-pass down P's columns, each row against the largest and smallest
-probabilities below it, so only the rows that hold a witness are walked
-pair by pair: O(items x outputs) work and at most eight row walks, not
-O(items^2 x outputs).
+outputs matrix P that :func:`certify_ranges` audits in whole-matrix
+passes. One row sum per item checks the laws, with math.fsum only for
+the rows it cannot decide. A zero entry is an output outside the item's
+range, so the support S = P > 0 gives the range sizes and every pair's
+overlap (S . S^T). The worst ratio comes from one pass down P's columns,
+each row against the largest and smallest probabilities below it, so
+only the rows that hold a witness are walked pair by pair, eight rows
+below at a time: O(items x outputs) work, not O(items^2 x outputs).
 
 FHR and the unary encodings are certified in closed form, from what their
 constructions fix, with witnesses from the same pairwise walk, each pair's
@@ -131,6 +132,12 @@ def certify_ranges(P: np.ndarray | list) -> FldpCertificate:
     over outputs both items can produce. Disjoint ranges yield eta 0 with a
     trivial ratio of 1, since no shared output exists to compare.
 
+    Each row must sum to 1 within 1e-9 as math.fsum sums it. One numpy
+    pass sums every row first: a sum of n nonnegative floats lies within
+    (n - 1) 2^-53 of the exact sum, relative, and fsum's within 2^-53, so
+    a row whose numpy sum lies within 1e-9 - n 2^-52 of 1 passes fsum too.
+    fsum sums only the other rows, and decides them and the message.
+
     Witnesses follow a walk over pairs t < t' in item order, each pair's
     shared outputs in column order: the running maximum starts at 1.0, and
     up to eight outputs that tie with it are kept in the order the walk
@@ -147,36 +154,43 @@ def certify_ranges(P: np.ndarray | list) -> FldpCertificate:
         raise ValueError("probabilities must not be NaN")
     if (P < 0).any():
         raise ValueError("probabilities must be nonnegative")
-    for row in P:
+    sums = P.sum(axis=1)
+    # fsum re-sums the rows within numpy's rounding bound of the tolerance
+    for row in P[~(abs(sums - 1.0) <= _PROB_SUM_TOL - P.shape[1] * 2.0**-52)]:
         total = math.fsum(row.tolist())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-    S = (P > 0).astype(np.float64)
+    support = P > 0
+    S = support.astype(np.float64)
     sizes = S.sum(axis=1).astype(np.int64)
-    upper = np.triu_indices(len(P), 1)
+    upper = ~np.tri(len(P), dtype=bool)
     inter = (S @ S.T)[upper].astype(np.int64)
     del S
-    eta = min(1.0, float((inter / np.maximum(sizes[upper[0]], sizes[upper[1]])).min()))
+    eta = min(1.0, float((inter / np.maximum.outer(sizes, sizes)[upper]).min()))
     del upper
-    best = _best_ratios(P)
+    # P with inf off the ranges: P[a, k] / outside[b, k] and
+    # 1 / (outside[a, k] / P[b, k]) are 0 wherever a and b do not share k
+    outside = np.where(support, P, np.inf)
+    best = _best_ratios(P, outside)
     max_ratio = max(1.0, float(best.max()))
 
     def found() -> Iterator[tuple[int, int, int]]:
+        # each row a that holds a witness against the rows below it, eight
+        # at a time: GRR's first eight hold all eight witnesses
         for a in np.flatnonzero(best == max_ratio).tolist():
-            c = np.flatnonzero(P[a])
-            block = P[a + 1 :, c]
-            with np.errstate(divide="ignore", over="ignore"):
-                forward = P[a, c] / block
+            for lo in range(a + 1, len(P), _MAX_WITNESSES):
+                below = slice(lo, lo + _MAX_WITNESSES)
+                with np.errstate(divide="ignore", over="ignore"):
+                    forward = P[a] / outside[below]
+                    ratio = np.divide(1.0, outside[a] / P[below])
                 # forward where forward >= 1, else 1 / forward (the same two
                 # float operations as a pair-by-pair walk); 0 off the shared
-                # outputs
-                ratio = 1 / forward
-            np.maximum(ratio, forward, out=ratio)
-            ratio[block == 0] = 0.0
-            # row-major: pairs (a, b) in item order, each in column order
-            for i, k in zip(*np.nonzero(ratio == max_ratio)):
-                b = a + 1 + int(i)
-                yield (a, b, int(c[k])) if forward[i, k] >= 1 else (b, a, int(c[k]))
+                # outputs. Row-major: pairs (a, b) in item order, each in
+                # column order
+                np.maximum(ratio, forward, out=ratio)
+                for i, k in zip(*np.nonzero(ratio == max_ratio)):
+                    b, k = lo + int(i), int(k)
+                    yield (a, b, k) if forward[i, k] >= 1 else (b, a, k)
 
     return FldpCertificate(
         eta_observed=eta,
@@ -190,7 +204,7 @@ def certify_ranges(P: np.ndarray | list) -> FldpCertificate:
     )
 
 
-def _best_ratios(P: np.ndarray) -> np.ndarray:
+def _best_ratios(P: np.ndarray, outside: np.ndarray) -> np.ndarray:
     """Each row a's largest ratio against the rows below it, 0 where it
     shares no output with them.
 
@@ -198,24 +212,15 @@ def _best_ratios(P: np.ndarray) -> np.ndarray:
     larger, on an output k both reach. Float division rounds monotonically
     in each operand, so over the rows b > a the larger is exactly
     P[a, k] over the least later probability at k, or one over P[a, k]
-    over the greatest: the walk's own two operations. One scratch array
-    holds the greatest later probabilities down each column, then the
-    least, each turned into its ratios in place.
+    over the greatest: the walk's own two operations. ``outside`` is P
+    with inf off the ranges, so neither quotient counts an output that a
+    and the rows below it do not share.
     """
-    above, later = P[:-1], P[1:]
-    scratch = later.copy()
-    np.maximum.accumulate(scratch[::-1], axis=0, out=scratch[::-1])
-    shared = scratch > 0
-    shared &= above > 0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.divide(above, scratch, out=scratch)
-        np.divide(1.0, scratch, out=scratch)
-        best = scratch.max(axis=1, where=shared, initial=0.0)
-        np.copyto(scratch, later)
-        np.copyto(scratch, np.inf, where=scratch == 0)
-        np.minimum.accumulate(scratch[::-1], axis=0, out=scratch[::-1])
-        np.divide(above, scratch, out=scratch)
-    return np.maximum(best, scratch.max(axis=1, where=shared, initial=0.0))
+    with np.errstate(divide="ignore", over="ignore"):
+        ratios = P[:-1] / np.minimum.accumulate(outside[:0:-1], axis=0)[::-1]
+        inverse = outside[:-1] / np.maximum.accumulate(P[:0:-1], axis=0)[::-1]
+        np.divide(1.0, inverse, out=inverse)
+    return np.maximum(ratios, inverse, out=ratios).max(axis=1)
 
 
 def _closed_form(

@@ -3,9 +3,10 @@
 ``golden.json`` holds the SHA-256 of every output the package promises to
 reproduce: a fixed-seed sweep of all five mechanisms (``results.csv``
 without its wall-time column, and ``manifest.json``), the certificates of
-CI's ``verify-fldp`` list, ``size-table 1023``, ``gen-data``'s two files,
-report files of fixed reports at every order exponent the wire format
-holds, and one report file of ``fhr_perturb_batch``'s draws.
+CI's ``verify-fldp`` list and of the benchmark's certify-grid workload,
+``size-table 1023``, ``gen-data``'s two files, report files of fixed
+reports at every order exponent the wire format holds, and one report
+file of ``fhr_perturb_batch``'s draws.
 
 The digests are kept in two groups. ``draws_nothing`` is a function of the
 code alone. ``draws`` also depends on numpy's ``Generator`` streams, which
@@ -42,6 +43,13 @@ _CERTIFICATES = [
     ("grr", 7, "1.0"), ("oue", 7, "1.0"), ("rappor", 7, "1.0"),
     ("oue", 1023, "1.0"), ("oue", 1023, "80"), ("oue", 1023, "709"),
     ("rappor", 1023, "1.0"), ("rappor", 1023, "80"), ("rappor", 1023, "709"),
+]
+# perfbench's certify-grid, ten budgets each; two of its 40 are in CI's list
+_CERTIFICATES += [
+    (mechanism, size, epsilon)
+    for mechanism, size in (("fhr", 64), ("grr", 64), ("oue", 12), ("rappor", 12))
+    for epsilon in ("0.4", "0.5", "0.6", "0.8", "1.0", "1.2", "1.4", "1.6", "1.8", "2.0")
+    if (mechanism, size, epsilon) not in _CERTIFICATES
 ]
 _SWEEP = [
     "run", "--zipf-n", "20000", "--zipf-d", "255", "--seed", "3",

@@ -686,6 +686,49 @@ class TestRangeChecks:
         call(np.array([0, stop - 1]), np.random.default_rng(0))
 
 
+# the two sites that take OLH report seeds, each called with the seeds given
+_SEED_SITES = {
+    "olh_hash": lambda seeds: olh_hash(seeds, 5, 1000),
+    "olh_support_counts": lambda seeds: olh_support_counts(
+        seeds, np.zeros(np.shape(seeds), dtype=np.int64), 4, 2
+    ),
+}
+
+
+class TestSeedChecks:
+    # a float seed was truncated (3.7 hashed as 3), and a negative int64
+    # seed read as 2^64 - 1 while a negative Python int raised OverflowError
+    @pytest.mark.parametrize("site", list(_SEED_SITES))
+    @pytest.mark.parametrize(
+        "seeds,message",
+        [
+            (3.7, r"seeds must be integers, got dtype float64"),
+            (np.array([3.7]), r"seeds must be integers, got dtype float64"),
+            (-1, r"seeds must lie in \[0, 18446744073709551616\), got -1"),
+            (np.array([1, -1]), r"seeds must lie in \[0, 18446744073709551616\), got -1"),
+            (2**64, r"seeds must be integers, got dtype object"),
+            (np.array([2**64], dtype=object), r"seeds must be integers, got dtype object"),
+        ],
+        ids=["float", "float-array", "negative", "negative-array", "2^64", "2^64-array"],
+    )
+    def test_seed_outside_the_64_bit_words_rejected(self, site, seeds, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _SEED_SITES[site](seeds)
+
+    def test_seeds_past_2_63_hash_as_unsigned_words(self):
+        seeds = [0, 3, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1]
+        buckets = olh_hash(np.array(seeds, dtype=np.uint64), 5, 1000)
+        assert buckets.tolist() == [olh_hash_oracle(s, 5, 1000) for s in seeds]
+        assert [olh_hash(s, 5, 1000) for s in seeds] == buckets.tolist()
+        # an int64 seed array in range hashes like the same uint64 words
+        assert olh_hash(np.array(seeds[:3]), 5, 1000).tolist() == buckets[:3].tolist()
+        counts = olh_support_counts(np.array(seeds, dtype=np.uint64), buckets % 2, 4, 2)
+        assert counts.tolist() == [
+            sum(olh_hash_oracle(s, t, 2) == v for s, v in zip(seeds, (buckets % 2).tolist()))
+            for t in range(4)
+        ]
+
+
 class TestScratchMemory:
     """The clients and the Zipf generator keep their draws in place: peak
     traced memory at n = 2^17, in units of one n-sized uint64 array."""

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 import sys
 import tracemalloc
 
@@ -223,6 +224,29 @@ class TestCertify:
         with pytest.raises(ValueError, match=message):
             certify_ranges(P)
 
+    @pytest.mark.parametrize("width", [2, 64, 256, 4096])
+    def test_row_sums_near_the_tolerance_decided_as_fsum_decides(self, width):
+        # rows whose exact sums lie a few ulps either side of 1 +- 1e-9, and
+        # of the edge inside it past which numpy's row sum is not trusted
+        rows = _rows_summing_to(width, _sums_near_the_tolerance(width), np.random.default_rng(width))
+        uniform = np.full(width, 1 / width)
+        oracle = [math.fsum(row.tolist()) for row in rows]
+        assert {abs(total - 1.0) > 1e-9 for total in oracle} == {False, True}
+        if width > 2:
+            # numpy's pairwise row sums and fsum differ in the last bits
+            assert (rows.sum(axis=1) != oracle).any()
+        for row, total in zip(rows, oracle):
+            if abs(total - 1.0) > 1e-9:
+                message = f"^probabilities sum to {re.escape(repr(total))}, expected 1$"
+                with pytest.raises(ValueError, match=message):
+                    certify_ranges([uniform, row])
+            else:
+                assert certify_ranges([uniform, row]).eta_observed == 1.0
+        # in one matrix, the first row that fsum rejects is the one named
+        first = next(t for t in oracle if abs(t - 1.0) > 1e-9)
+        with pytest.raises(ValueError, match=f"^probabilities sum to {re.escape(repr(first))},"):
+            certify_ranges(rows)
+
     def test_certificate_validation(self):
         with pytest.raises(ValueError):
             FldpCertificate(eta_observed=1.5, max_ratio_observed=1.0, epsilon_effective=0.0)
@@ -371,6 +395,31 @@ class TestMatrixAgainstPairwiseOracle:
         assert (cert.range_size_min, cert.range_size_max) == (3, 6)
         assert (cert.intersection_size_min, cert.intersection_size_max) == (2, 5)
         assert cert.eta_observed == 2 / 6
+
+
+def _sums_near_the_tolerance(width):
+    """Floats a few ulps either side of 1 + 1e-9 and 1 - 1e-9, and of
+    1 +- (1e-9 - width 2^-52), the edge of the certifier's row-sum screen."""
+    sums = []
+    for edge in (1e-9, 1e-9 - width * 2.0**-52):
+        for sign, ulp in ((1, 2.0**-52), (-1, 2.0**-53)):
+            last = 1 + sign * (edge // ulp) * ulp  # the last float within edge of 1
+            sums += [last + sign * k * ulp for k in range(-3, 4)]
+    return sums
+
+
+def _rows_summing_to(width, sums, rng):
+    """One row of ``width`` nonnegative floats per entry of ``sums``, whose
+    exact sum is that entry: a large first entry, then width - 1 below half
+    its ulp, which numpy's row sum drops where it adds them to the first."""
+    rows = np.empty((len(sums), width))
+    for row, total in zip(rows, sums):
+        row[1:] = rng.integers(1, 2**8, size=width - 1) * 2.0**-62
+        # the small entries sum to a multiple of 2^-52, so total less their
+        # sum is a float
+        row[-1] += -math.fsum(row[1:].tolist()) % 2.0**-52
+        row[0] = total - math.fsum(row[1:].tolist())
+    return rows
 
 
 def _matrix(*laws):
