@@ -6,13 +6,16 @@ shared output the probability ratio is at most e^eps. A certificate gives
 the observed eta, the worst ratio and its witnesses, derived from the
 mechanism's output law, never sampled.
 
-GRR is enumerated: :func:`enumerate_range` writes down an item's law, one
-probability per reported value, and the rows are stacked into the items x
-outputs matrix P that :func:`certify_ranges` audits in whole-matrix
-passes. One row sum per item checks the laws, with math.fsum only for
-the rows it cannot decide. A zero entry is an output outside the item's
-range, so the support S = P > 0 gives the range sizes and every pair's
-overlap (S . S^T). The worst ratio comes from one pass down P's columns,
+GRR is enumerated: :func:`enumerate_range`, given every item at once,
+writes down the items x outputs matrix P, one law per row and one
+probability per reported value, that :func:`certify_ranges` audits in
+whole-matrix passes. One minimum checks for NaN and negative entries, and
+one row sum per item checks the laws, with math.fsum only for the rows it
+cannot decide. A zero entry is an output outside the item's range, so the
+support S = P > 0 gives the symmetric Gram matrix S . S^T: the range
+sizes down its diagonal, every pair's overlap off it. A matrix with no
+zero, as every GRR law is, skips it: each range is all the outputs, and
+eta is 1. The worst ratio comes from one pass down P's columns,
 each row against the largest and smallest probabilities below it, so
 only the rows that hold a witness are walked pair by pair, eight rows
 below at a time: O(items x outputs) work, not O(items^2 x outputs).
@@ -35,13 +38,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .hadamard import min_order_for_domain, row_vector
-from .mechanisms import PrivacyParams, _require, lookup
+from .mechanisms import PrivacyParams, _integers, _require, lookup
 
 __all__ = [
     "EnumerationLimitError",
@@ -102,23 +106,25 @@ class FldpCertificate:
             raise ValueError(f"max ratio must be at least 1, got {self.max_ratio_observed}")
 
 
-def enumerate_range(item: int, params: PrivacyParams, domain_size: int) -> np.ndarray:
-    """Exact output law of GRR run on ``item``: the probability of each
-    reported value, indexed by the value.
+def enumerate_range(items, params: PrivacyParams, domain_size: int) -> np.ndarray:
+    """Exact output law of GRR run on each of ``items``: the probability of
+    each reported value, indexed by the value. One item gives one row, an
+    array of items the items x outputs matrix, built in one allocation.
 
     Analytic, never sampled; raises :class:`EnumerationLimitError` when the
-    output space is too large to write down. GRR only: FHR and the unary
-    encodings are certified in closed form by :func:`certify_mechanism`.
+    output space is too large to write down, and ValueError for an item
+    that is not an integer in [0, domain_size). GRR only: FHR and the
+    unary encodings are certified in closed form by
+    :func:`certify_mechanism`.
     """
     if domain_size > _MAX_GRR_DOMAIN:
         raise EnumerationLimitError(
             f"GRR domain {domain_size} exceeds the enumeration limit {_MAX_GRR_DOMAIN}"
         )
-    if not 0 <= item < domain_size:
-        raise ValueError(f"item {item} outside domain [0, {domain_size})")
+    items = _integers(items, "items", domain_size)
     _require(params, "q", "GRR or unary encoding")
-    probs = np.full(domain_size, params.q)
-    probs[item] = params.p
+    probs = np.full((*items.shape, domain_size), params.q)
+    probs.reshape(-1, domain_size)[np.arange(items.size), items.ravel()] = params.p
     return probs
 
 
@@ -131,6 +137,10 @@ def certify_ranges(P: np.ndarray | list) -> FldpCertificate:
     eta reported is the worst overlap fraction; the ratio is maximized only
     over outputs both items can produce. Disjoint ranges yield eta 0 with a
     trivial ratio of 1, since no shared output exists to compare.
+
+    Sizes and overlaps are read off the support's Gram matrix, its
+    diagonal masked for the pairs; with no zero entry it is not formed, as
+    every range is all n outputs and eta is 1.
 
     Each row must sum to 1 within 1e-9 as math.fsum sums it. One numpy
     pass sums every row first: a sum of n nonnegative floats lies within
@@ -150,27 +160,37 @@ def certify_ranges(P: np.ndarray | list) -> FldpCertificate:
         raise ValueError(f"P must be a 2-D items x outputs matrix, got {P.ndim} dimensions")
     if len(P) < 2:
         raise ValueError("certification needs at least two items")
-    if np.isnan(P).any():
+    # a NaN anywhere makes the minimum NaN, so one pass checks both
+    low = P.min(initial=np.inf)
+    if np.isnan(low):
         raise ValueError("probabilities must not be NaN")
-    if (P < 0).any():
+    if low < 0:
         raise ValueError("probabilities must be nonnegative")
+    n = P.shape[1]
     sums = P.sum(axis=1)
     # fsum re-sums the rows within numpy's rounding bound of the tolerance
-    for row in P[~(abs(sums - 1.0) <= _PROB_SUM_TOL - P.shape[1] * 2.0**-52)]:
+    for row in P[~(abs(sums - 1.0) <= _PROB_SUM_TOL - n * 2.0**-52)]:
         total = math.fsum(row.tolist())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-    support = P > 0
-    S = support.astype(np.float64)
-    sizes = S.sum(axis=1).astype(np.int64)
-    upper = ~np.tri(len(P), dtype=bool)
-    inter = (S @ S.T)[upper].astype(np.int64)
-    del S
-    eta = min(1.0, float((inter / np.maximum.outer(sizes, sizes)[upper]).min()))
-    del upper
-    # P with inf off the ranges: P[a, k] / outside[b, k] and
-    # 1 / (outside[a, k] / P[b, k]) are 0 wherever a and b do not share k
-    outside = np.where(support, P, np.inf)
+    if low > 0:
+        # every range is all n outputs, so every pair shares all n
+        eta, sizes, overlaps, outside = 1.0, (n, n), (n, n), P
+    else:
+        support = P > 0
+        S = support.astype(np.float64)
+        gram = S @ S.T  # the range sizes down the diagonal, the overlaps off it
+        sizes = gram.diagonal().copy()
+        fractions = gram / np.maximum.outer(sizes, sizes)
+        np.fill_diagonal(fractions, np.inf)
+        eta = min(1.0, float(fractions.min()))
+        np.fill_diagonal(gram, np.inf)
+        least = gram.min()
+        np.fill_diagonal(gram, -np.inf)
+        sizes, overlaps = (sizes.min(), sizes.max()), (least, gram.max())
+        # P with inf off the ranges: P[a, k] / outside[b, k] and
+        # 1 / (outside[a, k] / P[b, k]) are 0 wherever a and b do not share k
+        outside = np.where(support, P, np.inf)
     best = _best_ratios(P, outside)
     max_ratio = max(1.0, float(best.max()))
 
@@ -180,9 +200,8 @@ def certify_ranges(P: np.ndarray | list) -> FldpCertificate:
         for a in np.flatnonzero(best == max_ratio).tolist():
             for lo in range(a + 1, len(P), _MAX_WITNESSES):
                 below = slice(lo, lo + _MAX_WITNESSES)
-                with np.errstate(divide="ignore", over="ignore"):
-                    forward = P[a] / outside[below]
-                    ratio = np.divide(1.0, outside[a] / P[below])
+                forward = P[a] / outside[below]
+                ratio = np.divide(1.0, outside[a] / P[below])
                 # forward where forward >= 1, else 1 / forward (the same two
                 # float operations as a pair-by-pair walk); 0 off the shared
                 # outputs. Row-major: pairs (a, b) in item order, each in
@@ -192,15 +211,17 @@ def certify_ranges(P: np.ndarray | list) -> FldpCertificate:
                     b, k = lo + int(i), int(k)
                     yield (a, b, k) if forward[i, k] >= 1 else (b, a, k)
 
+    with np.errstate(divide="ignore", over="ignore"):
+        witnesses = tuple(itertools.islice(found(), _MAX_WITNESSES))
     return FldpCertificate(
         eta_observed=eta,
         max_ratio_observed=max_ratio,
         epsilon_effective=math.log(max_ratio),
-        pair_witnesses=tuple(itertools.islice(found(), _MAX_WITNESSES)),
-        range_size_min=int(sizes.min()),
-        range_size_max=int(sizes.max()),
-        intersection_size_min=int(inter.min()),
-        intersection_size_max=int(inter.max()),
+        pair_witnesses=witnesses,
+        range_size_min=int(sizes[0]),
+        range_size_max=int(sizes[1]),
+        intersection_size_min=int(overlaps[0]),
+        intersection_size_max=int(overlaps[1]),
     )
 
 
@@ -307,8 +328,13 @@ def _certify_unary(mechanism: str, params: PrivacyParams, domain_size: int) -> F
 def certify_mechanism(mechanism: str, epsilon: float, domain_size: int) -> FldpCertificate:
     """Audit all pairs of items under the registry's parameters: FHR and
     the unary encodings in closed form, GRR over every item's enumerated
-    range."""
+    range. The domain size is an int or a numpy integer, checked before
+    any mechanism's branch."""
     record = lookup(mechanism)
+    try:
+        domain_size = operator.index(domain_size)
+    except TypeError:
+        raise ValueError(f"domain size must be an integer, got {domain_size!r}") from None
     if domain_size < 2:
         raise ValueError(f"domain must have at least 2 items, got {domain_size}")
     params = record.params(epsilon, domain_size)
@@ -318,7 +344,7 @@ def certify_mechanism(mechanism: str, epsilon: float, domain_size: int) -> FldpC
         return _certify_unary(mechanism, params, domain_size)
     if mechanism != "grr":
         raise ValueError(f"cannot certify mechanism {mechanism!r}")
-    return certify_ranges([enumerate_range(t, params, domain_size) for t in range(domain_size)])
+    return certify_ranges(enumerate_range(np.arange(domain_size), params, domain_size))
 
 
 def certificate_passes(mechanism: str, epsilon: float, certificate: FldpCertificate) -> bool:

@@ -71,6 +71,36 @@ class TestEnumerateRange:
         for value, prob in enumerate(row.tolist()):
             assert prob == pytest.approx(params.p if value == 2 else params.q)
 
+    @pytest.mark.parametrize("d", [2, 64, 256])
+    @pytest.mark.parametrize("eps", [0.4, 1.0, 709.78])
+    def test_item_array_gives_the_stacked_rows(self, d, eps):
+        # one call for every item, bit for bit the rows one call per item
+        # gives, in one items x outputs matrix
+        params = PrivacyParams.for_grr(eps, d)
+        matrix = enumerate_range(np.arange(d), params, d)
+        rows = np.stack([enumerate_range(t, params, d) for t in range(d)])
+        assert matrix.dtype == np.float64 and matrix.shape == (d, d)
+        assert matrix.tobytes() == rows.tobytes()
+        assert enumerate_range(np.array([[1, 0]]), params, d).tobytes() == rows[[1, 0]].tobytes()
+
+    @pytest.mark.parametrize(
+        "item,message",
+        [
+            (True, "^items must be integers, got dtype bool$"),
+            (1.5, "^items must be integers, got dtype float64$"),
+            ("1", "^items must be integers, got dtype <U1$"),
+            (-1, r"^items must lie in \[0, 4\), got -1$"),
+            (4, r"^items must lie in \[0, 4\), got 4$"),
+        ],
+    )
+    def test_items_must_be_integers_in_the_domain(self, item, message):
+        # a bool once indexed every entry, [p, p, p, p], and a float or a
+        # string raised numpy's own errors
+        params = PrivacyParams.for_grr(1.0, 4)
+        for items in (item, np.array([item, item])):
+            with pytest.raises(ValueError, match=message):
+                enumerate_range(items, params, 4)
+
     def test_unary_range_is_all_bit_patterns(self):
         params = PrivacyParams.for_oue(1.0)
         rng = unary_range_oracle("oue", 1, params, 3)
@@ -135,6 +165,18 @@ class TestEnumerateRange:
                 certify_mechanism(name, 1.0, domain)
         with pytest.raises(ValueError, match="^unknown mechanism 'shr'"):
             certify_mechanism("shr", 1.0, domain)
+
+    @pytest.mark.parametrize("name,domain", [("fhr", 2.5), ("grr", 2.5), ("oue", 3.0),
+                                             ("rappor", 3.0), ("grr", np.float64(4.0)), ("oue", "4")])
+    def test_non_integer_domain_rejected_alike(self, name, domain):
+        # each mechanism once raised its own TypeError
+        message = f"^domain size must be an integer, got {re.escape(repr(domain))}$"
+        with pytest.raises(ValueError, match=message):
+            certify_mechanism(name, 1.0, domain)
+
+    @pytest.mark.parametrize("name", ["fhr", "grr", "oue", "rappor"])
+    def test_numpy_integer_domain_accepted(self, name):
+        assert certify_mechanism(name, 1.0, np.int64(5)) == certify_mechanism(name, 1.0, 5)
 
     def test_output_range_validation(self):
         # each row is one item's law: it must sum to 1, and the rows must
@@ -466,6 +508,12 @@ _OVERFLOW = (([0, 1], [5e-324, 1.0]), ([1, 0], [0.5, 0.5]))
 _LAST_PAIR = (([5], [1.0]), ([0, 1], [0.5, 0.5]), ([0, 1], [0.8, 0.2]))
 # the worst ratio, 5, only as 1 / forward: 0.1 / 0.5 inverted
 _INVERSE = (([0, 1], [0.1, 0.9]), ([0, 1], [0.5, 0.5]))
+# no zero entry: unequal rows, a repeated row and ratio-2 ties in more
+# pairs than the eight witnesses kept
+_FULL = tuple(
+    (range(3), probs)
+    for probs in ([0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5], [0.5, 0.25, 0.25])
+)
 
 
 class TestAuditAgainstPairwiseOracle:
@@ -479,6 +527,7 @@ class TestAuditAgainstPairwiseOracle:
     @example(_matrix(*_OVERFLOW))
     @example(_matrix(*_LAST_PAIR))
     @example(_matrix(*_INVERSE))
+    @example(_matrix(*_FULL))
     # ties everywhere at ratio 1, past the eight witnesses kept
     @example(_matrix(*[(range(4), [0.25] * 4)] * 4))
     def test_any_range_set(self, P):
@@ -493,6 +542,13 @@ class TestAuditAgainstPairwiseOracle:
         assert certify_ranges(_matrix(*_LAST_PAIR)).pair_witnesses == ((1, 2, 1),)
         cert = certify_ranges(_matrix(*_INVERSE))
         assert (cert.max_ratio_observed, cert.pair_witnesses) == (5.0, ((1, 0, 0),))
+        # with no zero entry every range is all n outputs; _LAST_PAIR has zeros
+        for laws, n in ((_FULL, 3), (_OVERFLOW, 2)):
+            assert (_matrix(*laws) > 0).all()
+            assert _sizes(certify_ranges(_matrix(*laws))) == (1.0, n, n, n, n)
+        assert _sizes(certify_ranges(_matrix(*_LAST_PAIR))) == (0.0, 1, 2, 0, 2)
+        cert = certify_ranges(_matrix(*_FULL))
+        assert cert.max_ratio_observed == 2.0 and len(cert.pair_witnesses) == 8
 
     def test_peak_memory_at_the_grr_limit(self):
         # at most the pairwise walk's 3.37 MiB plus one items x outputs array
