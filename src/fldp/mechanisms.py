@@ -240,20 +240,18 @@ def FhrReport(index_x: int, index_y: int) -> int:
     return index_x << 32 | index_y
 
 
-def _integers(values: np.ndarray, name: str, stop: int | None = None) -> np.ndarray:
-    """``values`` as an array; a non-empty one must hold integers, not floats.
-    With ``stop`` (at most 2^64) they must lie in [0, stop), compared as
-    Python ints so that no uint64 reads as a negative int64, and come back
-    as int64, or as uint64 when ``stop`` passes 2^63."""
+def _integers(values: np.ndarray, name: str, stop: int) -> np.ndarray:
+    """``values`` as an array; a non-empty one must hold integers, not
+    floats, in [0, stop) for a ``stop`` of at most 2^64, compared as Python
+    ints so that no uint64 reads as a negative int64. They come back as
+    int64, or as uint64 when ``stop`` passes 2^63."""
     values = np.asarray(values)
     if values.size and values.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
-    if stop is not None and values.size:
+    if values.size:
         lo, hi = int(values.min()), int(values.max())
         if lo < 0 or hi >= stop:
             raise ValueError(f"{name} must lie in [0, {stop}), got {lo if lo < 0 else hi}")
-    if stop is None:
-        return values
     return values.astype(np.int64 if stop <= 1 << 63 else _U64, copy=False)
 
 

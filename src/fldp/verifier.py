@@ -9,13 +9,11 @@ mechanism's output law, never sampled.
 GRR is enumerated: :func:`enumerate_range`, given every item at once,
 writes down the items x outputs matrix P, one law per row and one
 probability per reported value, that :func:`certify_ranges` audits in
-whole-matrix passes. One minimum checks for NaN and negative entries, and
-one row sum per item checks the laws, with math.fsum only for the rows it
-cannot decide. A zero entry is an output outside the item's range, so the
-support S = P > 0 gives the symmetric Gram matrix S . S^T: the range
-sizes down its diagonal, every pair's overlap off it. A matrix with no
-zero, as every GRR law is, skips it: each range is all the outputs, and
-eta is 1. The worst ratio comes from one pass down P's columns,
+whole-matrix passes. Every GRR law reaches every output, so the audit
+takes only matrices with no zero entry: each range is all the outputs,
+and eta is 1. One minimum checks for NaN, negative and zero entries, and
+one row sum per item checks the laws, with math.fsum only for the rows
+it cannot decide. The worst ratio comes from one pass down P's columns,
 each row against the largest and smallest probabilities below it, so
 only the rows that hold a witness are walked pair by pair, eight rows
 below at a time: O(items x outputs) work, not O(items^2 x outputs).
@@ -133,14 +131,10 @@ def certify_ranges(P: np.ndarray | list) -> FldpCertificate:
     pair of items.
 
     Row t of ``P`` (a 2-D array, or a sequence of equal-length rows) is
-    item t's output law, and a zero entry an output outside t's range. The
-    eta reported is the worst overlap fraction; the ratio is maximized only
-    over outputs both items can produce. Disjoint ranges yield eta 0 with a
-    trivial ratio of 1, since no shared output exists to compare.
-
-    Sizes and overlaps are read off the support's Gram matrix, its
-    diagonal masked for the pairs; with no zero entry it is not formed, as
-    every range is all n outputs and eta is 1.
+    item t's output law over all n outputs, as GRR's laws are: a zero
+    entry raises ValueError, since a law with zeros needs a closed form.
+    Every range is then all n outputs and every pair shares all n, so eta
+    is 1 and the ratio is maximized over every output.
 
     Each row must sum to 1 within 1e-9 as math.fsum sums it. One numpy
     pass sums every row first: a sum of n nonnegative floats lies within
@@ -149,23 +143,25 @@ def certify_ranges(P: np.ndarray | list) -> FldpCertificate:
     fsum sums only the other rows, and decides them and the message.
 
     Witnesses follow a walk over pairs t < t' in item order, each pair's
-    shared outputs in column order: the running maximum starts at 1.0, and
-    up to eight outputs that tie with it are kept in the order the walk
-    meets them. The worst ratio is found first, in one pass over the
-    matrix (:func:`_best_ratios`), so the walk visits only the rows that
-    hold a witness, at most eight.
+    outputs in column order: the running maximum starts at 1.0, and up to
+    eight outputs that tie with it are kept in the order the walk meets
+    them. The worst ratio is found first, in one pass over the matrix
+    (:func:`_best_ratios`), so the walk visits only the rows that hold a
+    witness, at most eight.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2:
         raise ValueError(f"P must be a 2-D items x outputs matrix, got {P.ndim} dimensions")
     if len(P) < 2:
         raise ValueError("certification needs at least two items")
-    # a NaN anywhere makes the minimum NaN, so one pass checks both
+    # a NaN anywhere makes the minimum NaN, so one pass checks all three
     low = P.min(initial=np.inf)
     if np.isnan(low):
         raise ValueError("probabilities must not be NaN")
     if low < 0:
         raise ValueError("probabilities must be nonnegative")
+    if low == 0:
+        raise ValueError("probabilities must be positive: a law with zeros needs a closed form")
     n = P.shape[1]
     sums = P.sum(axis=1)
     # fsum re-sums the rows within numpy's rounding bound of the tolerance
@@ -173,73 +169,52 @@ def certify_ranges(P: np.ndarray | list) -> FldpCertificate:
         total = math.fsum(row.tolist())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-    if low > 0:
-        # every range is all n outputs, so every pair shares all n
-        eta, sizes, overlaps, outside = 1.0, (n, n), (n, n), P
-    else:
-        support = P > 0
-        S = support.astype(np.float64)
-        gram = S @ S.T  # the range sizes down the diagonal, the overlaps off it
-        sizes = gram.diagonal().copy()
-        fractions = gram / np.maximum.outer(sizes, sizes)
-        np.fill_diagonal(fractions, np.inf)
-        eta = min(1.0, float(fractions.min()))
-        np.fill_diagonal(gram, np.inf)
-        least = gram.min()
-        np.fill_diagonal(gram, -np.inf)
-        sizes, overlaps = (sizes.min(), sizes.max()), (least, gram.max())
-        # P with inf off the ranges: P[a, k] / outside[b, k] and
-        # 1 / (outside[a, k] / P[b, k]) are 0 wherever a and b do not share k
-        outside = np.where(support, P, np.inf)
-    best = _best_ratios(P, outside)
-    max_ratio = max(1.0, float(best.max()))
+    # each pair's ratio on an output, or its inverse, is at least 1
+    best = _best_ratios(P)
+    max_ratio = float(best.max())
 
     def found() -> Iterator[tuple[int, int, int]]:
         # each row a that holds a witness against the rows below it, eight
         # at a time: GRR's first eight hold all eight witnesses
         for a in np.flatnonzero(best == max_ratio).tolist():
             for lo in range(a + 1, len(P), _MAX_WITNESSES):
-                below = slice(lo, lo + _MAX_WITNESSES)
-                forward = P[a] / outside[below]
-                ratio = np.divide(1.0, outside[a] / P[below])
+                below = P[lo : lo + _MAX_WITNESSES]
+                forward = P[a] / below
+                ratio = np.divide(1.0, forward)
                 # forward where forward >= 1, else 1 / forward (the same two
-                # float operations as a pair-by-pair walk); 0 off the shared
-                # outputs. Row-major: pairs (a, b) in item order, each in
-                # column order
+                # float operations as a pair-by-pair walk). Row-major: pairs
+                # (a, b) in item order, each in column order
                 np.maximum(ratio, forward, out=ratio)
                 for i, k in zip(*np.nonzero(ratio == max_ratio)):
                     b, k = lo + int(i), int(k)
                     yield (a, b, k) if forward[i, k] >= 1 else (b, a, k)
 
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(over="ignore"):
         witnesses = tuple(itertools.islice(found(), _MAX_WITNESSES))
     return FldpCertificate(
-        eta_observed=eta,
+        eta_observed=1.0,
         max_ratio_observed=max_ratio,
         epsilon_effective=math.log(max_ratio),
         pair_witnesses=witnesses,
-        range_size_min=int(sizes[0]),
-        range_size_max=int(sizes[1]),
-        intersection_size_min=int(overlaps[0]),
-        intersection_size_max=int(overlaps[1]),
+        range_size_min=n,
+        range_size_max=n,
+        intersection_size_min=n,
+        intersection_size_max=n,
     )
 
 
-def _best_ratios(P: np.ndarray, outside: np.ndarray) -> np.ndarray:
-    """Each row a's largest ratio against the rows below it, 0 where it
-    shares no output with them.
+def _best_ratios(P: np.ndarray) -> np.ndarray:
+    """Each row a's largest ratio against the rows below it.
 
     Pair (a, b) has ratio P[a, k] / P[b, k] or its inverse, whichever is
-    larger, on an output k both reach. Float division rounds monotonically
-    in each operand, so over the rows b > a the larger is exactly
-    P[a, k] over the least later probability at k, or one over P[a, k]
-    over the greatest: the walk's own two operations. ``outside`` is P
-    with inf off the ranges, so neither quotient counts an output that a
-    and the rows below it do not share.
+    larger, on each output k. Float division rounds monotonically in each
+    operand, so over the rows b > a the larger is exactly P[a, k] over the
+    least later probability at k, or one over P[a, k] over the greatest:
+    the walk's own two operations.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        ratios = P[:-1] / np.minimum.accumulate(outside[:0:-1], axis=0)[::-1]
-        inverse = outside[:-1] / np.maximum.accumulate(P[:0:-1], axis=0)[::-1]
+    with np.errstate(over="ignore"):
+        ratios = P[:-1] / np.minimum.accumulate(P[:0:-1], axis=0)[::-1]
+        inverse = P[:-1] / np.maximum.accumulate(P[:0:-1], axis=0)[::-1]
         np.divide(1.0, inverse, out=inverse)
     return np.maximum(ratios, inverse, out=ratios).max(axis=1)
 

@@ -300,9 +300,11 @@ def exact_range(mechanism: str, item: int, params, domain_size: int) -> dict:
 
 def law_matrix(laws) -> np.ndarray:
     """Items' ``{output: probability}`` laws as the rows of one items x
-    outputs matrix, as :func:`certify_ranges` takes it: each output's
-    column is where the walk over the laws first meets it, and an item's
-    row is zero at the outputs it cannot emit."""
+    outputs matrix: each output's column is where the walk over the laws
+    first meets it, and an item's row is zero at the outputs it cannot
+    emit. Laws that reach every output, as GRR's and the unary encodings'
+    do, give a matrix :func:`certify_ranges` takes; FHR's, whose ranges
+    hold half the outputs, are audited by :func:`rows_below_oracle`."""
     outputs = dict.fromkeys(itertools.chain.from_iterable(laws))
     column = {s: k for k, s in enumerate(outputs)}
     P = np.zeros((len(laws), len(column)))
@@ -491,6 +493,40 @@ def witness_walk_oracle(ranges, top) -> tuple:
         if ratio == top
     )
     return tuple(itertools.islice(found, 8))
+
+
+def rows_below_oracle(P) -> FldpCertificate:
+    """The certificate of an items x outputs matrix that may hold zeros,
+    with no witnesses: each row against every row below it.
+
+    A zero entry is an output outside that item's range. A pair's overlap
+    is the outputs both reach, and its ratios are P[a, k] / P[b, k] and
+    one over it, on those outputs only; float division rounds
+    monotonically, so the largest inverse is one over the least ratio.
+    :func:`witness_walk_oracle` gives the witnesses at the returned ratio.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    reach = P > 0
+    sizes = reach.sum(axis=1)
+    eta, top, overlaps = 1.0, 1.0, []
+    for a in range(len(P) - 1):
+        mine, below = P[a, reach[a]], P[a + 1 :, reach[a]]
+        shared = below > 0
+        counts = shared.sum(axis=1)
+        overlaps += counts.tolist()
+        eta = min(eta, float((counts / np.maximum(sizes[a], sizes[a + 1 :])).min()))
+        with np.errstate(over="ignore"):
+            forward = np.divide(mine, below, out=np.ones(below.shape), where=shared)
+            top = max(top, float(forward.max()), 1 / float(forward.min()))
+    return FldpCertificate(
+        eta_observed=eta,
+        max_ratio_observed=top,
+        epsilon_effective=math.log(top),
+        range_size_min=int(sizes.min()),
+        range_size_max=int(sizes.max()),
+        intersection_size_min=min(overlaps),
+        intersection_size_max=max(overlaps),
+    )
 
 
 def pack_fhr_oracle(report: int, order: HadamardOrder) -> bytes:

@@ -128,6 +128,10 @@ class TestRejectedBeforeWork:
             (["run", "--csv", "", "--mechanisms", "fhr", "--epsilons", "1", "--topk", "1",
               "--trials", "1"],
              "csv source requires a CSV file path, got ''"),
+            (_RUN + ["--mechanisms", ",", "--epsilons", "1", "--topk", "5"],
+             "need at least one mechanism"),
+            (_RUN + ["--mechanisms", "fhr", "--epsilons", "1", "--topk", ","],
+             "need at least one k"),
         ],
     )
     def test_one_usage_line_and_nothing_written(self, argv, message, capsys, tmp_path):

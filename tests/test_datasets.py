@@ -104,6 +104,11 @@ class TestZipf:
         with pytest.raises(ValueError):
             DatasetSpec(source="csv")
 
+    def test_csv_spec_is_not_drawn(self):
+        spec = DatasetSpec(source="csv", path="values.csv")
+        with pytest.raises(ValueError, match="^spec source is 'csv', expected 'zipf'$"):
+            generate_zipf(spec)
+
     def test_empty_csv_path_rejected(self):
         # an empty path would open the working directory
         with pytest.raises(ValueError, match="^csv source requires a CSV file path, got ''$"):
@@ -127,6 +132,14 @@ class TestIngestCsv:
         assert stream.domain_size == 2
         assert stream.labels == ("a", "b")
         assert stream.ground_truth.tolist() == [2, 1]
+        assert stream.items.tolist() == [0, 1, 0]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # blank separator lines are not records, nor empty values
+        path = tmp_path / "spaced.csv"
+        path.write_text("\na\n\nb\n\n\na\n\n", encoding="utf-8")
+        stream = ingest_csv(path)
+        assert stream.labels == ("a", "b")
         assert stream.items.tolist() == [0, 1, 0]
 
     def test_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path):

@@ -117,6 +117,13 @@ class TestPrivacyParams:
         with pytest.raises(ValueError):
             PrivacyParams(epsilon=1.0, p=0.3, q=0.5)
 
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, math.nan])
+    def test_keep_probability_outside_the_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match=r"^p must lie in \(0, 1\], got"):
+            PrivacyParams(epsilon=1.0, p=p)
+        # p = 1 is the floating-point limit of every keep probability
+        assert PrivacyParams(epsilon=1.0, p=1.0).p == 1.0
+
 
 class TestFhrReport:
     def test_equal_indices_rejected(self):

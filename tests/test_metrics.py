@@ -178,6 +178,13 @@ class TestRelatedError:
         with pytest.raises(ValueError):
             related_error(real, real, sel)
 
+    @pytest.mark.parametrize("candidate", [3, -1])
+    def test_candidate_outside_the_table_rejected(self, candidate):
+        # -1 would index the last item silently
+        table = np.array([4.0, 3.0, 2.0])
+        with pytest.raises(ValueError, match="^candidate item outside table$"):
+            related_error(table, table, np.array([0, candidate]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("table", ["real", "est"])
     def test_non_finite_table_rejected(self, table, bad):
@@ -207,6 +214,10 @@ class TestSquaredError:
         est = np.array([0.25, 0.02, 0.50, 0.23])
         # top-2 sets are {0, 1} and {2, 0}; they share only item 0
         assert squared_error(real, est, 2) == pytest.approx(0.0025)
+
+    def test_true_table_without_mass_rejected(self):
+        with pytest.raises(ValueError, match="^true table must have positive total mass$"):
+            squared_error(np.zeros(4), np.array([4.0, 3.0, 2.0, 1.0]), 2)
 
     def test_disjoint_topk_raises(self):
         real = np.array([5.0, 4.0, 0.0, 0.0])

@@ -30,12 +30,16 @@ from _oracles import (
     fhr_range_oracle,
     law_matrix,
     ratio_profile_oracle,
+    rows_below_oracle,
     unary_max_ratio_oracle,
     unary_probability_oracle,
     unary_range_oracle,
     unary_ranges_exact,
     witness_walk_oracle,
 )
+
+
+_ZERO_ENTRY = "^probabilities must be positive: a law with zeros needs a closed form$"
 
 
 def _fhr_params(eps):
@@ -179,14 +183,15 @@ class TestEnumerateRange:
         assert certify_mechanism(name, 1.0, np.int64(5)) == certify_mechanism(name, 1.0, 5)
 
     def test_output_range_validation(self):
-        # each row is one item's law: it must sum to 1, and the rows must
-        # be of one length; a zero entry is an output outside the range
+        # each row is one item's law over every output: it must sum to 1,
+        # the rows must be of one length, and a zero entry, an output
+        # outside the item's range, is refused: such laws need a closed form
         with pytest.raises(ValueError, match="sum to 0.9"):
             certify_ranges([[0.5, 0.4], [0.5, 0.5]])
         with pytest.raises(ValueError):
             certify_ranges([[0.5, 0.5], [1.0]])
-        cert = certify_ranges([[1.0, 0.0], [0.0, 1.0]])
-        assert (cert.range_size_max, cert.eta_observed) == (1, 0.0)
+        with pytest.raises(ValueError, match=_ZERO_ENTRY):
+            certify_ranges([[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestCertify:
@@ -232,12 +237,16 @@ class TestCertify:
         assert cert.eta_observed == 1.0
 
     def test_disjoint_ranges_give_eta_zero(self):
+        # the references audit ranges that share nothing; certify_ranges,
+        # which audits only laws that reach every output, refuses them
         P = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
-        cert = certify_ranges(P)
+        cert = certify_ranges_oracle(_laws(P))
         assert cert.eta_observed == 0.0
         assert cert.max_ratio_observed == 1.0
         assert cert.pair_witnesses == ()
-        assert cert == certify_ranges_oracle(_laws(P))
+        assert cert == rows_below_oracle(P)
+        with pytest.raises(ValueError, match=_ZERO_ENTRY):
+            certify_ranges(P)
 
     def test_witnesses_attain_max_ratio(self):
         cert = certify_mechanism("fhr", 1.0, 7)
@@ -257,9 +266,12 @@ class TestCertify:
             ([[0.5, 0.5]], "^certification needs at least two items$"),
             ([[0.5, 0.5], [np.nan, 1.0]], "^probabilities must not be NaN$"),
             ([[0.5, 0.5], [-0.5, 1.5]], "^probabilities must be nonnegative$"),
-            ([[0.5, 0.5], [0.0, 0.0]], r"^probabilities sum to 0\.0, expected 1$"),
-            ([[0.5, 0.5], [1 + 2e-9, 0.0]], r"^probabilities sum to 1\.000000002, expected 1$"),
-            ([[0.5, 0.5], [1 - 2e-9, 0.0]], r"^probabilities sum to 0\.999999998, expected 1$"),
+            # positive rows reach the sum check; a row of zeros stops first
+            # at the zero check
+            ([[0.5, 0.5], [0.25, 0.25]], r"^probabilities sum to 0\.5, expected 1$"),
+            ([[0.5, 0.5], [0.5, 1 + 2e-9 - 0.5]], r"^probabilities sum to 1\.000000002, expected 1$"),
+            ([[0.5, 0.5], [0.5, 1 - 2e-9 - 0.5]], r"^probabilities sum to 0\.999999998, expected 1$"),
+            ([[0.5, 0.5], [0.0, 0.0]], _ZERO_ENTRY),
         ],
     )
     def test_malformed_matrix_rejected(self, P, message):
@@ -297,17 +309,16 @@ class TestCertify:
 
 
 class TestFhrClosedForm:
-    """FHR's closed-form certificate equals the matrix form's over its
-    enumerated laws, field for field, under the same probabilities. The
-    closed form walks each pair's shared outputs in the lower item's
-    enumeration order, the matrix in column order, so the witnesses are
-    those of the pairwise walk at the matrix's largest ratio."""
+    """FHR's closed-form certificate equals the rows-below reference's over
+    its enumerated laws, field for field, under the same probabilities,
+    with the witnesses of the pairwise walk at the reference's largest
+    ratio."""
 
     @staticmethod
     def _check(order, eps):
         cert = certify_mechanism("fhr", eps, order - 1)
         laws = [fhr_range_oracle(t, _fhr_params(eps), order - 1) for t in range(order - 1)]
-        matrix = certify_ranges(law_matrix(laws))
+        matrix = rows_below_oracle(law_matrix(laws))
         witnesses = witness_walk_oracle(dict(enumerate(laws)), matrix.max_ratio_observed)
         oracle = dataclasses.replace(matrix, pair_witnesses=witnesses)
         assert cert == oracle, (order, eps)
@@ -375,7 +386,8 @@ class TestFhrClosedForm:
 
 class TestMatrixAgainstPairwiseOracle:
     """The matrix certificate, and FHR's closed form, equal the pairwise
-    audit's, field for field."""
+    audit's, field for field; on laws with zeros, which certify_ranges
+    refuses, the rows-below reference does, all but the witnesses."""
 
     @staticmethod
     def _both(mechanism, eps, domain):
@@ -416,8 +428,8 @@ class TestMatrixAgainstPairwiseOracle:
         # with no ratio above 1, outputs of equal probability are the
         # witnesses, oriented from the lower item and in column order
         P = _matrix(([0, 1, 2], [0.5, 0.25, 0.25]), ([2, 1, 3], [0.25, 0.25, 0.5]))
-        cert = certify_ranges(P)
-        assert cert == certify_ranges_oracle(_laws(P))
+        cert = certify_ranges_oracle(_laws(P))
+        assert _without_witnesses(cert) == rows_below_oracle(P)
         assert cert.max_ratio_observed == 1.0
         assert cert.pair_witnesses == ((0, 1, 1), (0, 1, 2))
         assert cert.eta_observed == 2 / 3
@@ -430,8 +442,8 @@ class TestMatrixAgainstPairwiseOracle:
             ([5, 3, 1], [1 / 3] * 3),
             ([4, 3, 2, 1, 0, 6], [1 / 6] * 6),
         )
-        cert = certify_ranges(P)
-        assert cert == certify_ranges_oracle(_laws(P))
+        cert = certify_ranges_oracle(_laws(P))
+        assert _without_witnesses(cert) == rows_below_oracle(P)
         assert cert.max_ratio_observed == 2.0
         assert cert.pair_witnesses == ((1, 0, 1), (1, 0, 3), (1, 0, 5), (1, 2, 1), (1, 2, 3))
         assert (cert.range_size_min, cert.range_size_max) == (3, 6)
@@ -486,15 +498,16 @@ _WEIGHTS = st.sampled_from([1.0, 2.0, 3.0, 0.5, 1e-3, 2.0**-600, 2.0**-1000, 5e-
 
 
 @st.composite
-def _matrices(draw):
+def _matrices(draw, full=True):
+    """Laws over every output, or with ``full`` false over a support of
+    any size, zeros elsewhere, so that unequal and disjoint ranges occur."""
     outputs = draw(st.integers(min_value=1, max_value=8))
     count = draw(st.integers(min_value=2, max_value=6))
     P = np.zeros((count, outputs))
     for t in range(count):
-        # a support of any size, zeros elsewhere: unequal and disjoint
-        # ranges both occur
-        columns = draw(st.lists(st.integers(0, outputs - 1), min_size=1, max_size=outputs,
-                                unique=True))
+        columns = range(outputs) if full else draw(
+            st.lists(st.integers(0, outputs - 1), min_size=1, max_size=outputs, unique=True)
+        )
         weights = np.array(draw(st.lists(_WEIGHTS, min_size=len(columns), max_size=len(columns))))
         probs = weights / weights.sum()
         assume((probs > 0).all() and abs(math.fsum(probs.tolist()) - 1) <= 1e-9)
@@ -504,8 +517,8 @@ def _matrices(draw):
 
 # a ratio past the largest float: 5e-324 / 0.5 inverts to inf
 _OVERFLOW = (([0, 1], [5e-324, 1.0]), ([1, 0], [0.5, 0.5]))
-# the worst ratio only in the last pair (1, 2): item 0 shares nothing
-_LAST_PAIR = (([5], [1.0]), ([0, 1], [0.5, 0.5]), ([0, 1], [0.8, 0.2]))
+# the worst ratio, 4, only in the last pair (1, 2): item 0 lies between them
+_LAST_PAIR = (([0, 1], [0.5, 0.5]), ([0, 1], [0.2, 0.8]), ([0, 1], [0.8, 0.2]))
 # the worst ratio, 5, only as 1 / forward: 0.1 / 0.5 inverted
 _INVERSE = (([0, 1], [0.1, 0.9]), ([0, 1], [0.5, 0.5]))
 # no zero entry: unequal rows, a repeated row and ratio-2 ties in more
@@ -516,14 +529,27 @@ _FULL = tuple(
 )
 
 
+class TestRowsBelowReference:
+    """The reference that FHR's closed form is checked against equals the
+    pairwise audit on laws with zeros, all but the witnesses."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(_matrices(full=False))
+    # disjoint ranges: eta 0, ratio 1
+    @example(_matrix(([0, 1], [0.5, 0.5]), ([2, 3], [0.5, 0.5])))
+    # the worst ratio only in the last pair (1, 2): item 0 shares nothing
+    @example(_matrix(([5], [1.0]), ([0, 1], [0.5, 0.5]), ([0, 1], [0.8, 0.2])))
+    def test_any_range_set(self, P):
+        assert rows_below_oracle(P) == _without_witnesses(certify_ranges_oracle(_laws(P)))
+
+
 class TestAuditAgainstPairwiseOracle:
-    """The one-pass audit equals the pairwise walk on any matrix, witnesses
-    and their order included."""
+    """The one-pass audit equals the pairwise walk on any matrix whose laws
+    reach every output, witnesses and their order included, and refuses
+    one with a zero entry anywhere."""
 
     @settings(max_examples=400, deadline=None)
     @given(_matrices())
-    # disjoint ranges: eta 0, ratio 1, no witness
-    @example(_matrix(([0, 1], [0.5, 0.5]), ([2, 3], [0.5, 0.5])))
     @example(_matrix(*_OVERFLOW))
     @example(_matrix(*_LAST_PAIR))
     @example(_matrix(*_INVERSE))
@@ -536,17 +562,25 @@ class TestAuditAgainstPairwiseOracle:
         assert cert == oracle
         assert repr(cert) == repr(oracle)
 
+    @settings(max_examples=50, deadline=None)
+    @given(_matrices(), st.data())
+    def test_a_zero_anywhere_is_refused(self, P, data):
+        t = data.draw(st.integers(0, len(P) - 1))
+        k = data.draw(st.integers(0, P.shape[1] - 1))
+        P[t, k] = 0.0
+        with pytest.raises(ValueError, match=_ZERO_ENTRY):
+            certify_ranges(P)
+
     def test_the_examples_reach_their_cases(self):
         cert = certify_ranges(_matrix(*_OVERFLOW))
         assert (cert.max_ratio_observed, cert.pair_witnesses) == (math.inf, ((1, 0, 0),))
-        assert certify_ranges(_matrix(*_LAST_PAIR)).pair_witnesses == ((1, 2, 1),)
+        cert = certify_ranges(_matrix(*_LAST_PAIR))
+        assert (cert.max_ratio_observed, cert.pair_witnesses) == (4.0, ((2, 1, 0), (1, 2, 1)))
         cert = certify_ranges(_matrix(*_INVERSE))
         assert (cert.max_ratio_observed, cert.pair_witnesses) == (5.0, ((1, 0, 0),))
-        # with no zero entry every range is all n outputs; _LAST_PAIR has zeros
-        for laws, n in ((_FULL, 3), (_OVERFLOW, 2)):
-            assert (_matrix(*laws) > 0).all()
+        # every range is all n outputs
+        for laws, n in ((_FULL, 3), (_OVERFLOW, 2), (_LAST_PAIR, 2), (_INVERSE, 2)):
             assert _sizes(certify_ranges(_matrix(*laws))) == (1.0, n, n, n, n)
-        assert _sizes(certify_ranges(_matrix(*_LAST_PAIR))) == (0.0, 1, 2, 0, 2)
         cert = certify_ranges(_matrix(*_FULL))
         assert cert.max_ratio_observed == 2.0 and len(cert.pair_witnesses) == 8
 
@@ -562,6 +596,10 @@ class TestAuditAgainstPairwiseOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 3.37 * 2**20 + d * d * 8
+
+
+def _without_witnesses(cert):
+    return dataclasses.replace(cert, pair_witnesses=())
 
 
 def _sizes(cert):

@@ -4,6 +4,7 @@ import contextlib
 import itertools
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -265,6 +266,21 @@ class TestReportFile:
         raw = path.read_bytes()
         path.write_bytes(raw[:-1])
         with pytest.raises(WireFormatError):
+            read_report_file(path)
+
+    def test_file_shrinking_while_read_rejected(self, tmp_path, monkeypatch):
+        # the size the header was checked against, then a short read: the
+        # file lost its last record between the two
+        order = HadamardOrder(3)
+        path = tmp_path / "shrinking.bin"
+        write_report_file(path, self._sample_reports(order), order)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[: -packed_size(order)])
+        stat = types.SimpleNamespace(st_size=size)
+        monkeypatch.setattr(wire, "os", types.SimpleNamespace(fstat=lambda fd: stat))
+        body = size - 16
+        message = f"^file shrank while reading: {body - packed_size(order)} of {body} bytes$"
+        with pytest.raises(WireFormatError, match=message):
             read_report_file(path)
 
     def test_short_file_rejected(self, tmp_path):
