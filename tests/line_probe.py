@@ -11,7 +11,7 @@ probe too, so the list cannot go stale.
 
 Its name keeps pytest from collecting it. From the repository root:
 
-    python tests/line_probe.py [extra pytest arguments]
+    python tests/line_probe.py
 
 A traced run takes about twice as long as an untraced one.
 """
@@ -52,7 +52,7 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     import pytest
 
     files = {str(path): path for path in sorted(PACKAGE.glob("*.py"))}
@@ -71,7 +71,7 @@ def main(argv: list[str]) -> int:
     sys.settrace(tracer)
     try:
         status = pytest.main(
-            ["-q", "-p", "no:cacheprovider", "-m", "not slow", str(ROOT / "tests"), *argv]
+            ["-q", "-p", "no:cacheprovider", "-m", "not slow", str(ROOT / "tests")]
         )
     finally:
         sys.settrace(None)
@@ -102,4 +102,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
